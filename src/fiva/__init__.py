@@ -24,6 +24,7 @@ from .detector import (
     ScoreDistribution,
     detect,
     score_distribution,
+    score_rows,
 )
 from .errors import (
     AntipodalPair,
@@ -52,6 +53,8 @@ from .io import (
     load_embeddings,
     load_gallery,
     load_labeled_embeddings,
+    load_labeled_rows,
+    load_rows,
     pack_container,
     parse_container,
     read_container,
@@ -71,10 +74,11 @@ from .metrics import (
     neg_id_retrieval_rate,
     pairwise_distance_matrix,
     recon_l1,
+    retrieval_report,
     retrieve,
     temporal_consistency,
 )
-from .sampling import SampleResult, sample_fake, sample_far
+from .sampling import SampleResult, sample_batch, sample_fake, sample_far
 from .sphere import (
     UNIT_NORM_TOL,
     AnchorProvenance,

@@ -30,11 +30,11 @@ from .defense import (
     toy_oracle,
     uniform_pixel_noise,
 )
-from .detector import DEFAULT_DETECT_THRESHOLD, detect, score_distribution
-from .errors import ConfigError, FivaError, ShapeMismatch
+from .detector import DEFAULT_DETECT_THRESHOLD, score_rows
+from .errors import ConfigError, FivaError
 from .gallery import Gallery
-from .metrics import id_retrieval_rate, neg_id_retrieval_rate, temporal_consistency
-from .sampling import sample_fake
+from .metrics import retrieval_report, temporal_consistency
+from .sampling import sample_batch
 from .sphere import AnchorSet, build_anchor_set
 from .synth import (
     MockAnonymizer,
@@ -66,7 +66,7 @@ def _add_common(parser: argparse.ArgumentParser, default=None) -> None:
     parser.add_argument("--dim", type=int, default=default, help="embedding dimension for generators (default 512)")
     parser.add_argument("--seed", type=int, default=default, help=f"master RNG seed (default: ${SEED_ENV_VAR} or 0)")
     parser.add_argument("--config", default=default, help="JSON file of flat key/value option defaults")
-    parser.add_argument("--threads", type=int, default=default, help="worker threads for batch stages (default 1; output is identical for any value)")
+    parser.add_argument("--threads", type=int, default=default, help="accepted for compatibility; has no effect on output or speed")
 
 
 def _build_parser() -> _Parser:
@@ -212,10 +212,6 @@ class _Options:
     def dim(self) -> int:
         return self.get("dim", 512, int)
 
-    @property
-    def threads(self) -> int:
-        return self.get("threads", 1, int)
-
 
 @contextlib.contextmanager
 def _text_out(path: str | None) -> Iterator[IO[str]]:
@@ -266,13 +262,13 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
     anchors = _load_anchor_set(args.anchors, args.normalize)
-    queries = fio.load_embeddings(args.query, args.normalize)
+    queries, _ = fio.load_rows(args.query, args.normalize)
     margin = opts.get("margin", 0.0, float)
-    results = [sample_fake(q, anchors, margin) for q in queries]
-    fio.write_embeddings(args.out, [r.fake_identity for r in results])
+    index, cosine = sample_batch(queries, anchors, margin)
+    fio.write_embeddings(args.out, [anchors.anchors[i] for i in index.tolist()])
     print("query_index,anchor_index,achieved_cosine")
-    for i, result in enumerate(results):
-        print(f"{i},{result.anchor_index},{_fmt(result.achieved_cosine)}")
+    for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist())):
+        print(f"{i},{chosen},{_fmt(achieved)}")
     return 0
 
 
@@ -297,16 +293,18 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
             anchors=anchors,
         )
     frames = fio.load_embeddings(args.frames, args.normalize)
-    results = [state.track(frame) for frame in frames]
+    # Keep keys, not the per-frame fake copies; fakes are gathered by key.
+    results = [(r.matched, r.key, r.match_distance) for r in map(state.track, frames)]
     if args.out is not None:
-        fio.write_embeddings(args.out, [r.fake_identity for r in results])
+        fakes = state.fakes
+        fio.write_embeddings(args.out, [fakes[key] for _, key, _ in results])
     if args.state_out is not None:
         save_state(state, args.state_out)
     with _text_out(args.log) as fh:
         fh.write("frame_index,matched,key,distance\n")
-        for i, result in enumerate(results):
-            distance = "" if result.match_distance is None else _fmt(result.match_distance)
-            fh.write(f"{i},{int(result.matched)},{result.key},{distance}\n")
+        for i, (matched, key, match_distance) in enumerate(results):
+            distance = "" if match_distance is None else _fmt(match_distance)
+            fh.write(f"{i},{int(matched)},{key},{distance}\n")
     _info(
         f"tracked {len(frames)} frames: {state.key_pointer} distinct identities"
     )
@@ -314,11 +312,10 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
-    probes = fio.load_labeled_embeddings(args.probes, args.normalize)
+    probes, labels = fio.load_labeled_rows(args.probes, args.normalize)
     gallery = fio.load_gallery(args.gallery, args.normalize)
     threshold = opts.get("threshold", DEFAULT_MATCH_THRESHOLD, float)
-    rate_fn = neg_id_retrieval_rate if args.negate else id_retrieval_rate
-    report = rate_fn(probes, gallery, threshold, opts.threads)
+    report = retrieval_report(probes, labels, gallery, threshold, args.negate)
     with _text_out(args.report) as fh:
         fh.write("probe_index,true_label,retrieved_label,distance,success\n")
         for i, outcome in enumerate(report.per_query):
@@ -336,7 +333,7 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
     videos = [fio.load_embeddings(path, args.normalize) for path in args.frames]
-    report = temporal_consistency(videos, opts.threads)
+    report = temporal_consistency(videos)
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
         for i, (path, stats) in enumerate(zip(args.frames, report.per_video)):
@@ -402,27 +399,24 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
-    inputs = fio.load_embeddings(args.inputs, args.normalize)
-    outputs = fio.load_embeddings(args.outputs, args.normalize)
-    if len(inputs) != len(outputs):
-        raise ShapeMismatch(
-            f"{len(inputs)} input embeddings vs {len(outputs)} output embeddings"
-        )
+    inputs, _ = fio.load_rows(args.inputs, args.normalize)
+    outputs, _ = fio.load_rows(args.outputs, args.normalize)
     threshold = opts.get("threshold", DEFAULT_DETECT_THRESHOLD, float)
-    scores = [detect(a, b, threshold) for a, b in zip(inputs, outputs)]
-    dist = score_distribution(list(zip(inputs, outputs)))
+    if not 0.0 < threshold < 2.0:
+        raise ValueError(f"threshold must be in (0, 2), got {threshold}")
+    dist = score_rows(inputs, outputs)
+    flags = [distance > threshold for distance in dist.scores]
     with _text_out(args.report) as fh:
         fh.write("pair_index,distance,is_fake\n")
-        for i, score in enumerate(scores):
-            fh.write(f"{i},{_fmt(score.distance)},{int(score.is_fake)}\n")
+        for i, (distance, is_fake) in enumerate(zip(dist.scores, flags)):
+            fh.write(f"{i},{_fmt(distance)},{int(is_fake)}\n")
         fh.write(f"mean,{_fmt(dist.mean)},\n")
         fh.write(f"std,{_fmt(dist.std)},\n")
         fh.write(f"min,{_fmt(dist.score_min)},\n")
         fh.write(f"max,{_fmt(dist.score_max)},\n")
         histogram = " ".join(str(c) for c in dist.histogram)
         fh.write(f"histogram,{histogram},\n")
-    flagged = sum(1 for s in scores if s.is_fake)
-    _info(f"flagged {flagged}/{len(scores)} pairs at threshold {threshold}")
+    _info(f"flagged {sum(flags)}/{len(flags)} pairs at threshold {threshold}")
     return 0
 
 
@@ -457,7 +451,6 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         anonymizer,
         retrieval_threshold=opts.get("retrieval_threshold", DEFAULT_MATCH_THRESHOLD, float),
         tracker_threshold=opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float),
-        threads=opts.threads,
     )
     gallery: Gallery = result.gallery
     fio.write_embeddings(
@@ -468,17 +461,13 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         for entry, video in zip(gallery.entries, result.frames)
         for _ in video
     ]
-
-    def _flat(videos):
-        return [frame for video in videos for frame in video]
-
-    fio.write_embeddings(out_dir / "frames.emb", _flat(result.frames), frame_labels)
-    fio.write_embeddings(
-        out_dir / "fakes_tracked.emb", _flat(result.tracked_fakes), frame_labels
-    )
-    fio.write_embeddings(
-        out_dir / "fakes_per_frame.emb", _flat(result.per_frame_fakes), frame_labels
-    )
+    for name, videos in (
+        ("frames", result.frames),
+        ("fakes_tracked", result.tracked_fakes),
+        ("fakes_per_frame", result.per_frame_fakes),
+    ):
+        rows = [row for video in videos for row in video]
+        fio.write_embeddings(out_dir / f"{name}.emb", rows, frame_labels)
     with _text_out(str(out_dir / "report.csv")) as fh:
         fh.write("variant,id_rate,neg_id_rate,mtc_mean,mtc_std\n")
         for name, variant in (("tracked", result.tracked), ("per_frame", result.per_frame)):

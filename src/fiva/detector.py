@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyList
-from .sphere import Embedding, cosine_distance
+from .errors import DimensionMismatch, EmptyList, ShapeMismatch
+from .sphere import Embedding, _require_unit_rows, _row_dots, _stack, cosine_distance
 
 __all__ = [
     "DEFAULT_DETECT_THRESHOLD",
@@ -22,6 +22,7 @@ __all__ = [
     "ScoreDistribution",
     "detect",
     "score_distribution",
+    "score_rows",
 ]
 
 # Distance above which a pair is flagged; chosen so genuine re-encodings
@@ -63,20 +64,38 @@ def detect(
     return DetectionScore(distance, distance > threshold, threshold)
 
 
-def score_distribution(
-    pairs: Sequence[tuple[Embedding, Embedding]],
-) -> ScoreDistribution:
-    """Distance distribution over a corpus of (input, output) pairs."""
-    pairs = list(pairs)
-    if not pairs:
+def score_rows(inputs: np.ndarray, outputs: np.ndarray) -> ScoreDistribution:
+    """Distance distribution over the aligned rows of two (N, D) unit arrays.
+
+    One row-wise product over all pairs; each score has the bits of
+    :func:`~fiva.sphere.cosine_distance` on its pair.
+    """
+    if len(inputs) != len(outputs):
+        raise ShapeMismatch(
+            f"{len(inputs)} input embeddings vs {len(outputs)} output embeddings"
+        )
+    if inputs.shape != outputs.shape:
+        raise DimensionMismatch(f"input shape {inputs.shape} vs output shape {outputs.shape}")
+    if len(inputs) == 0:
         raise EmptyList("need at least one embedding pair")
-    scores = [cosine_distance(a, b) for a, b in pairs]
+    _require_unit_rows(inputs, "input embedding")
+    _require_unit_rows(outputs, "output embedding")
+    scores = 1.0 - np.clip(_row_dots(inputs, outputs), -1.0, 1.0)
     counts, _ = np.histogram(scores, bins=HISTOGRAM_BINS, range=(0.0, 2.0))
     return ScoreDistribution(
-        scores=tuple(scores),
+        scores=tuple(scores.tolist()),
         mean=float(np.mean(scores)),
         std=float(np.std(scores)),
         score_min=float(np.min(scores)),
         score_max=float(np.max(scores)),
         histogram=tuple(int(c) for c in counts),
     )
+
+
+def score_distribution(
+    pairs: Sequence[tuple[Embedding, Embedding]],
+) -> ScoreDistribution:
+    """Distance distribution over a corpus of (input, output) pairs."""
+    pairs = list(pairs)
+    inputs = _stack([a for a, _ in pairs], "input embedding")
+    return score_rows(inputs, _stack([b for _, b in pairs], "output embedding"))

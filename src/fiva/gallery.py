@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-import numpy as np
-
-from .errors import DimensionMismatch
-from .sphere import Embedding, _require_unit
+from .sphere import Embedding, _require_unit_rows, _stack
 
 __all__ = ["LabeledEmbedding", "Gallery"]
 
@@ -35,19 +31,15 @@ class Gallery:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         seen: set[str] = set()
-        dim = None
-        for i, entry in enumerate(entries):
+        for entry in entries:
             if entry.label in seen:
                 raise ValueError(f"duplicate gallery label {entry.label!r}")
             seen.add(entry.label)
-            if dim is None:
-                dim = entry.embedding.dim
-            elif entry.embedding.dim != dim:
-                raise DimensionMismatch(
-                    f"entry {i} has dimension {entry.embedding.dim}, expected {dim}"
-                )
-            _require_unit(entry.embedding, f"gallery entry {entry.label!r}")
-        self.matrix  # build the cache eagerly; entries are immutable
+        matrix = _stack([entry.embedding for entry in entries], "entry")
+        _require_unit_rows(matrix, "gallery entry")
+        matrix.setflags(write=False)
+        # The entries stacked row-wise as a read-only (N, D) float64 array.
+        object.__setattr__(self, "matrix", matrix)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -63,13 +55,3 @@ class Gallery:
     @property
     def dim(self) -> int | None:
         return self.entries[0].embedding.dim if self.entries else None
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Entries stacked row-wise as a read-only (N, D) float64 array."""
-        if not self.entries:
-            mat = np.empty((0, 0), dtype=np.float64)
-        else:
-            mat = np.stack([entry.embedding.values for entry in self.entries])
-        mat.setflags(write=False)
-        return mat

@@ -35,12 +35,12 @@ from .errors import (
     DimensionMismatch,
     LabelCountMismatch,
     MissingLabels,
-    NotUnitNorm,
+    NonFinite,
     Truncated,
     UnsupportedFormat,
 )
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, normalize
+from .sphere import Embedding, _require_unit_rows, _stack, normalize
 
 __all__ = [
     "MAGIC",
@@ -48,6 +48,8 @@ __all__ = [
     "parse_container",
     "read_container",
     "write_container",
+    "load_rows",
+    "load_labeled_rows",
     "load_embeddings",
     "load_labeled_embeddings",
     "load_gallery",
@@ -217,7 +219,8 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
             )
     if not rows:
         raise UnsupportedFormat("CSV file contains no embedding rows")
-    matrix = np.asarray(rows, dtype="<f4")
+    with np.errstate(over="ignore"):  # overflow to inf is reported as NonFinite
+        matrix = np.asarray(rows, dtype="<f4")
     return matrix, (labels if labeled else None)
 
 
@@ -227,13 +230,20 @@ def read_container(
     """Read one embedding file (binary container or interop CSV).
 
     Returns the raw (count, dim) float32 matrix and labels (or ``None``).
+
+    Raises:
+        NonFinite: if any value is NaN or infinite.
     """
     data = _read_bytes(source)
     if _looks_like_csv(source, data):
-        return _parse_csv(data)
-    matrix, labels, end = parse_container(data, 0, allow_labels=True)
-    if end != len(data):
-        raise Truncated(f"{len(data) - end} undecodable bytes after payload")
+        matrix, labels = _parse_csv(data)
+    else:
+        matrix, labels, end = parse_container(data, 0, allow_labels=True)
+        if end != len(data):
+            raise Truncated(f"{len(data) - end} undecodable bytes after payload")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise NonFinite(f"row {bad[0]} contains a NaN or infinite value")
     return matrix, labels
 
 
@@ -266,44 +276,58 @@ def write_container(
     _write_bytes(destination, blob)
 
 
-def _rows_to_embeddings(matrix: np.ndarray, renorm: bool) -> list[Embedding]:
-    out = []
-    for i, row in enumerate(matrix):
-        vec = row.astype(np.float64)
-        if renorm:
-            out.append(normalize(vec))
-        else:
-            emb = Embedding(vec)
-            if not emb.is_unit:
-                raise NotUnitNorm(
-                    f"row {i} has norm {emb.norm:.8f}; pass normalize=True to "
-                    "project raw rows onto the sphere"
-                )
-            out.append(emb)
-    return out
+def _unit_rows(matrix: np.ndarray, renorm: bool) -> np.ndarray:
+    rows = matrix.astype(np.float64)
+    if len(rows) and rows.shape[1] < 2:
+        raise DimensionMismatch(
+            f"embedding must be a 1-D vector of length >= 2, got shape ({rows.shape[1]},)"
+        )
+    if renorm:
+        # Row by row, so the bits are those of normalize() on each row.
+        for i, row in enumerate(rows):
+            rows[i] = normalize(row).values
+    else:
+        _require_unit_rows(rows, "row")
+    return rows
+
+
+def load_rows(
+    source: str | Path | BinaryIO, renormalize: bool = False
+) -> tuple[np.ndarray, list[str] | None]:
+    """Read an embedding file as a float64 (count, dim) array of unit rows.
+
+    The unit-norm check runs once over the whole matrix and names the first
+    failing row. Returns the rows and the labels (or ``None``).
+    """
+    matrix, labels = read_container(source)
+    return _unit_rows(matrix, renormalize), labels
+
+
+def load_labeled_rows(
+    source: str | Path | BinaryIO, renormalize: bool = False
+) -> tuple[np.ndarray, list[str]]:
+    """:func:`load_rows` for a file that must carry a label per row."""
+    matrix, labels = read_container(source)
+    if labels is None:
+        raise MissingLabels(
+            f"{getattr(source, 'name', source)} has no label block"
+        )
+    return _unit_rows(matrix, renormalize), labels
 
 
 def load_embeddings(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> list[Embedding]:
     """Read an embedding file as unit embeddings, ignoring labels."""
-    matrix, _ = read_container(source)
-    return _rows_to_embeddings(matrix, renormalize)
+    return [Embedding(row) for row in load_rows(source, renormalize)[0]]
 
 
 def load_labeled_embeddings(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> list[LabeledEmbedding]:
     """Read an embedding file that must carry a label per row."""
-    matrix, labels = read_container(source)
-    if labels is None:
-        raise MissingLabels(
-            f"{getattr(source, 'name', source)} has no label block"
-        )
-    embeddings = _rows_to_embeddings(matrix, renormalize)
-    return [
-        LabeledEmbedding(label, emb) for label, emb in zip(labels, embeddings)
-    ]
+    rows, labels = load_labeled_rows(source, renormalize)
+    return [LabeledEmbedding(label, Embedding(row)) for label, row in zip(labels, rows)]
 
 
 def load_gallery(
@@ -319,12 +343,7 @@ def write_embeddings(
     labels: Sequence[str] | None = None,
 ) -> None:
     """Write a list of embeddings (and optional labels) to one file."""
-    rows = [e.values for e in embeddings]
-    if not rows:
-        matrix = np.empty((0, 0), dtype=np.float64)
-    else:
-        matrix = np.stack(rows)
-    write_container(destination, matrix, labels)
+    write_container(destination, _stack(list(embeddings)), labels)
 
 
 # --- netpbm images ---------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyGallery, EmptyList, ShapeMismatch
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, _require_unit, cosine, negate
-from .util import parallel_map
+from .sphere import Embedding, _nearest, _require_unit_rows, _stack, cosine
 
 __all__ = [
     "VideoConsistency",
@@ -30,6 +29,7 @@ __all__ = [
     "pairwise_distance_matrix",
     "temporal_consistency",
     "retrieve",
+    "retrieval_report",
     "id_retrieval_rate",
     "neg_id_retrieval_rate",
     "anti_id_loss",
@@ -77,14 +77,9 @@ class RetrievalReport:
 def _check_frames(frames: Sequence[Embedding]) -> np.ndarray:
     if not frames:
         raise EmptyList("a video needs at least one frame embedding")
-    dim = frames[0].dim
-    for i, frame in enumerate(frames):
-        if frame.dim != dim:
-            raise DimensionMismatch(
-                f"frame {i} has dimension {frame.dim}, expected {dim}"
-            )
-        _require_unit(frame, f"frame {i}")
-    return np.stack([f.values for f in frames])
+    stacked = _stack(frames, "frame")
+    _require_unit_rows(stacked, "frame")
+    return stacked
 
 
 def pairwise_distance_matrix(frames: Sequence[Embedding]) -> np.ndarray:
@@ -114,42 +109,79 @@ def _video_consistency(frames: Sequence[Embedding]) -> VideoConsistency:
 def temporal_consistency(
     videos: Sequence[Sequence[Embedding]], threads: int = 1
 ) -> TemporalReport:
-    """Consistency statistics for a list of videos (lists of frames)."""
+    """Consistency statistics for a list of videos (lists of frames).
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     videos = list(videos)
     if not videos:
         raise EmptyList("need at least one video")
-    per_video = parallel_map(_video_consistency, videos, threads)
+    per_video = [_video_consistency(video) for video in videos]
     mean_of_means = float(np.mean([v.mean_distance for v in per_video]))
     mean_of_stds = float(np.mean([v.std_distance for v in per_video]))
     return TemporalReport(mean_of_means, mean_of_stds, tuple(per_video))
 
 
-def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:
-    """Nearest gallery entry by cosine distance; ties go to the lowest index."""
+def _search(
+    queries: np.ndarray, gallery: Gallery, negate: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest entry index and cosine distance for each row of a (N, D) array."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
-    if gallery.dim != query.dim:
+    if queries.shape[1] != gallery.dim:
         raise DimensionMismatch(
-            f"query has dimension {query.dim}, gallery has {gallery.dim}"
+            f"query has dimension {queries.shape[1]}, gallery has {gallery.dim}"
         )
-    _require_unit(query, "query embedding")
-    similarities = np.clip(gallery.matrix @ query.values, -1.0, 1.0)
-    distances = 1.0 - similarities
-    index = int(np.argmin(distances))
-    return gallery.entries[index].label, float(distances[index])
+    _require_unit_rows(queries, "probe")
+    index, cosine = _nearest(queries, gallery.matrix, -1.0, negate)
+    return index, 1.0 - cosine
 
 
-def _probe_pairs(
+def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:
+    """Nearest gallery entry by cosine distance; ties go to the lowest index."""
+    index, distance = _search(query.values[None, :], gallery)
+    return gallery.entries[int(index[0])].label, float(distance[0])
+
+
+def retrieval_report(
+    queries: np.ndarray,
+    true_labels: Sequence[str],
+    gallery: Gallery,
+    threshold: float,
+    negate: bool = False,
+) -> RetrievalReport:
+    """Retrieval outcome of every row of a (N, D) array of unit probes.
+
+    Success means the nearest entry carries the probe's label at a distance
+    no larger than ``threshold``. With ``negate`` each probe is negated
+    before the search, as :func:`neg_id_retrieval_rate` does.
+    """
+    if len(true_labels) == 0:
+        raise EmptyList("need at least one probe")
+    if not 0.0 <= threshold <= 2.0:
+        raise ValueError(f"threshold must be in [0, 2], got {threshold}")
+    if queries.ndim != 2 or queries.shape[0] != len(true_labels):
+        raise ShapeMismatch(
+            f"{len(true_labels)} labels for probe array of shape {queries.shape}"
+        )
+    index, distance = _search(queries, gallery, negate)
+    labels = gallery.labels
+    outcomes = tuple(
+        ProbeOutcome(true, labels[i], d, labels[i] == true and d <= threshold)
+        for true, i, d in zip(true_labels, index.tolist(), distance.tolist())
+    )
+    rate = sum(1 for o in outcomes if o.success) / len(outcomes)
+    return RetrievalReport(rate, threshold, outcomes)
+
+
+def _probe_rows(
     probes: Sequence[tuple[Embedding, str] | LabeledEmbedding],
-) -> list[tuple[Embedding, str]]:
-    pairs = []
-    for probe in probes:
-        if isinstance(probe, LabeledEmbedding):
-            pairs.append((probe.embedding, probe.label))
-        else:
-            embedding, label = probe
-            pairs.append((embedding, label))
-    return pairs
+) -> tuple[np.ndarray, list[str]]:
+    pairs = [
+        (p.embedding, p.label) if isinstance(p, LabeledEmbedding) else tuple(p)
+        for p in probes
+    ]
+    return _stack([e for e, _ in pairs], "probe"), [label for _, label in pairs]
 
 
 def id_retrieval_rate(
@@ -161,22 +193,9 @@ def id_retrieval_rate(
     """Fraction of probes whose nearest entry is their own label in range.
 
     A retrieval at exactly the threshold distance still counts as success.
+    ``threads`` is accepted for compatibility and has no effect.
     """
-    pairs = _probe_pairs(probes)
-    if not pairs:
-        raise EmptyList("need at least one probe")
-    if not 0.0 <= threshold <= 2.0:
-        raise ValueError(f"threshold must be in [0, 2], got {threshold}")
-
-    def _one(pair: tuple[Embedding, str]) -> ProbeOutcome:
-        embedding, true_label = pair
-        retrieved, distance = retrieve(embedding, gallery)
-        success = retrieved == true_label and distance <= threshold
-        return ProbeOutcome(true_label, retrieved, distance, success)
-
-    outcomes = parallel_map(_one, pairs, threads)
-    rate = sum(1 for o in outcomes if o.success) / len(outcomes)
-    return RetrievalReport(rate, threshold, tuple(outcomes))
+    return retrieval_report(*_probe_rows(probes), gallery, threshold)
 
 
 def neg_id_retrieval_rate(
@@ -188,11 +207,9 @@ def neg_id_retrieval_rate(
     """Retrieval rate after negating each probe first.
 
     Measures whether the original identity is recoverable from a fake by
-    the cheapest possible inversion.
+    the cheapest possible inversion. ``threads`` has no effect.
     """
-    pairs = _probe_pairs(probes)
-    negated = [(negate(embedding), label) for embedding, label in pairs]
-    return id_retrieval_rate(negated, gallery, threshold, threads)
+    return retrieval_report(*_probe_rows(probes), gallery, threshold, negate=True)
 
 
 def anti_id_loss(z_target: Embedding, z_anchor: Embedding, z_blend: Embedding) -> float:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyAnchorSet
-from .sphere import AnchorSet, Embedding, _require_unit
+from .sphere import AnchorSet, Embedding, _nearest, _require_unit_rows
 
-__all__ = ["SampleResult", "sample_fake", "sample_far"]
+__all__ = ["SampleResult", "sample_batch", "sample_fake", "sample_far"]
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,27 @@ class SampleResult:
     anchor_index: int
     fake_identity: Embedding
     achieved_cosine: float
+
+
+def sample_batch(
+    queries: np.ndarray, anchors: AnchorSet, m: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_fake` for each unit row of a (Q, D) array.
+
+    Returns the chosen anchor indices and achieved cosines as two length-Q
+    arrays. Raises as :func:`sample_fake` does; :class:`NotUnitNorm` names
+    the first query row off the sphere.
+    """
+    if len(anchors) == 0:
+        raise EmptyAnchorSet("cannot sample from an empty anchor set")
+    if not -1.0 <= m <= 1.0:
+        raise ValueError(f"margin must be in [-1, 1], got {m}")
+    if queries.ndim != 2 or (len(queries) and queries.shape[1] != anchors.dim):
+        raise DimensionMismatch(
+            f"queries must be a (Q, {anchors.dim}) array, got shape {queries.shape}"
+        )
+    _require_unit_rows(queries, "query embedding")
+    return _nearest(queries, anchors.matrix, m)
 
 
 def sample_fake(z_id: Embedding, anchors: AnchorSet, m: float = 0.0) -> SampleResult:
@@ -44,21 +65,12 @@ def sample_fake(z_id: Embedding, anchors: AnchorSet, m: float = 0.0) -> SampleRe
         EmptyAnchorSet: if the anchor set has no anchors.
         DimensionMismatch: if dimensions disagree.
     """
-    if len(anchors) == 0:
-        raise EmptyAnchorSet("cannot sample from an empty anchor set")
-    if not -1.0 <= m <= 1.0:
-        raise ValueError(f"margin must be in [-1, 1], got {m}")
-    _require_unit(z_id, "query embedding")
-    if anchors.dim != z_id.dim:
-        raise DimensionMismatch(
-            f"query has dimension {z_id.dim}, anchors have {anchors.dim}"
-        )
-    similarities = np.clip(anchors.matrix @ z_id.values, -1.0, 1.0)
-    index = int(np.argmin(np.abs(similarities + m)))
+    index, cosine = sample_batch(z_id.values[None, :], anchors, m)
+    chosen = int(index[0])
     return SampleResult(
-        anchor_index=index,
-        fake_identity=anchors.anchors[index],
-        achieved_cosine=float(similarities[index]),
+        anchor_index=chosen,
+        fake_identity=anchors.anchors[chosen],
+        achieved_cosine=float(cosine[0]),
     )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,6 +113,70 @@ def _require_unit(e: Embedding, name: str = "embedding") -> None:
         )
 
 
+def _stack(embeddings: Sequence[Embedding], name: str = "embedding") -> np.ndarray:
+    """Stack same-dimension embeddings into a (N, D) array; (0, 0) when empty."""
+    if not embeddings:
+        return np.empty((0, 0), dtype=np.float64)
+    dim = embeddings[0].dim
+    for i, e in enumerate(embeddings):
+        if e.dim != dim:
+            raise DimensionMismatch(f"{name} {i} has dimension {e.dim}, expected {dim}")
+    return np.stack([e.values for e in embeddings])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products. numpy runs a stack of (1, D) @ (D, 1) products as
+    one BLAS dot per row, so each value has the bits of ``np.dot`` (einsum's
+    do not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _require_unit_rows(rows: np.ndarray, name: str, tol: float = UNIT_NORM_TOL) -> None:
+    """Raise :class:`NotUnitNorm` naming the first row off the sphere (NaN included)."""
+    norms = np.sqrt(_row_dots(rows, rows))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
+    if bad.size:
+        raise NotUnitNorm(
+            f"{name} {bad[0]} has norm {norms[bad[0]]:.8f}, expected 1 within {tol:g}"
+        )
+
+
+# Query rows per block of the nearest-row kernel: large enough for GEMM
+# throughput, small enough that a block's (rows, K) temporaries stay a few MiB.
+_BLOCK_ROWS = 256
+
+
+def _nearest(
+    queries: np.ndarray, matrix: np.ndarray, m: float, negate: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per query row, the ``matrix`` row minimizing ``|cos + m|``, and that cosine.
+
+    Cosines are ``clip(q . row, -1, 1)``, of ``-q`` with ``negate``. Queries
+    run in balanced blocks of about ``_BLOCK_ROWS`` rows; a lone query is the
+    GEMV ``matrix @ q`` bit for bit. BLAS rounds a row by a few ulps
+    differently depending on its place in a block or in ``matrix``, so every
+    row within ``D * eps`` of the minimum counts as a tie and the lowest
+    index wins. With ``m = -1``, ``|c - 1|`` is exactly the distance ``1 - c``.
+    """
+    count, dim = queries.shape
+    tie = dim * np.finfo(np.float64).eps
+    index = np.empty(count, dtype=np.intp)
+    cosine = np.empty(count, dtype=np.float64)
+    blocks = -(-count // _BLOCK_ROWS)
+    bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = queries[start:stop]
+        sims = (matrix @ block[0])[None, :] if len(block) == 1 else block @ matrix.T
+        if negate:
+            np.negative(sims, out=sims)
+        np.clip(sims, -1.0, 1.0, out=sims)
+        objective = np.abs(sims + m)
+        best = np.argmax(objective <= objective.min(axis=1, keepdims=True) + tie, axis=1)
+        index[start:stop] = best
+        cosine[start:stop] = sims[np.arange(len(block)), best]
+    return index, cosine
+
+
 def _require_same_dim(a: Embedding, b: Embedding) -> None:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -208,14 +271,8 @@ def mean_embedding(members: Sequence[Embedding]) -> Embedding:
     members = list(members)
     if not members:
         raise EmptyList("cannot average an empty list of embeddings")
-    first = members[0]
-    for i, m in enumerate(members):
-        if m.dim != first.dim:
-            raise DimensionMismatch(
-                f"member {i} has dimension {m.dim}, expected {first.dim}"
-            )
-        _require_unit(m, f"member {i}")
-    stacked = np.stack([m.values for m in members])
+    stacked = _stack(members, "member")
+    _require_unit_rows(stacked, "member")
     return normalize(stacked.mean(axis=0))
 
 
@@ -267,15 +324,11 @@ class AnchorSet:
                     f"{len(prov)} provenance records for {len(anchors)} anchors"
                 )
         object.__setattr__(self, "skipped", tuple(self.skipped))
-        dim = None
-        for i, a in enumerate(anchors):
-            if dim is None:
-                dim = a.dim
-            elif a.dim != dim:
-                raise DimensionMismatch(
-                    f"anchor {i} has dimension {a.dim}, expected {dim}"
-                )
-            _require_unit(a, f"anchor {i}")
+        matrix = _stack(anchors, "anchor")
+        _require_unit_rows(matrix, "anchor")
+        matrix.setflags(write=False)
+        # The anchors stacked row-wise as a read-only (K, D) float64 array.
+        object.__setattr__(self, "matrix", matrix)
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -283,16 +336,6 @@ class AnchorSet:
     @property
     def dim(self) -> int | None:
         return self.anchors[0].dim if self.anchors else None
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Anchors stacked row-wise as a read-only (K, D) float64 array."""
-        if not self.anchors:
-            mat = np.empty((0, 0), dtype=np.float64)
-        else:
-            mat = np.stack([a.values for a in self.anchors])
-        mat.setflags(write=False)
-        return mat
 
     @classmethod
     def from_embeddings(cls, embeddings: Iterable[Embedding]) -> "AnchorSet":
@@ -322,11 +365,7 @@ def build_anchor_set(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"interpolation parameter must be in (0, 1), got {t}")
-    dim = means[0].dim
-    for i, m in enumerate(means):
-        if m.dim != dim:
-            raise DimensionMismatch(f"mean {i} has dimension {m.dim}, expected {dim}")
-        _require_unit(m, f"mean {i}")
+    _require_unit_rows(_stack(means, "mean"), "mean")
 
     anchors: list[Embedding] = []
     provenance: list[AnchorProvenance] = []

@@ -9,21 +9,16 @@ retrieval, and temporal metrics with known expected outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .gallery import Gallery, LabeledEmbedding
-from .metrics import (
-    RetrievalReport,
-    TemporalReport,
-    id_retrieval_rate,
-    neg_id_retrieval_rate,
-    temporal_consistency,
-)
-from .sampling import sample_fake
-from .sphere import AnchorSet, Embedding, _require_unit, negate, normalize, slerp
+from .metrics import RetrievalReport, TemporalReport, retrieval_report, temporal_consistency
+from .sampling import sample_batch
+from .sphere import AnchorSet, Embedding, _require_unit, _stack, negate, normalize, slerp
 from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState
-from .util import parallel_map, spawn_seed
+from .util import spawn_seed
 
 __all__ = [
     "ANONYMIZER_MODES",
@@ -129,12 +124,21 @@ def generate_frames(
 
 def mock_anonymize(z_id: Embedding, anonymizer: MockAnonymizer) -> Embedding:
     """Apply one mock anonymizer to one embedding."""
+    return _anonymize_video([z_id], anonymizer)[0]
+
+
+def _anonymize_video(
+    frames: Sequence[Embedding], anonymizer: MockAnonymizer
+) -> tuple[Embedding, ...]:
+    """:func:`mock_anonymize` over a list of frames, sampled in one batch."""
     if anonymizer.mode == "negation":
-        return negate(z_id)
-    sampled = sample_fake(z_id, anonymizer.anchors, anonymizer.margin).fake_identity
+        return tuple(negate(z) for z in frames)
+    anchors = anonymizer.anchors
+    index, _ = sample_batch(_stack(frames, "frame"), anchors, anonymizer.margin)
+    sampled = [anchors.anchors[i] for i in index.tolist()]
     if anonymizer.mode == "anchor_sample":
-        return sampled
-    return slerp(z_id, sampled, anonymizer.blend)
+        return tuple(sampled)
+    return tuple(slerp(z, s, anonymizer.blend) for z, s in zip(frames, sampled))
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,8 @@ def end_to_end_benchmark(
     minting function is the mock anonymizer; the per-frame path anonymizes
     every frame independently. Both are scored for identity retrieval,
     inverted-identity retrieval, and temporal consistency against the
-    generated gallery.
+    generated gallery. ``threads`` is accepted for compatibility and has
+    no effect.
     """
     gallery = generate_identities(config)
     tracker = TrackerState(
@@ -183,7 +188,7 @@ def end_to_end_benchmark(
         sampler=lambda z: mock_anonymize(z, anonymizer),
     )
     all_frames: list[tuple[Embedding, ...]] = []
-    tracked_videos: list[tuple[Embedding, ...]] = []
+    tracked_keys: list[list[int]] = []
     for index, entry in enumerate(gallery.entries):
         frames = generate_frames(
             entry.embedding,
@@ -192,26 +197,21 @@ def end_to_end_benchmark(
             spawn_seed(config.seed, 1, index),
         )
         all_frames.append(tuple(frames))
-        tracked_videos.append(
-            tuple(tracker.track(frame).fake_identity for frame in frames)
-        )
-    per_frame_videos = [
-        tuple(parallel_map(lambda f: mock_anonymize(f, anonymizer), frames, threads))
-        for frames in all_frames
-    ]
+        tracked_keys.append([tracker.track(frame).key for frame in frames])
+    # One fake object per key, shared by every frame that matched it.
+    fakes = tracker.fakes
+    tracked_videos = [tuple(fakes[key] for key in keys) for keys in tracked_keys]
+    per_frame_videos = [_anonymize_video(frames, anonymizer) for frames in all_frames]
+    labels = [label for label in gallery.labels for _ in range(config.frames_per_identity)]
 
     def _variant(videos: list[tuple[Embedding, ...]]) -> BenchmarkVariant:
-        probes = [
-            (fake, entry.label)
-            for entry, video in zip(gallery.entries, videos)
-            for fake in video
-        ]
+        probes = _stack([fake for video in videos for fake in video], "fake")
         return BenchmarkVariant(
-            id_report=id_retrieval_rate(probes, gallery, retrieval_threshold, threads),
-            neg_id_report=neg_id_retrieval_rate(
-                probes, gallery, retrieval_threshold, threads
+            id_report=retrieval_report(probes, labels, gallery, retrieval_threshold),
+            neg_id_report=retrieval_report(
+                probes, labels, gallery, retrieval_threshold, negate=True
             ),
-            temporal=temporal_consistency(videos, threads),
+            temporal=temporal_consistency(videos),
         )
 
     return BenchmarkResult(

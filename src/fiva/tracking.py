@@ -21,9 +21,9 @@ from typing import BinaryIO, Callable, Optional
 import numpy as np
 
 from . import io as fio
-from .errors import CorruptState, DimensionMismatch, EmptyAnchorSet, IoFailure
+from .errors import CorruptState, DimensionMismatch, EmptyAnchorSet, IoFailure, NotUnitNorm
 from .sampling import sample_fake
-from .sphere import AnchorSet, Embedding, _require_unit
+from .sphere import AnchorSet, Embedding, _nearest, _require_unit, _require_unit_rows
 
 __all__ = [
     "DEFAULT_MATCH_THRESHOLD",
@@ -68,6 +68,9 @@ class TrackResult:
 class TrackerState:
     """Mutable store mapping seen identities to their fake identities.
 
+    Row k of the store holds the first-contact embedding and the fake of
+    key k, so ``len(stored) == len(fakes) == key_pointer`` by construction.
+
     Args:
         threshold: cosine-distance match threshold, strictly inside (0, 2).
             Quantized to single precision so persistence is lossless.
@@ -93,26 +96,32 @@ class TrackerState:
         self.margin = float(np.float32(margin))
         self.anchors = anchors
         self.sampler = sampler
-        self.stored: list[Embedding] = []
-        self.fakes: dict[int, Embedding] = {}
         self.key_pointer = 0
-        self._matrix: np.ndarray | None = None
+        # Capacity-doubling (capacity, D) buffers indexed by key; rows at and
+        # past key_pointer are unused.
+        self._stored = np.empty((0, 0), dtype=np.float64)
+        self._fakes = np.empty((0, 0), dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.stored)
+        return self.key_pointer
+
+    @property
+    def stored(self) -> tuple[Embedding, ...]:
+        """First-contact embeddings in key order."""
+        return tuple(Embedding(row) for row in self._stored[: self.key_pointer])
+
+    @property
+    def fakes(self) -> tuple[Embedding, ...]:
+        """Fake identities in key order."""
+        return tuple(Embedding(row) for row in self._fakes[: self.key_pointer])
 
     @property
     def dim(self) -> int | None:
-        if self.stored:
-            return self.stored[0].dim
+        if self.key_pointer:
+            return self._stored.shape[1]
         if self.anchors is not None and len(self.anchors):
             return self.anchors.dim
         return None
-
-    def _stored_matrix(self) -> np.ndarray:
-        if self._matrix is None or self._matrix.shape[0] != len(self.stored):
-            self._matrix = np.stack([z.values for z in self.stored])
-        return self._matrix
 
     def _mint_fake(self, z: Embedding) -> Embedding:
         if self.sampler is not None:
@@ -123,6 +132,18 @@ class TrackerState:
             )
         return sample_fake(z, self.anchors, self.margin).fake_identity
 
+    def _append(self, stored: np.ndarray, fake: np.ndarray) -> int:
+        key = self.key_pointer
+        if key == len(self._stored):
+            grown = np.empty((2, max(16, 2 * key), stored.size), dtype=np.float64)
+            if key:
+                grown[0, :key], grown[1, :key] = self._stored[:key], self._fakes[:key]
+            self._stored, self._fakes = grown
+        self._stored[key] = stored
+        self._fakes[key] = fake
+        self.key_pointer = key + 1
+        return key
+
     def track(self, z_id: Embedding) -> TrackResult:
         """Return the fake identity for one frame, minting it if needed."""
         _require_unit(z_id, "frame embedding")
@@ -132,20 +153,17 @@ class TrackerState:
                 f"frame has dimension {z_id.dim}, tracker expects {expected}"
             )
         best_distance: Optional[float] = None
-        if self.stored:
-            similarities = np.clip(self._stored_matrix() @ z_id.values, -1.0, 1.0)
-            distances = 1.0 - similarities
-            index = int(np.argmin(distances))
-            best_distance = float(distances[index])
+        if self.key_pointer:
+            index, cosine = _nearest(
+                z_id.values[None, :], self._stored[: self.key_pointer], -1.0
+            )
+            key = int(index[0])
+            best_distance = float(1.0 - cosine[0])
             if best_distance < self.threshold:
-                return TrackResult(self.fakes[index], True, index, best_distance)
+                return TrackResult(Embedding(self._fakes[key]), True, key, best_distance)
         stored = Embedding(_f32_exact(z_id.values))
         fake = Embedding(_f32_exact(self._mint_fake(stored).values))
-        key = self.key_pointer
-        self.stored.append(stored)
-        self.fakes[key] = fake
-        self.key_pointer += 1
-        self._matrix = None
+        key = self._append(stored.values, fake.values)
         return TrackResult(fake, False, key, best_distance)
 
     def reset(self) -> "TrackerState":
@@ -166,33 +184,14 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
     (f32), margin (f32), and key pointer (u32), all little-endian.
     """
     count = state.key_pointer
-    if len(state.stored) != count or sorted(state.fakes) != list(range(count)):
-        raise CorruptState(
-            f"inconsistent live state: {len(state.stored)} stored embeddings, "
-            f"{len(state.fakes)} fakes, key pointer {count}"
-        )
     dim = state.dim or 0
-    stored = (
-        np.stack([z.values for z in state.stored])
-        if count
-        else np.empty((0, dim), dtype=np.float64)
-    )
-    fakes = (
-        np.stack([state.fakes[k].values for k in range(count)])
-        if count
-        else np.empty((0, dim), dtype=np.float64)
-    )
     blob = (
-        fio.pack_container(stored, dim=dim)
-        + fio.pack_container(fakes, dim=dim)
+        fio.pack_container(state._stored[:count], dim=dim)
+        + fio.pack_container(state._fakes[:count], dim=dim)
         + _TRAILER.pack(state.threshold, state.margin, count)
     )
     try:
-        if hasattr(destination, "write"):
-            destination.write(blob)
-        else:
-            with open(destination, "wb") as fh:
-                fh.write(blob)
+        fio._write_bytes(destination, blob)
     except OSError as exc:
         raise IoFailure(f"cannot write tracker state: {exc}") from exc
 
@@ -208,11 +207,7 @@ def load_state(
     re-attach a minting strategy to the loaded state.
     """
     try:
-        if hasattr(source, "read"):
-            data = source.read()
-        else:
-            with open(source, "rb") as fh:
-                data = fh.read()
+        data = fio._read_bytes(source)
     except OSError as exc:
         raise IoFailure(f"cannot read tracker state: {exc}") from exc
     try:
@@ -237,23 +232,16 @@ def load_state(
         raise CorruptState(f"threshold {threshold} outside (0, 2)")
     if not -1.0 <= margin <= 1.0:
         raise CorruptState(f"margin {margin} outside [-1, 1]")
+    if key_pointer and stored.shape[1] < 2:
+        raise CorruptState(f"embedding blocks have dimension {stored.shape[1]}, need >= 2")
     state = TrackerState(
         threshold=float(threshold), margin=float(margin), anchors=anchors, sampler=sampler
     )
-    for row_index in range(key_pointer):
-        pair = {}
-        for name, block in (("stored", stored), ("fake", fakes)):
-            row = block[row_index].astype(np.float64)
-            norm = float(np.linalg.norm(row))
-            if abs(norm - 1.0) > _LOAD_NORM_TOL:
-                raise CorruptState(
-                    f"{name} embedding {row_index} has norm {norm:.8f}, not unit"
-                )
-            try:
-                pair[name] = Embedding(row)
-            except DimensionMismatch as exc:
-                raise CorruptState(f"{name} block: {exc}") from exc
-        state.stored.append(pair["stored"])
-        state.fakes[row_index] = pair["fake"]
+    state._stored, state._fakes = stored.astype(np.float64), fakes.astype(np.float64)
+    try:
+        _require_unit_rows(state._stored, "stored embedding", _LOAD_NORM_TOL)
+        _require_unit_rows(state._fakes, "fake embedding", _LOAD_NORM_TOL)
+    except NotUnitNorm as exc:
+        raise CorruptState(str(exc)) from exc
     state.key_pointer = key_pointer
     return state

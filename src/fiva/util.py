@@ -1,14 +1,8 @@
-"""Small shared helpers: deterministic sub-seeding and ordered parallel map."""
+"""Small shared helpers: deterministic sub-seeding."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def spawn_seed(seed: int, *key: int) -> int:
@@ -20,18 +14,3 @@ def spawn_seed(seed: int, *key: int) -> int:
     if seed < 0 or any(k < 0 for k in key):
         raise ValueError("seeds and sub-seed keys must be non-negative")
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], threads: int = 1
-) -> list[R]:
-    """Map ``fn`` over ``items`` preserving order.
-
-    With ``threads`` > 1 the work runs on a thread pool; results still come
-    back in input order, so output never depends on the worker count.
-    """
-    seq: Sequence[T] = list(items)
-    if threads <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seq))
