@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -292,19 +293,19 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
             margin=margin if margin is not None else 0.0,
             anchors=anchors,
         )
-    frames = fio.load_embeddings(args.frames, args.normalize)
-    # Keep keys, not the per-frame fake copies; fakes are gathered by key.
-    results = [(r.matched, r.key, r.match_distance) for r in map(state.track, frames)]
+    frames, _ = fio.load_rows(args.frames, args.normalize)
+    matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
-        fakes = state.fakes
-        fio.write_embeddings(args.out, [fakes[key] for _, key, _ in results])
+        fio.write_container(args.out, state.fake_matrix[keys])
     if args.state_out is not None:
         save_state(state, args.state_out)
     with _text_out(args.log) as fh:
         fh.write("frame_index,matched,key,distance\n")
-        for i, (matched, key, match_distance) in enumerate(results):
-            distance = "" if match_distance is None else _fmt(match_distance)
-            fh.write(f"{i},{int(matched)},{key},{distance}\n")
+        for i, (hit, key, distance) in enumerate(
+            zip(matched.tolist(), keys.tolist(), distances.tolist())
+        ):
+            cell = "" if math.isnan(distance) else _fmt(distance)
+            fh.write(f"{i},{int(hit)},{key},{cell}\n")
     _info(
         f"tracked {len(frames)} frames: {state.key_pointer} distinct identities"
     )

@@ -146,34 +146,50 @@ def _require_unit_rows(rows: np.ndarray, name: str, tol: float = UNIT_NORM_TOL) 
 _BLOCK_ROWS = 256
 
 
+def _tie(dim: int) -> float:
+    """Rounding slack of a D-term dot product: values this close count as equal."""
+    return dim * np.finfo(np.float64).eps
+
+
+def _block_products(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``clip(block @ matrix.T, -1, 1)``; a lone row is the GEMV ``matrix @ q`` bit for bit."""
+    sims = (matrix @ block[0])[None, :] if len(block) == 1 else block @ matrix.T
+    return np.clip(sims, -1.0, 1.0, out=sims)
+
+
+def _pick(objective: np.ndarray, dim: int) -> np.ndarray:
+    """Per row, the lowest column within ``_tie(dim)`` of the row's minimum.
+
+    BLAS rounds a product by a few ulps differently depending on its place
+    in a block or in the matrix, so near-equal values are ties and the
+    lowest index wins. A column appended to a row therefore changes its
+    pick only if it lowers the row's minimum.
+    """
+    return np.argmax(objective <= objective.min(axis=1, keepdims=True) + _tie(dim), axis=1)
+
+
 def _nearest(
     queries: np.ndarray, matrix: np.ndarray, m: float, negate: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per query row, the ``matrix`` row minimizing ``|cos + m|``, and that cosine.
 
     Cosines are ``clip(q . row, -1, 1)``, of ``-q`` with ``negate``. Queries
-    run in balanced blocks of about ``_BLOCK_ROWS`` rows; a lone query is the
-    GEMV ``matrix @ q`` bit for bit. BLAS rounds a row by a few ulps
-    differently depending on its place in a block or in ``matrix``, so every
-    row within ``D * eps`` of the minimum counts as a tie and the lowest
-    index wins. With ``m = -1``, ``|c - 1|`` is exactly the distance ``1 - c``.
+    run in balanced blocks of about ``_BLOCK_ROWS`` rows (see
+    :func:`_block_products`) and ties follow :func:`_pick`. With ``m = -1``,
+    ``|c - 1|`` is exactly the distance ``1 - c``.
     """
     count, dim = queries.shape
-    tie = dim * np.finfo(np.float64).eps
     index = np.empty(count, dtype=np.intp)
     cosine = np.empty(count, dtype=np.float64)
     blocks = -(-count // _BLOCK_ROWS)
     bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     for start, stop in zip(bounds, bounds[1:]):
-        block = queries[start:stop]
-        sims = (matrix @ block[0])[None, :] if len(block) == 1 else block @ matrix.T
+        sims = _block_products(queries[start:stop], matrix)
         if negate:
             np.negative(sims, out=sims)
-        np.clip(sims, -1.0, 1.0, out=sims)
-        objective = np.abs(sims + m)
-        best = np.argmax(objective <= objective.min(axis=1, keepdims=True) + tie, axis=1)
+        best = _pick(np.abs(sims + m), dim)
         index[start:stop] = best
-        cosine[start:stop] = sims[np.arange(len(block)), best]
+        cosine[start:stop] = sims[np.arange(stop - start), best]
     return index, cosine
 
 

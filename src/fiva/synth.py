@@ -187,22 +187,23 @@ def end_to_end_benchmark(
         threshold=tracker_threshold,
         sampler=lambda z: mock_anonymize(z, anonymizer),
     )
-    all_frames: list[tuple[Embedding, ...]] = []
-    tracked_keys: list[list[int]] = []
-    for index, entry in enumerate(gallery.entries):
-        frames = generate_frames(
-            entry.embedding,
-            config.frames_per_identity,
-            config.jitter_sigma,
-            spawn_seed(config.seed, 1, index),
+    per_video = config.frames_per_identity
+    all_frames = [
+        tuple(
+            generate_frames(
+                entry.embedding, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, index)
+            )
         )
-        all_frames.append(tuple(frames))
-        tracked_keys.append([tracker.track(frame).key for frame in frames])
+        for index, entry in enumerate(gallery.entries)
+    ]
+    corpus = [frame for video in all_frames for frame in video]
+    _, keys, _ = tracker.track_rows(_stack(corpus, "frame"))
     # One fake object per key, shared by every frame that matched it.
     fakes = tracker.fakes
-    tracked_videos = [tuple(fakes[key] for key in keys) for keys in tracked_keys]
-    per_frame_videos = [_anonymize_video(frames, anonymizer) for frames in all_frames]
-    labels = [label for label in gallery.labels for _ in range(config.frames_per_identity)]
+    tracked_videos = [tuple(fakes[key] for key in video) for video in keys.reshape(-1, per_video)]
+    per_frame = _anonymize_video(corpus, anonymizer)
+    per_frame_videos = [per_frame[i : i + per_video] for i in range(0, len(corpus), per_video)]
+    labels = [label for label in gallery.labels for _ in range(per_video)]
 
     def _variant(videos: list[tuple[Embedding, ...]]) -> BenchmarkVariant:
         probes = _stack([fake for video in videos for fake in video], "fake")

@@ -1,11 +1,17 @@
 """Identity tracking: one consistent fake identity per real identity.
 
-The tracker keeps every first-contact embedding it has seen. For each new
-embedding it scans the store by cosine distance; a hit below the match
-threshold returns the fake identity minted at first contact, an unmatched
-embedding is appended and gets a fresh fake from the sampler. Keys are
-assigned by an increasing pointer, so key k always means "the k-th
-distinct identity this tracker has seen".
+The tracker keeps every first-contact embedding it has seen. Frames are
+scored in blocks: one matrix product gives the cosine distance of every
+frame of a block to every stored embedding as the store stood at block
+start, then the block is walked in order. A frame whose best distance is
+below the match threshold returns the fake identity minted at first
+contact. An unmatched frame is appended to the store, which adds one
+column to the later frames' distances so they can match it, and gets a
+fresh fake from the sampler. A frame whose best distance lies within
+rounding of the threshold is scored again on its own against the store
+at its size, so blocked tracking takes exactly the decisions of tracking
+one frame at a time. Keys are assigned by an increasing pointer, so key k
+always means "the k-th distinct identity this tracker has seen".
 
 Embeddings are quantized to single precision when they enter the store.
 The persisted state file stores single-precision payloads, so quantizing
@@ -14,6 +20,7 @@ at insertion makes a save/load cycle reproduce the live state bit for bit.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
@@ -22,8 +29,17 @@ import numpy as np
 
 from . import io as fio
 from .errors import CorruptState, DimensionMismatch, EmptyAnchorSet, IoFailure, NotUnitNorm
-from .sampling import sample_fake
-from .sphere import AnchorSet, Embedding, _nearest, _require_unit, _require_unit_rows
+from .sampling import sample_batch
+from .sphere import (
+    _BLOCK_ROWS,
+    AnchorSet,
+    Embedding,
+    _block_products,
+    _nearest,
+    _pick,
+    _require_unit_rows,
+    _tie,
+)
 
 __all__ = [
     "DEFAULT_MATCH_THRESHOLD",
@@ -43,6 +59,10 @@ _TRAILER = struct.Struct("<ffI")
 # Unit-norm slack allowed when validating reloaded state; single-precision
 # storage can add ~1e-7 on top of the live tolerance.
 _LOAD_NORM_TOL = 1e-5
+
+# Cells of one block's (frames, stored identities) distance matrix: bounds
+# a block's temporaries whatever the store size.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _f32_exact(values: np.ndarray) -> np.ndarray:
@@ -116,6 +136,13 @@ class TrackerState:
         return tuple(Embedding(row) for row in self._fakes[: self.key_pointer])
 
     @property
+    def fake_matrix(self) -> np.ndarray:
+        """Fake identities in key order as a read-only (key_pointer, D) array."""
+        view = self._fakes[: self.key_pointer]
+        view.flags.writeable = False
+        return view
+
+    @property
     def dim(self) -> int | None:
         if self.key_pointer:
             return self._stored.shape[1]
@@ -123,48 +150,129 @@ class TrackerState:
             return self.anchors.dim
         return None
 
-    def _mint_fake(self, z: Embedding) -> Embedding:
+    def _reserve(self, used: int, dim: int) -> None:
+        """Make room for row ``used``, keeping rows ``[0, used)`` of both buffers."""
+        if used < len(self._stored):
+            return
+        grown = np.empty((2, max(16, 2 * used), dim), dtype=np.float64)
+        if used:
+            grown[0, :used], grown[1, :used] = self._stored[:used], self._fakes[:used]
+        self._stored, self._fakes = grown
+
+    def _mint_fakes(self, start: int, stop: int) -> None:
+        """Fill the fakes of keys ``[start, stop)`` from their stored rows."""
+        if start == stop:
+            return
+        stored = self._stored[start:stop]
         if self.sampler is not None:
-            return self.sampler(z)
-        if self.anchors is None or len(self.anchors) == 0:
+            fakes = np.stack([self.sampler(Embedding(row)).values for row in stored])
+        elif self.anchors is None or len(self.anchors) == 0:
             raise EmptyAnchorSet(
                 "tracker has no anchor set attached; cannot mint a fake identity"
             )
-        return sample_fake(z, self.anchors, self.margin).fake_identity
+        else:
+            fakes = self.anchors.matrix[sample_batch(stored, self.anchors, self.margin)[0]]
+        self._fakes[start:stop] = _f32_exact(fakes)
 
-    def _append(self, stored: np.ndarray, fake: np.ndarray) -> int:
-        key = self.key_pointer
-        if key == len(self._stored):
-            grown = np.empty((2, max(16, 2 * key), stored.size), dtype=np.float64)
-            if key:
-                grown[0, :key], grown[1, :key] = self._stored[:key], self._fakes[:key]
-            self._stored, self._fakes = grown
-        self._stored[key] = stored
-        self._fakes[key] = fake
-        self.key_pointer = key + 1
-        return key
+    def _walk(
+        self, block: np.ndarray, used: int, minted: np.ndarray
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Decide one block of frames in order against the first ``used`` stored rows.
+
+        New identities are written to the store from row ``used`` on and
+        flagged in ``minted``. Returns the new row count and each frame's
+        key and best distance (``inf`` when the store was empty).
+        """
+        rows, dim = block.shape
+        tie = _tie(dim)
+        # Column k holds the distances to stored row k, i.e. to key k.
+        distances = np.empty((rows, used + rows), dtype=np.float64)
+        if used:
+            sims = _block_products(block, self._stored[:used])
+            np.subtract(1.0, sims, out=distances[:, :used])
+            key = _pick(distances[:, :used], dim)
+            best = distances[np.arange(rows), key]
+        else:
+            key = np.zeros(rows, dtype=np.intp)
+            best = np.full(rows, np.inf)
+        pos = 0
+        while True:
+            ahead = np.flatnonzero(best[pos:] >= self.threshold - tie)
+            if not ahead.size:
+                return used, key, best
+            r = pos + int(ahead[0])
+            pos = r + 1
+            if abs(best[r] - self.threshold) <= tie:
+                # Too close to call on blocked bits: score as a lone frame.
+                index, cosine = _nearest(block[r : r + 1], self._stored[:used], -1.0)
+                key[r], best[r] = index[0], 1.0 - cosine[0]
+            if best[r] < self.threshold:
+                continue
+            self._reserve(used, dim)
+            self._stored[used] = _f32_exact(block[r])
+            key[r], minted[r] = used, True
+            if pos < rows:
+                # The new identity's distances to the rest of the block: one GEMV.
+                column = distances[pos:, used]
+                sims = _block_products(self._stored[used : used + 1], block[pos:])
+                np.subtract(1.0, sims[0], out=column)
+                # Only a row whose minimum the new column lowers can change its
+                # pick, and such a row's column beats its current best too.
+                lower = np.flatnonzero(column < best[pos:]) + pos
+                key[lower] = _pick(distances[lower, : used + 1], dim)
+                best[lower] = distances[lower, key[lower]]
+            used += 1
+
+    def track_rows(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Track the unit rows of an (N, D) array in order, minting fakes as needed.
+
+        Takes the decisions of :meth:`track` called on each row in turn and
+        returns per-frame ``matched`` flags, ``key`` and ``distance`` arrays.
+        ``distance`` is the best cosine distance in the store (NaN on the
+        first contact of an empty tracker); it may differ from the one-frame
+        value by up to ``D * eps``. Dimension and unit norm are checked
+        before the store changes, and if minting raises the tracker is left
+        as it was.
+        """
+        frames = np.asarray(frames, dtype=np.float64)
+        count = len(frames)
+        if frames.ndim != 2 or (count and frames.shape[1] < 2):
+            raise DimensionMismatch(
+                f"frames must be an (N, D) array with D >= 2, got shape {frames.shape}"
+            )
+        expected = self.dim
+        if count and expected is not None and frames.shape[1] != expected:
+            raise DimensionMismatch(
+                f"frames have dimension {frames.shape[1]}, tracker expects {expected}"
+            )
+        _require_unit_rows(frames, "frame embedding")
+        minted = np.zeros(count, dtype=bool)
+        key = np.empty(count, dtype=np.intp)
+        distance = np.empty(count, dtype=np.float64)
+        used = self.key_pointer
+        start = 0
+        while start < count:
+            rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (used + _BLOCK_ROWS)))
+            stop = min(count, start + rows)
+            used, key[start:stop], distance[start:stop] = self._walk(
+                frames[start:stop], used, minted[start:stop]
+            )
+            start = stop
+        self._mint_fakes(self.key_pointer, used)
+        self.key_pointer = used
+        distance[np.isinf(distance)] = np.nan
+        return ~minted, key, distance
 
     def track(self, z_id: Embedding) -> TrackResult:
         """Return the fake identity for one frame, minting it if needed."""
-        _require_unit(z_id, "frame embedding")
-        expected = self.dim
-        if expected is not None and z_id.dim != expected:
-            raise DimensionMismatch(
-                f"frame has dimension {z_id.dim}, tracker expects {expected}"
-            )
-        best_distance: Optional[float] = None
-        if self.key_pointer:
-            index, cosine = _nearest(
-                z_id.values[None, :], self._stored[: self.key_pointer], -1.0
-            )
-            key = int(index[0])
-            best_distance = float(1.0 - cosine[0])
-            if best_distance < self.threshold:
-                return TrackResult(Embedding(self._fakes[key]), True, key, best_distance)
-        stored = Embedding(_f32_exact(z_id.values))
-        fake = Embedding(_f32_exact(self._mint_fake(stored).values))
-        key = self._append(stored.values, fake.values)
-        return TrackResult(fake, False, key, best_distance)
+        matched, key, distance = self.track_rows(z_id.values[None, :])
+        chosen, best = int(key[0]), float(distance[0])
+        return TrackResult(
+            Embedding(self._fakes[chosen]),
+            bool(matched[0]),
+            chosen,
+            None if math.isnan(best) else best,
+        )
 
     def reset(self) -> "TrackerState":
         """A fresh tracker with the same threshold and sampler configuration."""
@@ -204,7 +312,9 @@ def load_state(
     """Rebuild a tracker from :func:`save_state` output.
 
     Anchor sets are not persisted; pass ``anchors`` (or ``sampler``) to
-    re-attach a minting strategy to the loaded state.
+    re-attach a minting strategy to the loaded state. Anchors whose
+    dimension differs from the stored embeddings' raise
+    :class:`DimensionMismatch`.
     """
     try:
         data = fio._read_bytes(source)
@@ -234,6 +344,10 @@ def load_state(
         raise CorruptState(f"margin {margin} outside [-1, 1]")
     if key_pointer and stored.shape[1] < 2:
         raise CorruptState(f"embedding blocks have dimension {stored.shape[1]}, need >= 2")
+    if key_pointer and anchors is not None and len(anchors) and anchors.dim != stored.shape[1]:
+        raise DimensionMismatch(
+            f"anchors have dimension {anchors.dim}, tracker state has dimension {stored.shape[1]}"
+        )
     state = TrackerState(
         threshold=float(threshold), margin=float(margin), anchors=anchors, sampler=sampler
     )

@@ -238,6 +238,29 @@ class TestTrack:
         assert code == 0
         assert stdout.splitlines()[1].startswith("0,1,0,")
 
+    def test_state_anchor_dimension_mismatch_is_data_error(self, capsys, anchors_file, rng, tmp_path):
+        frames = tmp_path / "frames8.emb"
+        write_embeddings(frames, [random_unit(rng, 8) for _ in range(3)])
+        anchors8 = tmp_path / "anchors8.emb"
+        write_embeddings(anchors8, [random_unit(rng, 8) for _ in range(4)])
+        state_path = tmp_path / "s8.state"
+        run(capsys, "track", "--frames", str(frames), "--anchors", str(anchors8),
+            "--state-out", str(state_path))
+        outputs = [tmp_path / name for name in ("fakes.emb", "log.csv", "next.state")]
+        code, stdout, err = run(
+            capsys, "track",
+            "--frames", str(frames),
+            "--anchors", str(anchors_file),
+            "--state-in", str(state_path),
+            "--out", str(outputs[0]),
+            "--log", str(outputs[1]),
+            "--state-out", str(outputs[2]),
+        )
+        assert code == 2
+        assert "anchors have dimension 16, tracker state has dimension 8" in err
+        assert stdout == ""
+        assert not any(path.exists() for path in outputs)
+
 
 class TestEvalRetrieval:
     def test_members_retrieve_themselves(self, capsys, gallery_file, tmp_path):

@@ -1,0 +1,268 @@
+"""Blocked tracking: ``track_rows`` takes the decisions of a per-frame ``track`` loop."""
+
+import io
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fiva import (
+    AnchorSet,
+    DimensionMismatch,
+    Embedding,
+    EmptyAnchorSet,
+    NotUnitNorm,
+    TrackerState,
+    load_state,
+    save_state,
+)
+from fiva import tracking
+from conftest import embedding_at_distance, random_unit
+
+EPS = np.finfo(np.float64).eps
+
+
+@contextmanager
+def block_rows(rows):
+    """Force the tracker's blocks down to ``rows`` frames."""
+    with mock.patch.object(tracking, "_BLOCK_ROWS", rows):
+        yield
+
+
+def state_bytes(tracker):
+    buf = io.BytesIO()
+    save_state(tracker, buf)
+    return buf.getvalue()
+
+
+def per_frame(tracker, frames):
+    """The reference: one ``track`` call per frame, in order."""
+    results = [tracker.track(Embedding(row)) for row in frames]
+    matched = np.array([r.matched for r in results], dtype=bool)
+    keys = np.array([r.key for r in results], dtype=np.intp)
+    distance = np.array(
+        [np.nan if r.match_distance is None else r.match_distance for r in results]
+    )
+    return matched, keys, distance
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@st.composite
+def sequences(draw):
+    """A frame sequence of revisits, new identities and near-duplicates.
+
+    Identities are orthonormal (pairwise distance 1, the threshold itself
+    when ``threshold == 1``) or random directions; a visit is the identity
+    itself or a jittered copy of it.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(4, 24))
+    people = draw(st.integers(1, 2 * dim))
+    count = draw(st.integers(0, 60))
+    rng = np.random.default_rng(seed)
+    if people <= dim and draw(st.booleans()):
+        identities = np.linalg.qr(rng.normal(size=(dim, people)))[0].T
+    else:
+        identities = unit_rows(rng.normal(size=(people, dim)))
+    jitter = draw(st.sampled_from([0.0, 1e-9, 0.01, 0.2]))
+    visits = rng.integers(0, people, size=count)
+    frames = unit_rows(identities[visits] + jitter * rng.normal(size=(count, dim)))
+    threshold = draw(st.sampled_from([0.05, 0.63, 1.0, 1.2]))
+    anchors = AnchorSet.from_embeddings(
+        Embedding(row) for row in unit_rows(rng.normal(size=(draw(st.integers(1, 12)), dim)))
+    )
+    return frames, threshold, anchors
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences(), st.integers(1, 7))
+def test_track_rows_matches_per_frame_loop(case, rows):
+    frames, threshold, anchors = case
+    reference = TrackerState(threshold=threshold, anchors=anchors)
+    want = per_frame(reference, frames)
+    blocked = TrackerState(threshold=threshold, anchors=anchors)
+    with block_rows(rows):
+        matched, keys, distance = blocked.track_rows(frames)
+    assert np.array_equal(matched, want[0])
+    assert np.array_equal(keys, want[1])
+    assert np.array_equal(np.isnan(distance), np.isnan(want[2]))
+    both = ~np.isnan(distance)
+    assert np.all(np.abs(distance[both] - want[2][both]) <= frames.shape[1] * EPS)
+    assert state_bytes(blocked) == state_bytes(reference)
+    assert blocked.fake_matrix.tobytes() == reference.fake_matrix.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), st.integers(1, 7), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_resumed_chunks_match_one_run(case, rows, cuts):
+    frames, threshold, anchors = case
+    splits = sorted({int(c * len(frames)) for c in cuts})
+    with block_rows(rows):
+        whole = TrackerState(threshold=threshold, anchors=anchors)
+        _, want_keys, _ = whole.track_rows(frames)
+        tracker = TrackerState(threshold=threshold, anchors=anchors)
+        keys = []
+        for chunk in np.split(frames, splits):
+            tracker = load_state(io.BytesIO(state_bytes(tracker)), anchors=anchors)
+            keys.append(tracker.track_rows(chunk)[1])
+    assert np.array_equal(np.concatenate(keys), want_keys)
+    assert tracker.fake_matrix[want_keys].tobytes() == whole.fake_matrix[want_keys].tobytes()
+    assert state_bytes(tracker) == state_bytes(whole)
+
+
+def test_empty_input_leaves_tracker_unchanged(rng):
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 8) for _ in range(4)])
+    tracker = TrackerState(anchors=anchors)
+    for empty in (np.empty((0, 8)), np.empty((0, 0))):
+        matched, keys, distance = tracker.track_rows(empty)
+        assert matched.shape == keys.shape == distance.shape == (0,)
+        assert tracker.key_pointer == 0
+    tracker.track(random_unit(rng, 8))
+    before = state_bytes(tracker)
+    tracker.track_rows(np.empty((0, 8)))
+    assert state_bytes(tracker) == before
+
+
+def test_growth_past_capacity_in_one_call(rng):
+    dim = 96
+    anchors = AnchorSet.from_embeddings([random_unit(rng, dim) for _ in range(32)])
+    people = np.linalg.qr(rng.normal(size=(dim, 70)))[0].T
+    frames = np.concatenate([people, people[rng.permutation(70)]])
+    reference = TrackerState(anchors=anchors)
+    want = per_frame(reference, frames)
+    blocked = TrackerState(anchors=anchors)
+    with block_rows(9):
+        matched, keys, _ = blocked.track_rows(frames)
+    assert blocked.key_pointer == 70
+    assert np.array_equal(matched, want[0]) and np.array_equal(keys, want[1])
+    assert state_bytes(blocked) == state_bytes(reference)
+
+
+def test_mint_then_match_in_one_block(rng):
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 32) for _ in range(8)])
+    z = random_unit(rng, 32)
+    near = embedding_at_distance(z, 0.3, rng)
+    other = random_unit(rng, 32)
+    tracker = TrackerState(anchors=anchors)
+    frames = np.stack([z.values, near.values, other.values, z.values, other.values])
+    matched, keys, distance = tracker.track_rows(frames)
+    assert matched.tolist() == [False, True, False, True, True]
+    assert keys.tolist() == [0, 0, 1, 0, 1]
+    assert np.isnan(distance[0])
+    assert abs(distance[1] - 0.3) < 1e-6
+    assert tracker.key_pointer == 2
+
+
+def test_custom_sampler_called_once_per_mint_in_key_order(rng):
+    calls = []
+
+    def sampler(z):
+        calls.append(z.values.copy())
+        return Embedding(-z.values)
+
+    people = np.linalg.qr(rng.normal(size=(16, 5)))[0].T
+    frames = people[[0, 1, 0, 2, 3, 1, 4, 4]]
+    tracker = TrackerState(sampler=sampler)
+    with block_rows(3):
+        matched, keys, _ = tracker.track_rows(frames)
+    assert keys.tolist() == [0, 1, 0, 2, 3, 1, 4, 4]
+    assert len(calls) == 5
+    stored = np.stack([row.values for row in tracker.stored])
+    assert np.array_equal(np.stack(calls), stored)
+    assert np.array_equal(tracker.fake_matrix, -stored)
+
+
+def test_near_threshold_frames_are_rescored_alone(rng):
+    # Orthonormal identities sit at distance 1 from each other: with a
+    # threshold of 1 every later first contact lies on the threshold.
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 16) for _ in range(4)])
+    people = np.eye(16)[:3]
+    tracker = TrackerState(threshold=1.0, anchors=anchors)
+    with mock.patch.object(tracking, "_nearest", wraps=tracking._nearest) as spy:
+        matched, keys, distance = tracker.track_rows(people)
+    assert spy.call_count == 2
+    assert matched.tolist() == [False] * 3 and keys.tolist() == [0, 1, 2]
+    assert distance[1:].tolist() == [1.0, 1.0]
+
+
+def test_rescoring_overrides_blocked_bits_across_the_threshold(rng):
+    # One frame just inside the threshold of a stored identity; blocked
+    # products pushed up by a few ulps would call it a miss.
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 8) for _ in range(4)])
+    tracker = TrackerState(threshold=0.63, anchors=anchors)
+    tracker.track(Embedding(np.eye(8)[0]))
+    cos = 1.0 - tracker.threshold + 2 * EPS
+    frame = np.zeros(8)
+    frame[0], frame[1] = cos, np.sqrt(1.0 - cos * cos)
+    assert 1.0 - cos < tracker.threshold <= 1.0 - (cos - 4 * EPS)
+    real = tracking._block_products
+
+    def off_by_ulps(block, matrix):
+        sims = real(block, matrix)
+        return sims - 4 * EPS if len(block) > 1 else sims
+
+    with mock.patch.object(tracking, "_block_products", off_by_ulps):
+        matched, keys, distance = tracker.track_rows(np.stack([frame, frame]))
+    assert matched.tolist() == [True, True]
+    assert keys.tolist() == [0, 0]
+    assert distance.tolist() == [1.0 - cos] * 2
+
+
+def test_minting_without_anchors_leaves_store_consistent(rng):
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 16) for _ in range(4)])
+    tracker = TrackerState(anchors=anchors)
+    known = np.linalg.qr(rng.normal(size=(16, 4)))[0].T
+    tracker.track_rows(known[:2])
+    loaded = load_state(io.BytesIO(state_bytes(tracker)))
+    before = state_bytes(loaded)
+    with pytest.raises(EmptyAnchorSet):
+        loaded.track_rows(known[[0, 2, 1, 3]])
+    assert len(loaded.stored) == len(loaded.fakes) == loaded.key_pointer == 2
+    assert state_bytes(loaded) == before
+    # matches alone need no anchors
+    matched, keys, _ = loaded.track_rows(known[[1, 0]])
+    assert matched.all() and keys.tolist() == [1, 0]
+
+
+def test_failing_sampler_leaves_store_consistent(rng):
+    calls = []
+
+    def sampler(z):
+        calls.append(z)
+        if len(calls) == 3:
+            raise RuntimeError("backend down")
+        return z
+
+    people = np.linalg.qr(rng.normal(size=(16, 4)))[0].T
+    tracker = TrackerState(sampler=sampler)
+    tracker.track_rows(people[:1])
+    before = state_bytes(tracker)
+    with block_rows(2), pytest.raises(RuntimeError):
+        tracker.track_rows(people[1:])
+    assert len(tracker.stored) == len(tracker.fakes) == tracker.key_pointer == 1
+    assert state_bytes(tracker) == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, 2.0])
+def test_bad_row_raises_before_the_store_changes(rng, bad):
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 8) for _ in range(4)])
+    tracker = TrackerState(anchors=anchors)
+    frames = np.stack([random_unit(rng, 8).values, random_unit(rng, 8).values])
+    frames[1] *= bad
+    with pytest.raises(NotUnitNorm, match="frame embedding 1"):
+        tracker.track_rows(frames)
+    assert tracker.key_pointer == 0 and len(tracker.fakes) == 0
+
+
+def test_loaded_state_rejects_anchors_of_another_dimension(rng):
+    tracker = TrackerState(sampler=lambda z: z)
+    tracker.track(random_unit(rng, 16))
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 8) for _ in range(4)])
+    with pytest.raises(DimensionMismatch, match="anchors have dimension 8.*dimension 16"):
+        load_state(io.BytesIO(state_bytes(tracker)), anchors=anchors)
