@@ -78,7 +78,7 @@ from .metrics import (
     retrieve,
     temporal_consistency,
 )
-from .sampling import SampleResult, sample_batch, sample_fake, sample_far
+from .sampling import SampleResult, sample_batch, sample_fake
 from .sphere import (
     UNIT_NORM_TOL,
     AnchorProvenance,

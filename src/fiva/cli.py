@@ -238,7 +238,7 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
         rounds=opts.get("rounds", 1, int),
         t=opts.get("t", 0.5, float),
     )
-    fio.write_embeddings(args.out, anchors.anchors)
+    fio.write_container(args.out, anchors.matrix)
     if args.provenance is not None:
         with _text_out(args.provenance) as fh:
             fh.write("anchor_index,round,source_a,source_b,t\n")
@@ -266,7 +266,7 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
     queries, _ = fio.load_rows(args.query, args.normalize)
     margin = opts.get("margin", 0.0, float)
     index, cosine = sample_batch(queries, anchors, margin)
-    fio.write_embeddings(args.out, [anchors.anchors[i] for i in index.tolist()])
+    fio.write_container(args.out, anchors.matrix[index])
     print("query_index,anchor_index,achieved_cosine")
     for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist())):
         print(f"{i},{chosen},{_fmt(achieved)}")
@@ -279,20 +279,13 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
         if args.anchors is not None
         else None
     )
-    threshold = opts.get("threshold", None, float)
-    margin = opts.get("margin", None, float)
     if args.state_in is not None:
         state = load_state(args.state_in, anchors=anchors)
-        if threshold is not None:
-            state.threshold = float(np.float32(threshold))
-        if margin is not None:
-            state.margin = float(np.float32(margin))
     else:
-        state = TrackerState(
-            threshold=threshold if threshold is not None else DEFAULT_MATCH_THRESHOLD,
-            margin=margin if margin is not None else 0.0,
-            anchors=anchors,
-        )
+        state = TrackerState(anchors=anchors)
+    # The setters range-check and round the overrides as the constructor does.
+    state.threshold = opts.get("threshold", state.threshold, float)
+    state.margin = opts.get("margin", state.margin, float)
     frames, _ = fio.load_rows(args.frames, args.normalize)
     matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
@@ -333,7 +326,7 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
-    videos = [fio.load_embeddings(path, args.normalize) for path in args.frames]
+    videos = [fio.load_rows(path, args.normalize)[0] for path in args.frames]
     report = temporal_consistency(videos)
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
@@ -440,7 +433,7 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
             rounds=opts.get("rounds", 2, int),
             t=opts.get("t", 0.5, float),
         )
-        fio.write_embeddings(out_dir / "anchors.emb", anchors.anchors)
+        fio.write_container(out_dir / "anchors.emb", anchors.matrix)
     anonymizer = MockAnonymizer(
         mode=mode,
         margin=opts.get("margin", 0.0, float),
@@ -454,9 +447,7 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         tracker_threshold=opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float),
     )
     gallery: Gallery = result.gallery
-    fio.write_embeddings(
-        out_dir / "gallery.emb", gallery.embeddings, gallery.labels
-    )
+    fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
     frame_labels = [
         entry.label
         for entry, video in zip(gallery.entries, result.frames)

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyList, ShapeMismatch
-from .sphere import Embedding, _require_unit_rows, _row_dots, _stack, cosine_distance
+from .errors import EmptyList, ShapeMismatch
+from .sphere import Embedding, _row_dots, _stack, _unit_matrix, cosine_distance
 
 __all__ = [
     "DEFAULT_DETECT_THRESHOLD",
@@ -64,22 +64,20 @@ def detect(
     return DetectionScore(distance, distance > threshold, threshold)
 
 
-def score_rows(inputs: np.ndarray, outputs: np.ndarray) -> ScoreDistribution:
-    """Distance distribution over the aligned rows of two (N, D) unit arrays.
+def score_rows(inputs, outputs) -> ScoreDistribution:
+    """Distance distribution over the aligned rows of two (N, D) unit array-likes.
 
     One row-wise product over all pairs; each score has the bits of
     :func:`~fiva.sphere.cosine_distance` on its pair.
     """
+    inputs = _unit_matrix(inputs, "input embedding")
+    outputs = _unit_matrix(outputs, "output embedding", inputs.shape[1])
     if len(inputs) != len(outputs):
         raise ShapeMismatch(
             f"{len(inputs)} input embeddings vs {len(outputs)} output embeddings"
         )
-    if inputs.shape != outputs.shape:
-        raise DimensionMismatch(f"input shape {inputs.shape} vs output shape {outputs.shape}")
     if len(inputs) == 0:
         raise EmptyList("need at least one embedding pair")
-    _require_unit_rows(inputs, "input embedding")
-    _require_unit_rows(outputs, "output embedding")
     scores = 1.0 - np.clip(_row_dots(inputs, outputs), -1.0, 1.0)
     counts, _ = np.histogram(scores, bins=HISTOGRAM_BINS, range=(0.0, 2.0))
     return ScoreDistribution(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sphere import Embedding, _require_unit_rows, _stack
+from .sphere import Embedding, _stack, _unit_matrix
 
 __all__ = ["LabeledEmbedding", "Gallery"]
 
@@ -35,8 +35,8 @@ class Gallery:
             if entry.label in seen:
                 raise ValueError(f"duplicate gallery label {entry.label!r}")
             seen.add(entry.label)
-        matrix = _stack([entry.embedding for entry in entries], "entry")
-        _require_unit_rows(matrix, "gallery entry")
+        rows = _stack([entry.embedding for entry in entries], "entry")
+        matrix = _unit_matrix(rows, "gallery entry")
         matrix.setflags(write=False)
         # The entries stacked row-wise as a read-only (N, D) float64 array.
         object.__setattr__(self, "matrix", matrix)

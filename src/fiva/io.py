@@ -24,6 +24,8 @@ round(v * 255) with ties to even.
 from __future__ import annotations
 
 import csv
+import io
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, _require_unit_rows, _stack, normalize
+from .sphere import Embedding, _normalize_rows, _stack, _unit_matrix
 
 __all__ = [
     "MAGIC",
@@ -80,6 +82,22 @@ def _coerce_matrix(matrix: np.ndarray, dim: int | None = None) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype="<f4")
 
 
+def _check_labels(labels: Sequence[str] | None, count: int) -> list[str] | None:
+    """Labels as a list of ``count`` non-empty single-line strings, or ``None``."""
+    if labels is None:
+        return None
+    labels = list(labels)
+    if len(labels) != count:
+        raise LabelCountMismatch(f"{len(labels)} labels for {count} embeddings")
+    for label in labels:
+        # splitlines() knows every line break the CSV reader splits on.
+        if label.splitlines() != [label]:
+            raise LabelCountMismatch(
+                f"labels must be non-empty and newline-free, got {label!r}"
+            )
+    return labels
+
+
 def pack_container(
     matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
 ) -> bytes:
@@ -87,17 +105,8 @@ def pack_container(
     arr = _coerce_matrix(matrix, dim)
     count, width = arr.shape
     blob = _HEADER.pack(MAGIC, count, width) + arr.tobytes(order="C")
+    labels = _check_labels(labels, count)
     if labels is not None:
-        labels = list(labels)
-        if len(labels) != count:
-            raise LabelCountMismatch(
-                f"{len(labels)} labels for {count} embeddings"
-            )
-        for label in labels:
-            if not label or "\n" in label:
-                raise LabelCountMismatch(
-                    f"labels must be non-empty and newline-free, got {label!r}"
-                )
         blob += "".join(f"{label}\n" for label in labels).encode("utf-8")
     return blob
 
@@ -168,10 +177,25 @@ def _read_bytes(source: str | Path | BinaryIO) -> bytes:
 
 
 def _write_bytes(destination: str | Path | BinaryIO, blob: bytes) -> None:
+    """Write to a file object, or to a path through a temporary file in its
+    directory and ``os.replace``, so a failed write leaves the old file whole.
+    Devices and pipes are written in place; a symlink's target is replaced."""
     if hasattr(destination, "write"):
         destination.write(blob)
-    else:
-        Path(destination).write_bytes(blob)
+        return
+    path = Path(destination).resolve()
+    if path.exists() and not path.is_file():
+        path.write_bytes(blob)
+        return
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_bytes(blob)
+        os.replace(temporary, path)
+    except BaseException as exc:
+        temporary.unlink(missing_ok=True)
+        if getattr(exc, "filename", None) == str(temporary) and exc.filename2 is None:
+            exc.filename = os.fspath(destination)  # name the file the caller asked for
+        raise
 
 
 def _looks_like_csv(source: str | Path | BinaryIO, data: bytes) -> bool:
@@ -255,40 +279,26 @@ def write_container(
     """Write a (count, dim) matrix and optional labels.
 
     A ``.csv`` destination gets interop CSV (single-precision values
-    rendered exactly); anything else gets the binary container.
+    rendered exactly, labels quoted where CSV needs it); anything else gets
+    the binary container. Labels must be non-empty and newline-free.
     """
     name = getattr(destination, "name", destination)
     if str(name).lower().endswith(".csv"):
         arr = _coerce_matrix(matrix)
-        if labels is not None and len(labels) != arr.shape[0]:
-            raise LabelCountMismatch(
-                f"{len(labels)} labels for {arr.shape[0]} embeddings"
-            )
-        lines = []
+        labels = _check_labels(labels, len(arr))
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
         for i, row in enumerate(arr):
             cells = [repr(float(v)) for v in row]
-            if labels is not None:
-                cells.insert(0, labels[i])
-            lines.append(",".join(cells))
-        blob = ("\n".join(lines) + "\n").encode("utf-8")
+            writer.writerow(cells if labels is None else [labels[i], *cells])
+        blob = text.getvalue().encode("utf-8")
     else:
         blob = pack_container(matrix, labels)
     _write_bytes(destination, blob)
 
 
 def _unit_rows(matrix: np.ndarray, renorm: bool) -> np.ndarray:
-    rows = matrix.astype(np.float64)
-    if len(rows) and rows.shape[1] < 2:
-        raise DimensionMismatch(
-            f"embedding must be a 1-D vector of length >= 2, got shape ({rows.shape[1]},)"
-        )
-    if renorm:
-        # Row by row, so the bits are those of normalize() on each row.
-        for i, row in enumerate(rows):
-            rows[i] = normalize(row).values
-    else:
-        _require_unit_rows(rows, "row")
-    return rows
+    return _normalize_rows(matrix) if renorm else _unit_matrix(matrix, "row")
 
 
 def load_rows(

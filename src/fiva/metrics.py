@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyGallery, EmptyList, ShapeMismatch
+from .errors import EmptyGallery, EmptyList, ShapeMismatch
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, _nearest, _require_unit_rows, _stack, cosine
+from .sphere import Embedding, _nearest, _stack, _unit_matrix, cosine
 
 __all__ = [
     "VideoConsistency",
@@ -74,22 +74,22 @@ class RetrievalReport:
     per_query: tuple[ProbeOutcome, ...]
 
 
-def _check_frames(frames: Sequence[Embedding]) -> np.ndarray:
-    if not frames:
+def _check_frames(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
+    if not isinstance(frames, np.ndarray):
+        frames = _stack(list(frames), "frame")
+    if not len(frames):
         raise EmptyList("a video needs at least one frame embedding")
-    stacked = _stack(frames, "frame")
-    _require_unit_rows(stacked, "frame")
-    return stacked
+    return _unit_matrix(frames, "frame")
 
 
-def pairwise_distance_matrix(frames: Sequence[Embedding]) -> np.ndarray:
-    """All-pairs cosine distances of a frame list as an (N, N) array.
+def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
+    """All-pairs cosine distances of a frame list or (N, D) array as an (N, N) array.
 
     For unit vectors 1 - cos(a, b) equals |a - b|^2 / 2, which is what is
     computed here: it is exactly symmetric, exactly zero for identical
     frames, and never dips below zero, so downstream statistics are clean.
     """
-    stacked = _check_frames(list(frames))
+    stacked = _check_frames(frames)
     n = stacked.shape[0]
     distances = np.empty((n, n), dtype=np.float64)
     for i in range(n):
@@ -99,7 +99,7 @@ def pairwise_distance_matrix(frames: Sequence[Embedding]) -> np.ndarray:
     return distances
 
 
-def _video_consistency(frames: Sequence[Embedding]) -> VideoConsistency:
+def _video_consistency(frames: Sequence[Embedding] | np.ndarray) -> VideoConsistency:
     distances = pairwise_distance_matrix(frames)
     mean = float(distances.mean())
     std = float(np.sqrt(np.mean((distances - mean) ** 2)))
@@ -107,9 +107,9 @@ def _video_consistency(frames: Sequence[Embedding]) -> VideoConsistency:
 
 
 def temporal_consistency(
-    videos: Sequence[Sequence[Embedding]], threads: int = 1
+    videos: Sequence[Sequence[Embedding] | np.ndarray], threads: int = 1
 ) -> TemporalReport:
-    """Consistency statistics for a list of videos (lists of frames).
+    """Consistency statistics for a list of videos (frame lists or (F, D) arrays).
 
     ``threads`` is accepted for compatibility and has no effect.
     """
@@ -122,18 +122,12 @@ def temporal_consistency(
     return TemporalReport(mean_of_means, mean_of_stds, tuple(per_video))
 
 
-def _search(
-    queries: np.ndarray, gallery: Gallery, negate: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest entry index and cosine distance for each row of a (N, D) array."""
+def _search(queries, gallery: Gallery, negate: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest entry index and cosine distance for each row of a (N, D) array-like."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
-    if queries.shape[1] != gallery.dim:
-        raise DimensionMismatch(
-            f"query has dimension {queries.shape[1]}, gallery has {gallery.dim}"
-        )
-    _require_unit_rows(queries, "probe")
-    index, cosine = _nearest(queries, gallery.matrix, -1.0, negate)
+    probes = _unit_matrix(queries, "probe", gallery.dim)
+    index, cosine = _nearest(probes, gallery.matrix, -1.0, negate)
     return index, 1.0 - cosine
 
 
@@ -144,13 +138,13 @@ def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:
 
 
 def retrieval_report(
-    queries: np.ndarray,
+    queries,
     true_labels: Sequence[str],
     gallery: Gallery,
     threshold: float,
     negate: bool = False,
 ) -> RetrievalReport:
-    """Retrieval outcome of every row of a (N, D) array of unit probes.
+    """Retrieval outcome of every row of a (N, D) array-like of unit probes.
 
     Success means the nearest entry carries the probe's label at a distance
     no larger than ``threshold``. With ``negate`` each probe is negated
@@ -160,11 +154,9 @@ def retrieval_report(
         raise EmptyList("need at least one probe")
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must be in [0, 2], got {threshold}")
-    if queries.ndim != 2 or queries.shape[0] != len(true_labels):
-        raise ShapeMismatch(
-            f"{len(true_labels)} labels for probe array of shape {queries.shape}"
-        )
     index, distance = _search(queries, gallery, negate)
+    if len(index) != len(true_labels):
+        raise ShapeMismatch(f"{len(true_labels)} labels for {len(index)} probes")
     labels = gallery.labels
     outcomes = tuple(
         ProbeOutcome(true, labels[i], d, labels[i] == true and d <= threshold)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyAnchorSet
-from .sphere import AnchorSet, Embedding, _nearest, _require_unit_rows
+from .errors import EmptyAnchorSet
+from .sphere import AnchorSet, Embedding, _nearest, _unit_matrix
 
-__all__ = ["SampleResult", "sample_batch", "sample_fake", "sample_far"]
+__all__ = ["SampleResult", "sample_batch", "sample_fake"]
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class SampleResult:
 
 
 def sample_batch(
-    queries: np.ndarray, anchors: AnchorSet, m: float = 0.0
+    queries, anchors: AnchorSet, m: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_fake` for each unit row of a (Q, D) array.
+    """:func:`sample_fake` for each unit row of a (Q, D) array-like.
 
     Returns the chosen anchor indices and achieved cosines as two length-Q
     arrays. Raises as :func:`sample_fake` does; :class:`NotUnitNorm` names
@@ -42,12 +42,7 @@ def sample_batch(
         raise EmptyAnchorSet("cannot sample from an empty anchor set")
     if not -1.0 <= m <= 1.0:
         raise ValueError(f"margin must be in [-1, 1], got {m}")
-    if queries.ndim != 2 or (len(queries) and queries.shape[1] != anchors.dim):
-        raise DimensionMismatch(
-            f"queries must be a (Q, {anchors.dim}) array, got shape {queries.shape}"
-        )
-    _require_unit_rows(queries, "query embedding")
-    return _nearest(queries, anchors.matrix, m)
+    return _nearest(_unit_matrix(queries, "query embedding", anchors.dim), anchors.matrix, m)
 
 
 def sample_fake(z_id: Embedding, anchors: AnchorSet, m: float = 0.0) -> SampleResult:
@@ -72,15 +67,3 @@ def sample_fake(z_id: Embedding, anchors: AnchorSet, m: float = 0.0) -> SampleRe
         fake_identity=anchors.anchors[chosen],
         achieved_cosine=float(cosine[0]),
     )
-
-
-def sample_far(
-    z_id: Embedding, anchors: AnchorSet, far_margin: float = 0.0
-) -> SampleResult:
-    """Sampling preset for swap-style backends that need distant targets.
-
-    Identical to :func:`sample_fake`; the separate name marks call sites
-    that want anchors far from the source identity rather than near some
-    similarity level, with the orthogonal point as the default target.
-    """
-    return sample_fake(z_id, anchors, far_margin)

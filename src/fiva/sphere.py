@@ -131,14 +131,42 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _require_unit_rows(rows: np.ndarray, name: str, tol: float = UNIT_NORM_TOL) -> None:
-    """Raise :class:`NotUnitNorm` naming the first row off the sphere (NaN included)."""
-    norms = np.sqrt(_row_dots(rows, rows))
+def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray:
+    """``rows`` as a float64 (N, D) array, D >= 2 (== ``dim`` if given); (0, ·) passes."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2 or (len(arr) and (arr.shape[1] < 2 or dim not in (None, arr.shape[1]))):
+        want = "D >= 2" if dim is None else f"D = {dim}"
+        raise DimensionMismatch(
+            f"{name} rows must form an (N, D) array with {want}, got shape {arr.shape}"
+        )
+    return arr
+
+
+def _unit_matrix(
+    rows, name: str, dim: int | None = None, tol: float = UNIT_NORM_TOL
+) -> np.ndarray:
+    """The entry check of every batch: :func:`_as_rows`, then :class:`NotUnitNorm`
+    naming the first row off the sphere (NaN included)."""
+    arr = _as_rows(rows, name, dim)
+    norms = np.sqrt(_row_dots(arr, arr))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
     if bad.size:
         raise NotUnitNorm(
             f"{name} {bad[0]} has norm {norms[bad[0]]:.8f}, expected 1 within {tol:g}"
         )
+    return arr
+
+
+def _normalize_rows(rows, name: str = "row") -> np.ndarray:
+    """:func:`_as_rows` projected onto the sphere, each row with the bits of
+    ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs). Raises
+    :class:`ZeroVector` naming the first row of norm <= 1e-12 or not finite."""
+    arr = _as_rows(rows, name)
+    norms = np.sqrt(_row_dots(arr, arr))
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > _ZERO_NORM_TOL)))
+    if bad.size:
+        raise ZeroVector(f"cannot normalize {name} {bad[0]} with norm {norms[bad[0]]:g}")
+    return arr / norms[:, None]
 
 
 # Query rows per block of the nearest-row kernel: large enough for GEMM
@@ -216,10 +244,7 @@ def normalize(vector: Iterable[float] | np.ndarray) -> Embedding:
         raise DimensionMismatch(
             f"cannot normalize input of shape {arr.shape}; need a 1-D vector of length >= 2"
         )
-    norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm) or norm <= _ZERO_NORM_TOL:
-        raise ZeroVector(f"cannot normalize vector with norm {norm:g}")
-    return Embedding(arr / norm)
+    return Embedding(_normalize_rows(arr[None, :], "vector")[0])
 
 
 def cosine(a: Embedding, b: Embedding) -> float:
@@ -287,9 +312,7 @@ def mean_embedding(members: Sequence[Embedding]) -> Embedding:
     members = list(members)
     if not members:
         raise EmptyList("cannot average an empty list of embeddings")
-    stacked = _stack(members, "member")
-    _require_unit_rows(stacked, "member")
-    return normalize(stacked.mean(axis=0))
+    return normalize(_unit_matrix(_stack(members, "member"), "member").mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -340,8 +363,7 @@ class AnchorSet:
                     f"{len(prov)} provenance records for {len(anchors)} anchors"
                 )
         object.__setattr__(self, "skipped", tuple(self.skipped))
-        matrix = _stack(anchors, "anchor")
-        _require_unit_rows(matrix, "anchor")
+        matrix = _unit_matrix(_stack(anchors, "anchor"), "anchor")
         matrix.setflags(write=False)
         # The anchors stacked row-wise as a read-only (K, D) float64 array.
         object.__setattr__(self, "matrix", matrix)
@@ -381,7 +403,7 @@ def build_anchor_set(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"interpolation parameter must be in (0, 1), got {t}")
-    _require_unit_rows(_stack(means, "mean"), "mean")
+    _unit_matrix(_stack(means, "mean"), "mean")
 
     anchors: list[Embedding] = []
     provenance: list[AnchorProvenance] = []

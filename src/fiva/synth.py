@@ -16,7 +16,7 @@ import numpy as np
 from .gallery import Gallery, LabeledEmbedding
 from .metrics import RetrievalReport, TemporalReport, retrieval_report, temporal_consistency
 from .sampling import sample_batch
-from .sphere import AnchorSet, Embedding, _require_unit, _stack, negate, normalize, slerp
+from .sphere import AnchorSet, Embedding, _normalize_rows, _require_unit, _stack, negate, slerp
 from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState
 from .util import spawn_seed
 
@@ -94,12 +94,10 @@ def generate_identities(config: SynthConfig) -> Gallery:
     random identities are near-orthogonal in high dimensions.
     """
     rng = np.random.default_rng(config.seed)
-    raw = rng.normal(size=(config.identity_count, config.dimension))
-    entries = tuple(
-        LabeledEmbedding(f"id_{i:04d}", normalize(raw[i]))
-        for i in range(config.identity_count)
+    rows = _normalize_rows(rng.normal(size=(config.identity_count, config.dimension)))
+    return Gallery(
+        tuple(LabeledEmbedding(f"id_{i:04d}", Embedding(row)) for i, row in enumerate(rows))
     )
-    return Gallery(entries)
 
 
 def generate_frames(
@@ -119,7 +117,7 @@ def generate_frames(
         return [center] * count
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, jitter_sigma, size=(count, center.dim))
-    return [normalize(center.values + offsets[i]) for i in range(count)]
+    return [Embedding(row) for row in _normalize_rows(center.values + offsets)]
 
 
 def mock_anonymize(z_id: Embedding, anonymizer: MockAnonymizer) -> Embedding:

@@ -37,8 +37,8 @@ from .sphere import (
     _block_products,
     _nearest,
     _pick,
-    _require_unit_rows,
     _tie,
+    _unit_matrix,
 )
 
 __all__ = [
@@ -108,12 +108,8 @@ class TrackerState:
         anchors: AnchorSet | None = None,
         sampler: Callable[[Embedding], Embedding] | None = None,
     ) -> None:
-        if not 0.0 < threshold < 2.0:
-            raise ValueError(f"match threshold must be in (0, 2), got {threshold}")
-        if not -1.0 <= margin <= 1.0:
-            raise ValueError(f"margin must be in [-1, 1], got {margin}")
-        self.threshold = float(np.float32(threshold))
-        self.margin = float(np.float32(margin))
+        self.threshold = threshold
+        self.margin = margin
         self.anchors = anchors
         self.sampler = sampler
         self.key_pointer = 0
@@ -124,6 +120,27 @@ class TrackerState:
 
     def __len__(self) -> int:
         return self.key_pointer
+
+    @property
+    def threshold(self) -> float:
+        return self._threshold
+
+    @threshold.setter
+    def threshold(self, value: float) -> None:
+        rounded = float(np.float32(value))
+        if not 0.0 < rounded < 2.0:
+            raise ValueError(f"match threshold must be in (0, 2), got {value}")
+        self._threshold = rounded
+
+    @property
+    def margin(self) -> float:
+        return self._margin
+
+    @margin.setter
+    def margin(self, value: float) -> None:
+        if not -1.0 <= value <= 1.0:
+            raise ValueError(f"margin must be in [-1, 1], got {value}")
+        self._margin = float(np.float32(value))
 
     @property
     def stored(self) -> tuple[Embedding, ...]:
@@ -223,8 +240,8 @@ class TrackerState:
                 best[lower] = distances[lower, key[lower]]
             used += 1
 
-    def track_rows(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Track the unit rows of an (N, D) array in order, minting fakes as needed.
+    def track_rows(self, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Track the unit rows of an (N, D) array-like in order, minting fakes as needed.
 
         Takes the decisions of :meth:`track` called on each row in turn and
         returns per-frame ``matched`` flags, ``key`` and ``distance`` arrays.
@@ -234,18 +251,8 @@ class TrackerState:
         before the store changes, and if minting raises the tracker is left
         as it was.
         """
-        frames = np.asarray(frames, dtype=np.float64)
+        frames = _unit_matrix(frames, "frame embedding", self.dim)
         count = len(frames)
-        if frames.ndim != 2 or (count and frames.shape[1] < 2):
-            raise DimensionMismatch(
-                f"frames must be an (N, D) array with D >= 2, got shape {frames.shape}"
-            )
-        expected = self.dim
-        if count and expected is not None and frames.shape[1] != expected:
-            raise DimensionMismatch(
-                f"frames have dimension {frames.shape[1]}, tracker expects {expected}"
-            )
-        _require_unit_rows(frames, "frame embedding")
         minted = np.zeros(count, dtype=bool)
         key = np.empty(count, dtype=np.intp)
         distance = np.empty(count, dtype=np.float64)
@@ -338,24 +345,15 @@ def load_state(
         raise CorruptState(
             f"key pointer {key_pointer} does not match {stored.shape[0]} stored rows"
         )
-    if not 0.0 < threshold < 2.0:
-        raise CorruptState(f"threshold {threshold} outside (0, 2)")
-    if not -1.0 <= margin <= 1.0:
-        raise CorruptState(f"margin {margin} outside [-1, 1]")
-    if key_pointer and stored.shape[1] < 2:
-        raise CorruptState(f"embedding blocks have dimension {stored.shape[1]}, need >= 2")
+    try:
+        state = TrackerState(float(threshold), float(margin), anchors=anchors, sampler=sampler)
+        state._stored = _unit_matrix(stored, "stored embedding", tol=_LOAD_NORM_TOL)
+        state._fakes = _unit_matrix(fakes, "fake embedding", tol=_LOAD_NORM_TOL)
+    except (ValueError, DimensionMismatch, NotUnitNorm) as exc:
+        raise CorruptState(str(exc)) from exc
     if key_pointer and anchors is not None and len(anchors) and anchors.dim != stored.shape[1]:
         raise DimensionMismatch(
             f"anchors have dimension {anchors.dim}, tracker state has dimension {stored.shape[1]}"
         )
-    state = TrackerState(
-        threshold=float(threshold), margin=float(margin), anchors=anchors, sampler=sampler
-    )
-    state._stored, state._fakes = stored.astype(np.float64), fakes.astype(np.float64)
-    try:
-        _require_unit_rows(state._stored, "stored embedding", _LOAD_NORM_TOL)
-        _require_unit_rows(state._fakes, "fake embedding", _LOAD_NORM_TOL)
-    except NotUnitNorm as exc:
-        raise CorruptState(str(exc)) from exc
     state.key_pointer = key_pointer
     return state

@@ -261,6 +261,29 @@ class TestTrack:
         assert stdout == ""
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("flag,value", [("--threshold", "5"), ("--margin", "7")])
+    def test_resume_overrides_are_range_checked(self, capsys, anchors_file, rng, tmp_path, flag, value):
+        frames = tmp_path / "frames.emb"
+        write_embeddings(frames, [random_unit(rng, 16) for _ in range(3)])
+        state_path = tmp_path / "first.state"
+        run(capsys, "track", "--frames", str(frames), "--anchors", str(anchors_file),
+            "--state-out", str(state_path))
+        outputs = [tmp_path / name for name in ("fakes.emb", "log.csv", "next.state")]
+        code, stdout, err = run(
+            capsys, "track",
+            "--frames", str(frames),
+            "--anchors", str(anchors_file),
+            "--state-in", str(state_path),
+            flag, value,
+            "--out", str(outputs[0]),
+            "--log", str(outputs[1]),
+            "--state-out", str(outputs[2]),
+        )
+        assert code == 2
+        assert "must be in" in err
+        assert stdout == ""
+        assert not any(path.exists() for path in outputs)
+
 
 class TestEvalRetrieval:
     def test_members_retrieve_themselves(self, capsys, gallery_file, tmp_path):

@@ -9,7 +9,6 @@ from fiva import (
     cosine,
     normalize,
     sample_fake,
-    sample_far,
 )
 from conftest import random_unit
 
@@ -112,10 +111,3 @@ class TestSampleFake:
         z = random_unit(rng, 12)
         result = sample_fake(z, anchors, 0.0)
         assert result.anchor_index == brute_force_pick(z, anchors, 0.0)
-
-
-class TestSampleFar:
-    def test_alias_for_zero_margin(self, rng):
-        anchors = make_anchors(rng, 12, 8)
-        z = random_unit(rng, 8)
-        assert sample_far(z, anchors) == sample_fake(z, anchors, 0.0)

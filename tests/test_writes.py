@@ -1,0 +1,120 @@
+"""Writers: CSV labels that need quoting, the shared label check, atomic file writes."""
+
+import os
+import stat
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fiva import (
+    IoFailure,
+    LabelCountMismatch,
+    TrackerState,
+    pack_container,
+    read_container,
+    save_state,
+    write_container,
+    write_image_ppm,
+)
+from conftest import random_unit
+
+
+def unit_matrix(rng, count, dim):
+    rows = rng.normal(size=(count, dim))
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+def test_csv_labels_that_need_quoting_round_trip(rng, tmp_path):
+    labels = ["a,b", 'say "hi"', '"', ",", " padded "]
+    matrix = unit_matrix(rng, len(labels), 4)
+    path = tmp_path / "quoted.csv"
+    write_container(path, matrix, labels)
+    out_matrix, out_labels = read_container(path)
+    assert out_labels == labels
+    assert out_matrix.tobytes() == matrix.tobytes()
+
+
+def test_csv_labels_without_quoting_keep_their_bytes(rng, tmp_path):
+    labels = ["id_0", "id 1", "ünï"]
+    matrix = unit_matrix(rng, 3, 4)
+    path = tmp_path / "plain.csv"
+    write_container(path, matrix, labels)
+    expected = "".join(
+        ",".join([label, *(repr(float(v)) for v in row)]) + "\n"
+        for label, row in zip(labels, matrix)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("label", ["", "a\nb", "a\rb", "tail\n", "a\u2028b"])
+@pytest.mark.parametrize("suffix", [".csv", ".emb"])
+def test_both_writers_reject_empty_and_multiline_labels(rng, tmp_path, label, suffix):
+    path = tmp_path / f"labels{suffix}"
+    with pytest.raises(LabelCountMismatch):
+        write_container(path, unit_matrix(rng, 2, 4), ["ok", label])
+    assert not path.exists()
+    with pytest.raises(LabelCountMismatch):
+        pack_container(unit_matrix(rng, 2, 4), ["ok", label])
+
+
+def tracker_with_rows(rng):
+    tracker = TrackerState(sampler=lambda z: z)
+    tracker.track(random_unit(rng, 8))
+    return tracker
+
+
+WRITERS = {
+    "container": lambda path, rng: write_container(path / "out.emb", unit_matrix(rng, 3, 8)),
+    "csv": lambda path, rng: write_container(path / "out.csv", unit_matrix(rng, 3, 8)),
+    "image": lambda path, rng: write_image_ppm(path / "out.ppm", rng.random((4, 5, 3))),
+    "state": lambda path, rng: save_state(tracker_with_rows(rng), path / "out.state"),
+}
+
+
+def half_write(self, data):
+    with open(self, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("disk full")
+
+
+def failing_replace(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("failure", ["midway", "at rename"])
+def test_failed_write_keeps_old_bytes_and_leaves_no_temporary(
+    rng, tmp_path, monkeypatch, writer, failure
+):
+    WRITERS[writer](tmp_path, rng)
+    (target,) = tmp_path.iterdir()
+    before = target.read_bytes()
+    if failure == "midway":
+        monkeypatch.setattr(Path, "write_bytes", half_write)
+    else:
+        monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises((OSError, IoFailure)):
+        WRITERS[writer](tmp_path, np.random.default_rng(1))
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == before
+
+
+def test_new_file_gets_the_default_mode(rng, tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    path = tmp_path / "fresh.emb"
+    write_container(path, unit_matrix(rng, 2, 4))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_symlink_destination_is_kept_and_its_target_replaced(rng, tmp_path):
+    target = tmp_path / "target.emb"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.emb"
+    link.symlink_to(target)
+    matrix = unit_matrix(rng, 2, 4)
+    write_container(link, matrix)
+    assert link.is_symlink()
+    assert read_container(target)[0].tobytes() == matrix.tobytes()
