@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import math
 import os
@@ -33,7 +34,6 @@ from .defense import (
 )
 from .detector import DEFAULT_DETECT_THRESHOLD, score_rows
 from .errors import ConfigError, FivaError
-from .gallery import Gallery
 from .metrics import retrieval_report, temporal_consistency
 from .sampling import sample_batch
 from .sphere import AnchorSet, build_anchor_set
@@ -312,11 +312,11 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
     report = retrieval_report(probes, labels, gallery, threshold, args.negate)
     with _text_out(args.report) as fh:
         fh.write("probe_index,true_label,retrieved_label,distance,success\n")
-        for i, outcome in enumerate(report.per_query):
-            fh.write(
-                f"{i},{outcome.true_label},{outcome.retrieved_label},"
-                f"{_fmt(outcome.distance)},{int(outcome.success)}\n"
-            )
+        writer = csv.writer(fh, lineterminator="\n")  # quotes labels that need it
+        writer.writerows(
+            [i, o.true_label, o.retrieved_label, _fmt(o.distance), int(o.success)]
+            for i, o in enumerate(report.per_query)
+        )
         fh.write(f"aggregate,,,,{_fmt(report.success_rate)}\n")
     _info(
         f"{'neg-id' if args.negate else 'id'} retrieval rate "
@@ -330,11 +330,10 @@ def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
     report = temporal_consistency(videos)
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
-        for i, (path, stats) in enumerate(zip(args.frames, report.per_video)):
-            fh.write(
-                f"{i},{Path(path).name},{len(videos[i])},"
-                f"{_fmt(stats.mean_distance)},{_fmt(stats.std_distance)}\n"
-            )
+        csv.writer(fh, lineterminator="\n").writerows(
+            [i, Path(path).name, len(video), _fmt(stats.mean_distance), _fmt(stats.std_distance)]
+            for i, (path, video, stats) in enumerate(zip(args.frames, videos, report.per_video))
+        )
         fh.write(
             f"aggregate,,,{_fmt(report.mean_of_means)},{_fmt(report.mean_of_stds)}\n"
         )
@@ -446,20 +445,17 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         retrieval_threshold=opts.get("retrieval_threshold", DEFAULT_MATCH_THRESHOLD, float),
         tracker_threshold=opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float),
     )
-    gallery: Gallery = result.gallery
+    gallery = result.gallery
     fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
-    frame_labels = [
-        entry.label
-        for entry, video in zip(gallery.entries, result.frames)
-        for _ in video
-    ]
+    per_video = config.frames_per_identity
+    frame_labels = [label for label in gallery.labels for _ in range(per_video)]
     for name, videos in (
         ("frames", result.frames),
         ("fakes_tracked", result.tracked_fakes),
         ("fakes_per_frame", result.per_frame_fakes),
     ):
-        rows = [row for video in videos for row in video]
-        fio.write_embeddings(out_dir / f"{name}.emb", rows, frame_labels)
+        rows = videos.reshape(-1, config.dimension)
+        fio.write_container(out_dir / f"{name}.emb", rows, frame_labels)
     with _text_out(str(out_dir / "report.csv")) as fh:
         fh.write("variant,id_rate,neg_id_rate,mtc_mean,mtc_std\n")
         for name, variant in (("tracked", result.tracked), ("per_frame", result.per_frame)):

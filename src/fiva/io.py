@@ -104,11 +104,10 @@ def pack_container(
     """Serialize a (count, dim) matrix and optional labels to bytes."""
     arr = _coerce_matrix(matrix, dim)
     count, width = arr.shape
-    blob = _HEADER.pack(MAGIC, count, width) + arr.tobytes(order="C")
     labels = _check_labels(labels, count)
-    if labels is not None:
-        blob += "".join(f"{label}\n" for label in labels).encode("utf-8")
-    return blob
+    label_block = "".join(f"{label}\n" for label in labels or ()).encode("utf-8")
+    # The float32 array joins through the buffer protocol: the payload is copied once.
+    return b"".join((_HEADER.pack(MAGIC, count, width), arr, label_block))
 
 
 def parse_container(
@@ -216,31 +215,34 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     rows: list[list[float]] = []
     labels: list[str] = []
     labeled: bool | None = None
-    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if not row:
-            continue
-        try:
-            float(row[0])
-            has_label = False
-        except ValueError:
-            has_label = True
-        if labeled is None:
-            labeled = has_label
-        elif labeled != has_label:
-            raise UnsupportedFormat(
-                f"line {line_no}: mixed labeled and unlabeled CSV rows"
-            )
-        cells = row[1:] if has_label else row
-        if has_label:
-            labels.append(row[0])
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise UnsupportedFormat(f"line {line_no}: non-numeric cell: {exc}") from exc
-        if len(rows[-1]) != len(rows[0]):
-            raise UnsupportedFormat(
-                f"line {line_no}: {len(rows[-1])} values, expected {len(rows[0])}"
-            )
+    try:
+        for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
+            if not row:
+                continue
+            try:
+                float(row[0])
+                has_label = False
+            except ValueError:
+                has_label = True
+            if labeled is None:
+                labeled = has_label
+            elif labeled != has_label:
+                raise UnsupportedFormat(
+                    f"line {line_no}: mixed labeled and unlabeled CSV rows"
+                )
+            cells = row[1:] if has_label else row
+            if has_label:
+                labels.append(row[0])
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise UnsupportedFormat(f"line {line_no}: non-numeric cell: {exc}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise UnsupportedFormat(
+                    f"line {line_no}: {len(rows[-1])} values, expected {len(rows[0])}"
+                )
+    except csv.Error as exc:  # e.g. a cell beyond the csv module's field size limit
+        raise UnsupportedFormat(f"malformed CSV: {exc}") from exc
     if not rows:
         raise UnsupportedFormat("CSV file contains no embedding rows")
     with np.errstate(over="ignore"):  # overflow to inf is reported as NonFinite
@@ -392,7 +394,10 @@ def read_image_ppm(source: str | Path | BinaryIO) -> np.ndarray:
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(data[start:pos]))
+            try:
+                fields.append(int(data[start:pos]))
+            except ValueError as exc:  # beyond Python's int-string digit limit
+                raise UnsupportedFormat(f"{pos - start}-digit header number") from exc
         else:
             raise UnsupportedFormat(
                 f"unexpected header byte {byte!r} at offset {pos}"

@@ -9,14 +9,13 @@ retrieval, and temporal metrics with known expected outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .gallery import Gallery, LabeledEmbedding
 from .metrics import RetrievalReport, TemporalReport, retrieval_report, temporal_consistency
 from .sampling import sample_batch
-from .sphere import AnchorSet, Embedding, _normalize_rows, _require_unit, _stack, negate, slerp
+from .sphere import AnchorSet, Embedding, _normalize_rows, _require_unit, _unit_matrix, slerp
 from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState
 from .util import spawn_seed
 
@@ -100,6 +99,18 @@ def generate_identities(config: SynthConfig) -> Gallery:
     )
 
 
+def _frame_rows(center: np.ndarray, count: int, jitter_sigma: float, seed: int) -> np.ndarray:
+    """The frames of :func:`generate_frames` as a (count, D) array."""
+    if count < 1:
+        raise ValueError(f"frame count must be >= 1, got {count}")
+    if jitter_sigma < 0.0:
+        raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
+    if jitter_sigma == 0.0:
+        return np.repeat(center[None, :], count, axis=0)
+    rng = np.random.default_rng(seed)
+    return _normalize_rows(center + rng.normal(0.0, jitter_sigma, size=(count, center.size)))
+
+
 def generate_frames(
     center: Embedding, count: int, jitter_sigma: float, seed: int
 ) -> list[Embedding]:
@@ -108,35 +119,27 @@ def generate_frames(
     Each frame is normalize(center + N(0, jitter_sigma^2)); zero jitter
     returns exact copies of the center.
     """
-    if count < 1:
-        raise ValueError(f"frame count must be >= 1, got {count}")
-    if jitter_sigma < 0.0:
-        raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
     _require_unit(center, "frame center")
-    if jitter_sigma == 0.0:
-        return [center] * count
-    rng = np.random.default_rng(seed)
-    offsets = rng.normal(0.0, jitter_sigma, size=(count, center.dim))
-    return [Embedding(row) for row in _normalize_rows(center.values + offsets)]
+    return [Embedding(row) for row in _frame_rows(center.values, count, jitter_sigma, seed)]
 
 
 def mock_anonymize(z_id: Embedding, anonymizer: MockAnonymizer) -> Embedding:
     """Apply one mock anonymizer to one embedding."""
-    return _anonymize_video([z_id], anonymizer)[0]
+    return Embedding(_anonymize_rows(z_id.values[None, :], anonymizer)[0])
 
 
-def _anonymize_video(
-    frames: Sequence[Embedding], anonymizer: MockAnonymizer
-) -> tuple[Embedding, ...]:
-    """:func:`mock_anonymize` over a list of frames, sampled in one batch."""
+def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> np.ndarray:
+    """:func:`mock_anonymize` for each unit row of an (N, D) array, sampled in one batch."""
     if anonymizer.mode == "negation":
-        return tuple(negate(z) for z in frames)
+        return np.negative(_unit_matrix(rows, "frame"))
     anchors = anonymizer.anchors
-    index, _ = sample_batch(_stack(frames, "frame"), anchors, anonymizer.margin)
-    sampled = [anchors.anchors[i] for i in index.tolist()]
+    index, _ = sample_batch(rows, anchors, anonymizer.margin)
     if anonymizer.mode == "anchor_sample":
-        return tuple(sampled)
-    return tuple(slerp(z, s, anonymizer.blend) for z, s in zip(frames, sampled))
+        return anchors.matrix[index]
+    return np.stack([
+        slerp(Embedding(z), anchors.anchors[i], anonymizer.blend).values
+        for z, i in zip(rows, index.tolist())
+    ])
 
 
 @dataclass(frozen=True)
@@ -154,14 +157,15 @@ class BenchmarkResult:
 
     The headline retrieval numbers are the tracked variant's; the
     per-frame variant shows what tracking buys, mostly in temporal std.
+    The frames and both fake sets are float64 (identities, frames, D) arrays.
     """
 
     tracked: BenchmarkVariant
     per_frame: BenchmarkVariant
     gallery: Gallery
-    frames: tuple[tuple[Embedding, ...], ...]
-    tracked_fakes: tuple[tuple[Embedding, ...], ...]
-    per_frame_fakes: tuple[tuple[Embedding, ...], ...]
+    frames: np.ndarray
+    tracked_fakes: np.ndarray
+    per_frame_fakes: np.ndarray
 
 
 def end_to_end_benchmark(
@@ -181,43 +185,32 @@ def end_to_end_benchmark(
     no effect.
     """
     gallery = generate_identities(config)
-    tracker = TrackerState(
-        threshold=tracker_threshold,
-        sampler=lambda z: mock_anonymize(z, anonymizer),
-    )
     per_video = config.frames_per_identity
-    all_frames = [
-        tuple(
-            generate_frames(
-                entry.embedding, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, index)
-            )
-        )
-        for index, entry in enumerate(gallery.entries)
-    ]
-    corpus = [frame for video in all_frames for frame in video]
-    _, keys, _ = tracker.track_rows(_stack(corpus, "frame"))
-    # One fake object per key, shared by every frame that matched it.
-    fakes = tracker.fakes
-    tracked_videos = [tuple(fakes[key] for key in video) for video in keys.reshape(-1, per_video)]
-    per_frame = _anonymize_video(corpus, anonymizer)
-    per_frame_videos = [per_frame[i : i + per_video] for i in range(0, len(corpus), per_video)]
+    frames = np.concatenate([
+        _frame_rows(center, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, index))
+        for index, center in enumerate(gallery.matrix)
+    ])
+    tracker = TrackerState(tracker_threshold, sampler=lambda z: mock_anonymize(z, anonymizer))
+    _, keys, _ = tracker.track_rows(frames)
+    tracked = tracker.fake_matrix[keys]
+    per_frame = _anonymize_rows(frames, anonymizer)
     labels = [label for label in gallery.labels for _ in range(per_video)]
+    shape = (config.identity_count, per_video, config.dimension)
 
-    def _variant(videos: list[tuple[Embedding, ...]]) -> BenchmarkVariant:
-        probes = _stack([fake for video in videos for fake in video], "fake")
+    def _variant(fakes: np.ndarray) -> BenchmarkVariant:
         return BenchmarkVariant(
-            id_report=retrieval_report(probes, labels, gallery, retrieval_threshold),
+            id_report=retrieval_report(fakes, labels, gallery, retrieval_threshold),
             neg_id_report=retrieval_report(
-                probes, labels, gallery, retrieval_threshold, negate=True
+                fakes, labels, gallery, retrieval_threshold, negate=True
             ),
-            temporal=temporal_consistency(videos),
+            temporal=temporal_consistency(fakes.reshape(shape)),
         )
 
     return BenchmarkResult(
-        tracked=_variant(tracked_videos),
-        per_frame=_variant(per_frame_videos),
+        tracked=_variant(tracked),
+        per_frame=_variant(per_frame),
         gallery=gallery,
-        frames=tuple(all_frames),
-        tracked_fakes=tuple(tracked_videos),
-        per_frame_fakes=tuple(per_frame_videos),
+        frames=frames.reshape(shape),
+        tracked_fakes=tracked.reshape(shape),
+        per_frame_fakes=per_frame.reshape(shape),
     )

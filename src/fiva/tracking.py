@@ -300,11 +300,11 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
     """
     count = state.key_pointer
     dim = state.dim or 0
-    blob = (
-        fio.pack_container(state._stored[:count], dim=dim)
-        + fio.pack_container(state._fakes[:count], dim=dim)
-        + _TRAILER.pack(state.threshold, state.margin, count)
-    )
+    blob = b"".join((
+        fio.pack_container(state._stored[:count], dim=dim),
+        fio.pack_container(state._fakes[:count], dim=dim),
+        _TRAILER.pack(state.threshold, state.margin, count),
+    ))
     try:
         fio._write_bytes(destination, blob)
     except OSError as exc:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -318,6 +320,18 @@ class TestEvalRetrieval:
         assert code == 0
         assert stdout.splitlines()[-1] == "aggregate,,,,1.0"
 
+    def test_labels_needing_quotes_read_back(self, capsys, rng, tmp_path):
+        path = tmp_path / "gallery.emb"
+        labels = ["a,b", "c", 'say "hi"']
+        write_embeddings(path, [random_unit(rng, 16) for _ in labels], labels)
+        code, stdout, _ = run(
+            capsys, "eval-retrieval", "--probes", str(path), "--gallery", str(path)
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert all(len(row) == 5 for row in rows)
+        assert [row[1:3] for row in rows[1:-1]] == [[label, label] for label in labels]
+
 
 class TestEvalTemporal:
     def test_reports_per_video_and_aggregate(self, capsys, rng, tmp_path):
@@ -335,6 +349,15 @@ class TestEvalTemporal:
         assert lines[1] == "0,v1.emb,3,0.0,0.0"
         assert lines[2].startswith("1,v2.emb,4,")
         assert lines[3].startswith("aggregate,,,")
+
+    def test_file_names_needing_quotes_read_back(self, capsys, rng, tmp_path):
+        video = tmp_path / "a,b.emb"
+        write_embeddings(video, [random_unit(rng, 16) for _ in range(3)])
+        code, stdout, _ = run(capsys, "eval-temporal", "--frames", str(video))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert all(len(row) == 5 for row in rows)
+        assert rows[1][:3] == ["0", "a,b.emb", "3"]
 
 
 class TestDefend:

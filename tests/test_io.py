@@ -33,12 +33,14 @@ def unit_matrix(rng, count, dim):
 class TestContainer:
     def test_pack_parse_round_trip(self, rng):
         matrix = unit_matrix(rng, 5, 16)
-        buf = pack_container(matrix)
-        parsed, labels, end = parse_container(buf)
-        assert labels is None
-        assert end == len(buf)
-        assert parsed.dtype == np.float32
-        assert parsed.tobytes() == matrix.tobytes()
+        for source in (matrix, matrix.astype(np.float64)):
+            buf = pack_container(source)
+            assert type(buf) is bytes
+            parsed, labels, end = parse_container(buf)
+            assert labels is None
+            assert end == len(buf)
+            assert parsed.dtype == np.float32
+            assert parsed.tobytes() == matrix.tobytes()
 
     def test_pack_parse_with_labels(self, rng):
         matrix = unit_matrix(rng, 3, 8)

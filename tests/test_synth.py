@@ -5,6 +5,7 @@ from fiva import (
     AnchorSet,
     MockAnonymizer,
     SynthConfig,
+    TrackerState,
     build_anchor_set,
     cosine,
     cosine_distance,
@@ -15,6 +16,7 @@ from fiva import (
     negate,
     slerp,
 )
+from fiva.util import spawn_seed
 from conftest import random_unit
 
 
@@ -178,7 +180,7 @@ class TestEndToEndBenchmark:
         assert a.per_frame.temporal.mean_of_means == b.per_frame.temporal.mean_of_means
         for va, vb in zip(a.per_frame_fakes, b.per_frame_fakes):
             for fa, fb in zip(va, vb):
-                assert fa.values.tobytes() == fb.values.tobytes()
+                assert fa.tobytes() == fb.tobytes()
 
     def test_thread_invariance(self):
         config = small_config()
@@ -187,3 +189,34 @@ class TestEndToEndBenchmark:
         assert one.tracked.temporal.mean_of_means == four.tracked.temporal.mean_of_means
         assert one.per_frame.temporal.mean_of_stds == four.per_frame.temporal.mean_of_stds
         assert one.tracked.id_report.success_rate == four.tracked.id_report.success_rate
+
+
+class TestArraysMatchSingleRowPaths:
+    """The array-first benchmark takes the bits of the public one-row functions."""
+
+    @pytest.mark.parametrize("mode, margin", [
+        ("negation", 0.0),
+        ("anchor_sample", 0.0),
+        ("anchor_sample", 0.3),
+        ("slerp_blend", 0.0),
+        ("slerp_blend", 0.3),
+    ])
+    def test_byte_identical(self, mode, margin):
+        config = small_config()
+        gallery = generate_identities(config)
+        anchors = None if mode == "negation" else build_anchor_set(gallery.embeddings, rounds=2)
+        anonymizer = MockAnonymizer(mode=mode, margin=margin, anchors=anchors)
+        result = end_to_end_benchmark(config, anonymizer)
+        per_video = config.frames_per_identity
+        shape = (config.identity_count, per_video, config.dimension)
+        for array in (result.frames, result.tracked_fakes, result.per_frame_fakes):
+            assert array.shape == shape and array.dtype == np.float64
+        tracker = TrackerState(sampler=lambda z: mock_anonymize(z, anonymizer))
+        for i, entry in enumerate(gallery.entries):
+            frames = generate_frames(
+                entry.embedding, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, i)
+            )
+            assert result.frames[i].tobytes() == np.stack([f.values for f in frames]).tobytes()
+            for frame, fake, tracked in zip(frames, result.per_frame_fakes[i], result.tracked_fakes[i]):
+                assert fake.tobytes() == mock_anonymize(frame, anonymizer).values.tobytes()
+                assert tracked.tobytes() == tracker.track(frame).fake_identity.values.tobytes()
