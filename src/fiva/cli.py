@@ -227,12 +227,8 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_anchor_set(path: str, renormalize: bool) -> AnchorSet:
-    return AnchorSet.from_embeddings(fio.load_embeddings(path, renormalize))
-
-
 def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
-    means = fio.load_embeddings(args.means, args.normalize)
+    means, _ = fio.load_rows(args.means, args.normalize)
     anchors = build_anchor_set(
         means,
         rounds=opts.get("rounds", 1, int),
@@ -242,18 +238,12 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
     if args.provenance is not None:
         with _text_out(args.provenance) as fh:
             fh.write("anchor_index,round,source_a,source_b,t\n")
-            for i, record in enumerate(anchors.provenance):
-                fh.write(
-                    f"{i},{record.round_index},{record.source_a},"
-                    f"{record.source_b},{_fmt(record.t)}\n"
-                )
+            for i, p in enumerate(anchors.provenance):
+                fh.write(f"{i},{p.round_index},{p.source_a},{p.source_b},{_fmt(p.t)}\n")
     if args.skips is not None:
         with _text_out(args.skips) as fh:
             fh.write("round,source_a,source_b\n")
-            for record in anchors.skipped:
-                fh.write(
-                    f"{record.round_index},{record.source_a},{record.source_b}\n"
-                )
+            fh.writelines(f"{s.round_index},{s.source_a},{s.source_b}\n" for s in anchors.skipped)
     _info(
         f"built {len(anchors)} anchors from {len(means)} means "
         f"({anchors.rounds} rounds, {len(anchors.skipped)} skipped)"
@@ -262,7 +252,7 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
-    anchors = _load_anchor_set(args.anchors, args.normalize)
+    anchors = AnchorSet(fio.load_rows(args.anchors, args.normalize)[0])
     queries, _ = fio.load_rows(args.query, args.normalize)
     margin = opts.get("margin", 0.0, float)
     index, cosine = sample_batch(queries, anchors, margin)
@@ -274,11 +264,9 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
-    anchors = (
-        _load_anchor_set(args.anchors, args.normalize)
-        if args.anchors is not None
-        else None
-    )
+    anchors = None
+    if args.anchors is not None:
+        anchors = AnchorSet(fio.load_rows(args.anchors, args.normalize)[0])
     if args.state_in is not None:
         state = load_state(args.state_in, anchors=anchors)
     else:
@@ -377,10 +365,11 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
             raise ConfigError(f"bad --sweep value {sweep!r}: {exc}") from exc
         outputs = fraction_sweep(image, epsilon, fractions, seed)
         print("fraction,path")
+        writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes paths that need it
         for fraction, noised in outputs:
             path = _sweep_path(args.output, fraction)
             fio.write_image_ppm(path, noised)
-            print(f"{_fmt(fraction)},{path}")
+            writer.writerow([_fmt(fraction), path])
         return 0
     fraction = opts.get("fraction", 0.47, float)
     spec = NoiseSpec(epsilon, fraction, seed)
@@ -426,9 +415,8 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     anchors = None
     if mode in ("anchor_sample", "slerp_blend"):
-        gallery_preview = generate_identities(config)
         anchors = build_anchor_set(
-            gallery_preview.embeddings,
+            generate_identities(config).matrix,
             rounds=opts.get("rounds", 2, int),
             t=opts.get("t", 0.5, float),
         )

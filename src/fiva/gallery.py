@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
+import numpy as np
+
+from .errors import LabelCountMismatch
 from .sphere import Embedding, _stack, _unit_matrix
 
 __all__ = ["LabeledEmbedding", "Gallery"]
@@ -23,35 +27,42 @@ class LabeledEmbedding:
 
 @dataclass(frozen=True, eq=False)
 class Gallery:
-    """An ordered set of labeled unit embeddings with unique labels."""
+    """An ordered set of labeled unit embeddings with unique labels, held as a
+    read-only (N, D) float64 copy of the rows given and one label per row."""
 
-    entries: tuple[LabeledEmbedding, ...]
+    matrix: np.ndarray
+    labels: list[str]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+        labels = list(self.labels)
         seen: set[str] = set()
-        for entry in entries:
-            if entry.label in seen:
-                raise ValueError(f"duplicate gallery label {entry.label!r}")
-            seen.add(entry.label)
-        rows = _stack([entry.embedding for entry in entries], "entry")
-        matrix = _unit_matrix(rows, "gallery entry")
+        for label in labels:
+            if not label or label in seen:
+                raise ValueError(f"gallery labels must be non-empty and unique, got {label!r}")
+            seen.add(label)
+        matrix = _unit_matrix(np.array(self.matrix, dtype=np.float64), "gallery entry")
+        if len(labels) != len(matrix):
+            raise LabelCountMismatch(f"{len(labels)} labels for {len(matrix)} gallery entries")
         matrix.setflags(write=False)
-        # The entries stacked row-wise as a read-only (N, D) float64 array.
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[LabeledEmbedding]) -> "Gallery":
+        entries = tuple(entries)
+        return cls(_stack([e.embedding for e in entries], "entry"), [e.label for e in entries])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
     @property
-    def labels(self) -> list[str]:
-        return [entry.label for entry in self.entries]
+    def entries(self) -> tuple[LabeledEmbedding, ...]:
+        return tuple(LabeledEmbedding(*pair) for pair in zip(self.labels, self.embeddings))
 
     @property
     def embeddings(self) -> list[Embedding]:
-        return [entry.embedding for entry in self.entries]
+        return [Embedding(row) for row in self.matrix]
 
     @property
     def dim(self) -> int | None:
-        return self.entries[0].embedding.dim if self.entries else None
+        return self.matrix.shape[1] if len(self.matrix) else None

@@ -161,12 +161,7 @@ def _parse_label_block(block: bytes, count: int) -> list[str]:
         raise LabelCountMismatch(f"label block is not valid UTF-8: {exc}") from exc
     if not text.endswith("\n"):
         raise LabelCountMismatch("label block must end with a newline")
-    lines = text.split("\n")[:-1]
-    if len(lines) != count:
-        raise LabelCountMismatch(
-            f"label block has {len(lines)} lines for {count} embeddings"
-        )
-    return lines
+    return _check_labels(text.split("\n")[:-1], count)
 
 
 def _read_bytes(source: str | Path | BinaryIO) -> bytes:
@@ -247,7 +242,7 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
         raise UnsupportedFormat("CSV file contains no embedding rows")
     with np.errstate(over="ignore"):  # overflow to inf is reported as NonFinite
         matrix = np.asarray(rows, dtype="<f4")
-    return matrix, (labels if labeled else None)
+    return matrix, (_check_labels(labels, len(rows)) if labeled else None)
 
 
 def read_container(
@@ -299,10 +294,6 @@ def write_container(
     _write_bytes(destination, blob)
 
 
-def _unit_rows(matrix: np.ndarray, renorm: bool) -> np.ndarray:
-    return _normalize_rows(matrix) if renorm else _unit_matrix(matrix, "row")
-
-
 def load_rows(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> tuple[np.ndarray, list[str] | None]:
@@ -312,19 +303,17 @@ def load_rows(
     failing row. Returns the rows and the labels (or ``None``).
     """
     matrix, labels = read_container(source)
-    return _unit_rows(matrix, renormalize), labels
+    return (_normalize_rows(matrix) if renormalize else _unit_matrix(matrix, "row")), labels
 
 
 def load_labeled_rows(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> tuple[np.ndarray, list[str]]:
     """:func:`load_rows` for a file that must carry a label per row."""
-    matrix, labels = read_container(source)
+    rows, labels = load_rows(source, renormalize)
     if labels is None:
-        raise MissingLabels(
-            f"{getattr(source, 'name', source)} has no label block"
-        )
-    return _unit_rows(matrix, renormalize), labels
+        raise MissingLabels(f"{getattr(source, 'name', source)} has no label block")
+    return rows, labels
 
 
 def load_embeddings(
@@ -346,7 +335,7 @@ def load_gallery(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> Gallery:
     """Read a labeled embedding file as a retrieval gallery."""
-    return Gallery(tuple(load_labeled_embeddings(source, renormalize)))
+    return Gallery(*load_labeled_rows(source, renormalize))
 
 
 def write_embeddings(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyGallery, EmptyList, ShapeMismatch
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, _nearest, _stack, _unit_matrix, cosine
+from .sphere import Embedding, _nearest, _rows_of, _stack, _unit_matrix, cosine
 
 __all__ = [
     "VideoConsistency",
@@ -74,14 +74,6 @@ class RetrievalReport:
     per_query: tuple[ProbeOutcome, ...]
 
 
-def _check_frames(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
-    if not isinstance(frames, np.ndarray):
-        frames = _stack(list(frames), "frame")
-    if not len(frames):
-        raise EmptyList("a video needs at least one frame embedding")
-    return _unit_matrix(frames, "frame")
-
-
 def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
     """All-pairs cosine distances of a frame list or (N, D) array as an (N, N) array.
 
@@ -89,7 +81,9 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
     computed here: it is exactly symmetric, exactly zero for identical
     frames, and never dips below zero, so downstream statistics are clean.
     """
-    stacked = _check_frames(frames)
+    stacked = _rows_of(frames, "frame")
+    if not len(stacked):
+        raise EmptyList("a video needs at least one frame embedding")
     n = stacked.shape[0]
     distances = np.empty((n, n), dtype=np.float64)
     for i in range(n):
@@ -134,7 +128,7 @@ def _search(queries, gallery: Gallery, negate: bool = False) -> tuple[np.ndarray
 def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:
     """Nearest gallery entry by cosine distance; ties go to the lowest index."""
     index, distance = _search(query.values[None, :], gallery)
-    return gallery.entries[int(index[0])].label, float(distance[0])
+    return gallery.labels[int(index[0])], float(distance[0])
 
 
 def retrieval_report(

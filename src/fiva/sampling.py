@@ -62,8 +62,4 @@ def sample_fake(z_id: Embedding, anchors: AnchorSet, m: float = 0.0) -> SampleRe
     """
     index, cosine = sample_batch(z_id.values[None, :], anchors, m)
     chosen = int(index[0])
-    return SampleResult(
-        anchor_index=chosen,
-        fake_identity=anchors.anchors[chosen],
-        achieved_cosine=float(cosine[0]),
-    )
+    return SampleResult(chosen, Embedding(anchors.matrix[chosen]), float(cosine[0]))

@@ -124,6 +124,13 @@ def _stack(embeddings: Sequence[Embedding], name: str = "embedding") -> np.ndarr
     return np.stack([e.values for e in embeddings])
 
 
+def _rows_of(items, name: str) -> np.ndarray:
+    """:func:`_unit_matrix` of an (N, D) array, or of a sequence of embeddings stacked."""
+    if not isinstance(items, np.ndarray):
+        items = _stack(list(items), name)
+    return _unit_matrix(items, name)
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products. numpy runs a stack of (1, D) @ (D, 1) products as
     one BLAS dot per row, so each value has the bits of ``np.dot`` (einsum's
@@ -266,6 +273,28 @@ def negate(z: Embedding) -> Embedding:
     return Embedding(np.negative(z.values))
 
 
+def _slerp_rows(a: np.ndarray, b: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slerp at ``t`` of each row pair of two (N, D) unit arrays: the mask of the
+    pairs that are not antipodal, and their results. Each result has the bits of
+    the one-pair formula, so the coefficients come from ``math.acos`` and
+    ``math.sin`` on the row's cosine (``np.arccos`` rounds differently)."""
+    cos = np.clip(_row_dots(a, b), -1.0, 1.0)
+    keep = cos > -1.0 + _ANTIPODAL_TOL
+    cos = cos[keep]
+    arc = cos < 1.0 - _PARALLEL_TOL  # else the chord: the sine formula degenerates
+    weights = np.tile([1.0 - t, t, 1.0], (len(cos), 1))
+    for row, c in zip(np.flatnonzero(arc).tolist(), cos[arc].tolist()):
+        omega = math.acos(c)
+        weights[row] = math.sin((1.0 - t) * omega), math.sin(t * omega), math.sin(omega)
+    wa, wb, scale = weights.T[:, :, None]
+    return keep, _normalize_rows((wa * a[keep] + wb * b[keep]) / scale)
+
+
+def _antipodal(a: np.ndarray, b: np.ndarray) -> AntipodalPair:
+    c = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    return AntipodalPair(f"cannot interpolate antipodal embeddings (cosine {c:.8f})")
+
+
 def slerp(a: Embedding, b: Embedding, t: float) -> Embedding:
     """Spherical linear interpolation between two unit embeddings.
 
@@ -285,20 +314,9 @@ def slerp(a: Embedding, b: Embedding, t: float) -> Embedding:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"interpolation parameter must be in [0, 1], got {t}")
-    c = cosine(a, b)
-    if c <= -1.0 + _ANTIPODAL_TOL:
-        raise AntipodalPair(
-            f"cannot interpolate antipodal embeddings (cosine {c:.8f})"
-        )
-    if c >= 1.0 - _PARALLEL_TOL:
-        # Arc length ~ 0: the sine formula degenerates, the chord does not.
-        return normalize((1.0 - t) * a.values + t * b.values)
-    omega = math.acos(c)
-    sin_omega = math.sin(omega)
-    mixed = (
-        math.sin((1.0 - t) * omega) * a.values + math.sin(t * omega) * b.values
-    ) / sin_omega
-    return normalize(mixed)
+    if cosine(a, b) <= -1.0 + _ANTIPODAL_TOL:
+        raise _antipodal(a.values, b.values)
+    return Embedding(_slerp_rows(a.values[None, :], b.values[None, :], t)[1][0])
 
 
 def mean_embedding(members: Sequence[Embedding]) -> Embedding:
@@ -309,10 +327,10 @@ def mean_embedding(members: Sequence[Embedding]) -> Embedding:
         DimensionMismatch: if dimensions disagree.
         ZeroVector: if the members cancel out (mean norm <= 1e-12).
     """
-    members = list(members)
-    if not members:
+    rows = _rows_of(members, "member")
+    if not len(rows):
         raise EmptyList("cannot average an empty list of embeddings")
-    return normalize(_unit_matrix(_stack(members, "member"), "member").mean(axis=0))
+    return normalize(rows.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -340,49 +358,49 @@ class SkippedPair:
 
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """An ordered collection of unit anchors available for sampling.
+    """An ordered collection of unit anchors available for sampling, held as a
+    read-only (K, D) float64 copy of the rows given.
 
     ``provenance`` is populated by :func:`build_anchor_set`; anchor sets
     loaded back from plain embedding files carry ``None`` because the file
     format does not store construction history.
     """
 
-    anchors: tuple[Embedding, ...]
+    matrix: np.ndarray
     provenance: tuple[AnchorProvenance, ...] | None = None
     rounds: int = 0
     skipped: tuple[SkippedPair, ...] = ()
 
     def __post_init__(self) -> None:
-        anchors = tuple(self.anchors)
-        object.__setattr__(self, "anchors", anchors)
+        matrix = _unit_matrix(np.array(self.matrix, dtype=np.float64), "anchor")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
         if self.provenance is not None:
             prov = tuple(self.provenance)
             object.__setattr__(self, "provenance", prov)
-            if len(prov) != len(anchors):
+            if len(prov) != len(matrix):
                 raise DimensionMismatch(
-                    f"{len(prov)} provenance records for {len(anchors)} anchors"
+                    f"{len(prov)} provenance records for {len(matrix)} anchors"
                 )
         object.__setattr__(self, "skipped", tuple(self.skipped))
-        matrix = _unit_matrix(_stack(anchors, "anchor"), "anchor")
-        matrix.setflags(write=False)
-        # The anchors stacked row-wise as a read-only (K, D) float64 array.
-        object.__setattr__(self, "matrix", matrix)
 
     def __len__(self) -> int:
-        return len(self.anchors)
+        return len(self.matrix)
+
+    @property
+    def anchors(self) -> tuple[Embedding, ...]:
+        return tuple(Embedding(row) for row in self.matrix)
 
     @property
     def dim(self) -> int | None:
-        return self.anchors[0].dim if self.anchors else None
+        return self.matrix.shape[1] if len(self.matrix) else None
 
     @classmethod
     def from_embeddings(cls, embeddings: Iterable[Embedding]) -> "AnchorSet":
-        return cls(anchors=tuple(embeddings))
+        return cls(_stack(list(embeddings), "anchor"))
 
 
-def build_anchor_set(
-    means: Sequence[Embedding], rounds: int = 1, t: float = 0.5
-) -> AnchorSet:
+def build_anchor_set(means, rounds: int = 1, t: float = 0.5) -> AnchorSet:
     """Build anchors by interpolating a mean list against its shifted self.
 
     Round 1 pairs ``means[i]`` with ``means[(i + 1) % N]`` and takes the
@@ -392,40 +410,27 @@ def build_anchor_set(
     are skipped and recorded instead of aborting the build.
 
     Args:
-        means: at least two unit embeddings of equal dimension.
+        means: at least two unit embeddings of equal dimension, or their
+            (N, D) array.
         rounds: how many generations to run (>= 1).
         t: interpolation parameter, strictly inside (0, 1).
     """
-    means = list(means)
-    if len(means) < 2:
-        raise TooFewMeans(f"need at least 2 means to build anchors, got {len(means)}")
+    current = _rows_of(means, "mean")
+    if len(current) < 2:
+        raise TooFewMeans(f"need at least 2 means to build anchors, got {len(current)}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"interpolation parameter must be in (0, 1), got {t}")
-    _unit_matrix(_stack(means, "mean"), "mean")
 
-    anchors: list[Embedding] = []
-    provenance: list[AnchorProvenance] = []
-    skipped: list[SkippedPair] = []
-    current = means
+    produced, provenance, skipped = [], [], []
     for round_index in range(1, rounds + 1):
-        produced: list[Embedding] = []
-        count = len(current)
-        for i in range(count):
-            j = (i + 1) % count
-            try:
-                anchor = slerp(current[i], current[j], t)
-            except AntipodalPair:
+        keep, current = _slerp_rows(current, np.roll(current, -1, axis=0), t)
+        for i, kept in enumerate(keep.tolist()):
+            j = (i + 1) % len(keep)
+            if kept:
+                provenance.append(AnchorProvenance(round_index, i, j, t))
+            else:
                 skipped.append(SkippedPair(round_index, i, j))
-                continue
-            produced.append(anchor)
-            anchors.append(anchor)
-            provenance.append(AnchorProvenance(round_index, i, j, t))
-        current = produced
-    return AnchorSet(
-        anchors=tuple(anchors),
-        provenance=tuple(provenance),
-        rounds=rounds,
-        skipped=tuple(skipped),
-    )
+        produced.append(current)
+    return AnchorSet(np.concatenate(produced), provenance, rounds, skipped)

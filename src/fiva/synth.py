@@ -12,10 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gallery import Gallery, LabeledEmbedding
+from .gallery import Gallery
 from .metrics import RetrievalReport, TemporalReport, retrieval_report, temporal_consistency
 from .sampling import sample_batch
-from .sphere import AnchorSet, Embedding, _normalize_rows, _require_unit, _unit_matrix, slerp
+from .sphere import (
+    AnchorSet,
+    Embedding,
+    _antipodal,
+    _normalize_rows,
+    _require_unit,
+    _slerp_rows,
+    _unit_matrix,
+)
 from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState
 from .util import spawn_seed
 
@@ -94,9 +102,7 @@ def generate_identities(config: SynthConfig) -> Gallery:
     """
     rng = np.random.default_rng(config.seed)
     rows = _normalize_rows(rng.normal(size=(config.identity_count, config.dimension)))
-    return Gallery(
-        tuple(LabeledEmbedding(f"id_{i:04d}", Embedding(row)) for i, row in enumerate(rows))
-    )
+    return Gallery(rows, [f"id_{i:04d}" for i in range(config.identity_count)])
 
 
 def _frame_rows(center: np.ndarray, count: int, jitter_sigma: float, seed: int) -> np.ndarray:
@@ -133,13 +139,13 @@ def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> np.ndarray:
     if anonymizer.mode == "negation":
         return np.negative(_unit_matrix(rows, "frame"))
     anchors = anonymizer.anchors
-    index, _ = sample_batch(rows, anchors, anonymizer.margin)
+    targets = anchors.matrix[sample_batch(rows, anchors, anonymizer.margin)[0]]
     if anonymizer.mode == "anchor_sample":
-        return anchors.matrix[index]
-    return np.stack([
-        slerp(Embedding(z), anchors.anchors[i], anonymizer.blend).values
-        for z, i in zip(rows, index.tolist())
-    ])
+        return targets
+    keep, blended = _slerp_rows(rows, targets, anonymizer.blend)
+    if not keep.all():
+        raise _antipodal(rows[~keep][0], targets[~keep][0])
+    return blended
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,9 @@ def end_to_end_benchmark(
         _frame_rows(center, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, index))
         for index, center in enumerate(gallery.matrix)
     ])
-    tracker = TrackerState(tracker_threshold, sampler=lambda z: mock_anonymize(z, anonymizer))
+    tracker = TrackerState(
+        tracker_threshold, sampler=lambda rows: _anonymize_rows(rows, anonymizer)
+    )
     _, keys, _ = tracker.track_rows(frames)
     tracked = tracker.fake_matrix[keys]
     per_frame = _anonymize_rows(frames, anonymizer)

@@ -28,7 +28,14 @@ from typing import BinaryIO, Callable, Optional
 import numpy as np
 
 from . import io as fio
-from .errors import CorruptState, DimensionMismatch, EmptyAnchorSet, IoFailure, NotUnitNorm
+from .errors import (
+    CorruptState,
+    DimensionMismatch,
+    EmptyAnchorSet,
+    IoFailure,
+    NotUnitNorm,
+    ShapeMismatch,
+)
 from .sampling import sample_batch
 from .sphere import (
     _BLOCK_ROWS,
@@ -97,8 +104,9 @@ class TrackerState:
         margin: sampling margin forwarded to the anchor sampler.
         anchors: anchor set used to mint fake identities. May be ``None``
             for match-only use; minting then raises :class:`EmptyAnchorSet`.
-        sampler: optional override mapping an embedding to its fake. When
-            given, ``anchors``/``margin`` are bypassed. Not persistable.
+        sampler: optional override mapping the read-only (M, D) stored rows of
+            one call's new identities, in key order, to their (M, D) fakes.
+            When given, ``anchors``/``margin`` are bypassed. Not persistable.
     """
 
     def __init__(
@@ -106,7 +114,7 @@ class TrackerState:
         threshold: float = DEFAULT_MATCH_THRESHOLD,
         margin: float = 0.0,
         anchors: AnchorSet | None = None,
-        sampler: Callable[[Embedding], Embedding] | None = None,
+        sampler: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         self.threshold = threshold
         self.margin = margin
@@ -176,19 +184,23 @@ class TrackerState:
             grown[0, :used], grown[1, :used] = self._stored[:used], self._fakes[:used]
         self._stored, self._fakes = grown
 
-    def _mint_fakes(self, start: int, stop: int) -> None:
-        """Fill the fakes of keys ``[start, stop)`` from their stored rows."""
-        if start == stop:
-            return
-        stored = self._stored[start:stop]
-        if self.sampler is not None:
-            fakes = np.stack([self.sampler(Embedding(row)).values for row in stored])
-        elif self.anchors is None or len(self.anchors) == 0:
+    def _sample_anchors(self, rows: np.ndarray) -> np.ndarray:
+        if self.anchors is None:
             raise EmptyAnchorSet(
                 "tracker has no anchor set attached; cannot mint a fake identity"
             )
-        else:
-            fakes = self.anchors.matrix[sample_batch(stored, self.anchors, self.margin)[0]]
+        return self.anchors.matrix[sample_batch(rows, self.anchors, self.margin)[0]]
+
+    def _mint_fakes(self, start: int, stop: int) -> None:
+        """Fill the fakes of keys ``[start, stop)`` from their stored rows, all or none."""
+        if start == stop:
+            return
+        rows = self._stored[start:stop]
+        rows.flags.writeable = False
+        sampler = self._sample_anchors if self.sampler is None else self.sampler
+        fakes = _unit_matrix(sampler(rows), "fake identity", rows.shape[1])
+        if len(fakes) != len(rows):
+            raise ShapeMismatch(f"sampler made {len(fakes)} fakes for {len(rows)} new identities")
         self._fakes[start:stop] = _f32_exact(fakes)
 
     def _walk(
@@ -283,12 +295,7 @@ class TrackerState:
 
     def reset(self) -> "TrackerState":
         """A fresh tracker with the same threshold and sampler configuration."""
-        return TrackerState(
-            threshold=self.threshold,
-            margin=self.margin,
-            anchors=self.anchors,
-            sampler=self.sampler,
-        )
+        return TrackerState(self.threshold, self.margin, self.anchors, self.sampler)
 
 
 def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
@@ -314,7 +321,7 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
 def load_state(
     source: str | BinaryIO,
     anchors: AnchorSet | None = None,
-    sampler: Callable[[Embedding], Embedding] | None = None,
+    sampler: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> TrackerState:
     """Rebuild a tracker from :func:`save_state` output.
 

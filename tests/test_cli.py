@@ -9,6 +9,7 @@ from fiva import (
     load_embeddings,
     load_state,
     normalize,
+    pack_container,
     read_container,
     read_image_ppm,
     write_container,
@@ -332,6 +333,18 @@ class TestEvalRetrieval:
         assert all(len(row) == 5 for row in rows)
         assert [row[1:3] for row in rows[1:-1]] == [[label, label] for label in labels]
 
+    def test_labels_no_writer_accepts_are_a_data_error(self, capsys, gallery_file, tmp_path):
+        path, embeddings, _ = gallery_file
+        probes = tmp_path / "probes.emb"
+        rows = np.stack([e.values for e in embeddings[:2]])
+        probes.write_bytes(pack_container(rows) + b"a\rb\n\n")
+        code, stdout, err = run(
+            capsys, "eval-retrieval", "--probes", str(probes), "--gallery", str(path)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "newline-free" in err
+
 
 class TestEvalTemporal:
     def test_reports_per_video_and_aggregate(self, capsys, rng, tmp_path):
@@ -411,6 +424,25 @@ class TestDefend:
         assert len(lines) == 3
         assert (tmp_path / "defended_f0.1.ppm").exists()
         assert (tmp_path / "defended_f0.47.ppm").exists()
+
+    def test_sweep_report_quotes_paths(self, capsys, image_file, tmp_path, monkeypatch):
+        path, _ = image_file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sw").mkdir()
+        code, stdout, _ = run(
+            capsys,
+            "defend",
+            "--mode", "uniform",
+            "--sweep", "0.1,0.47",
+            "--input", str(path),
+            "--output", "sw/a,b.ppm",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows == [
+            ["fraction", "path"], ["0.1", "sw/a,b_f0.1.ppm"], ["0.47", "sw/a,b_f0.47.ppm"]
+        ]
+        assert (tmp_path / "sw" / "a,b_f0.1.ppm").exists()
 
     def test_param_mode_preserves_shape_and_labels(self, capsys, rng, tmp_path):
         params = rng.normal(size=(3, 8)).astype(np.float32)

@@ -100,6 +100,13 @@ class TestContainer:
         with pytest.raises(LabelCountMismatch):
             parse_container(extra)
 
+    def test_labels_no_writer_accepts_are_rejected_on_read(self, rng, tmp_path):
+        # Two lines for two rows, but one holds a carriage return and one is empty.
+        path = tmp_path / "bad_labels.emb"
+        path.write_bytes(pack_container(unit_matrix(rng, 2, 4)) + b"a\rb\n\n")
+        with pytest.raises(LabelCountMismatch, match="non-empty and newline-free"):
+            read_container(path)
+
     def test_embedded_parse_leaves_label_bytes_unconsumed(self, rng):
         matrix = unit_matrix(rng, 2, 4)
         buf = pack_container(matrix, labels=["a", "b"])

@@ -160,7 +160,9 @@ def test_sample_batch_agrees_with_sample_fake(rng):
 
 def test_retrieval_report_agrees_with_retrieve(rng):
     rows = unit_rows(rng, 20, 16)
-    gallery = Gallery(tuple(LabeledEmbedding(f"g{i}", Embedding(r)) for i, r in enumerate(rows)))
+    gallery = Gallery.from_entries(
+        LabeledEmbedding(f"g{i}", Embedding(r)) for i, r in enumerate(rows)
+    )
     probes = near_copies(rng, rows, 25)
     labels = [f"g{i}" for i in range(25)]
     for negate in (False, True):

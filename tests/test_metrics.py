@@ -27,7 +27,7 @@ def make_gallery(rng, count=10, dim=32):
     entries = [
         LabeledEmbedding("id_%04d" % i, random_unit(rng, dim)) for i in range(count)
     ]
-    return Gallery(entries=tuple(entries))
+    return Gallery.from_entries(entries)
 
 
 def one_video(frames):
@@ -148,16 +148,14 @@ class TestRetrieve:
         e1 = normalize([1.0, 0.0, 0.0])
         a = normalize([0.0, 1.0, 0.0])
         b = normalize([0.0, 0.0, 1.0])
-        gallery = Gallery(
-            entries=(LabeledEmbedding("a", a), LabeledEmbedding("b", b))
-        )
+        gallery = Gallery.from_entries((LabeledEmbedding("a", a), LabeledEmbedding("b", b)))
         label, distance = retrieve(e1, gallery)
         assert label == "a"
         assert distance == 1.0
 
     def test_empty_gallery(self, rng):
         with pytest.raises(EmptyGallery):
-            retrieve(random_unit(rng, 8), Gallery(entries=()))
+            retrieve(random_unit(rng, 8), Gallery.from_entries(()))
 
     def test_dimension_mismatch(self, rng):
         gallery = make_gallery(rng, dim=16)
@@ -194,7 +192,7 @@ class TestRetrievalRates:
         # basis vectors give an exact zero distance, and the gate at
         # threshold zero is inclusive, so the success must still count
         e1 = normalize([1.0, 0.0])
-        gallery = Gallery(entries=(LabeledEmbedding("only", e1),))
+        gallery = Gallery.from_entries((LabeledEmbedding("only", e1),))
         report = id_retrieval_rate([(e1, "only")], gallery, threshold=0.0)
         assert report.per_query[0].distance == 0.0
         assert report.success_rate == 1.0

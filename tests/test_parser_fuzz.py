@@ -7,7 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from fiva import FivaError, UnsupportedFormat, load_state, read_container, read_image_ppm
+from fiva import (
+    FivaError,
+    UnsupportedFormat,
+    load_state,
+    pack_container,
+    read_container,
+    read_image_ppm,
+)
 
 MAGIC = b"FIVAEMB1"
 
@@ -22,6 +29,15 @@ headers = st.builds(
 )
 containers = st.one_of(
     st.binary(max_size=96), st.builds(bytes.__add__, headers, st.binary(max_size=96))
+)
+# A whole payload and then a label block whose lines may hold carriage
+# returns or be empty, so the label checks themselves are reached.
+labeled_containers = st.builds(
+    lambda count, dim, block: MAGIC + struct.pack("<II", count, dim) + bytes(4 * count * dim)
+    + block.encode(),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.text(alphabet="ab\r\n", max_size=12),
 )
 csv_text = st.text(alphabet="0123456789.-+eE,\"' \r\nabinfNA\x00", max_size=80).map(str.encode)
 ppm_headers = st.builds(
@@ -58,6 +74,16 @@ def _named(data: bytes, name: str) -> io.BytesIO:
 @given(containers)
 def test_binary_container(data):
     _parses_or_fiva_error(lambda d: read_container(io.BytesIO(d)), data)
+
+
+@FUZZ
+@given(labeled_containers)
+def test_container_labels_read_back_only_as_a_writer_writes_them(data):
+    try:
+        matrix, labels = read_container(io.BytesIO(data))
+    except FivaError:
+        return
+    assert pack_container(matrix, labels) == data
 
 
 @FUZZ

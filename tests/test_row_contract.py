@@ -36,8 +36,8 @@ def unit_rows(rng, count, dim):
 @pytest.fixture
 def world(rng, tmp_path):
     anchors = AnchorSet.from_embeddings([random_unit(rng, DIM) for _ in range(12)])
-    gallery = Gallery(
-        tuple(LabeledEmbedding(f"id_{i}", random_unit(rng, DIM)) for i in range(5))
+    gallery = Gallery.from_entries(
+        LabeledEmbedding(f"id_{i}", random_unit(rng, DIM)) for i in range(5)
     )
     reference = unit_rows(rng, 10, DIM)
     return SimpleNamespace(anchors=anchors, gallery=gallery, reference=reference, dir=tmp_path)

@@ -88,7 +88,7 @@ class TestSampleFake:
         assert sample_fake(z, anchors, 0.5).anchor_index == 0
 
     def test_empty_anchor_set(self, rng):
-        empty = AnchorSet(anchors=())
+        empty = AnchorSet.from_embeddings(())
         with pytest.raises(EmptyAnchorSet):
             sample_fake(random_unit(rng, 8), empty, 0.0)
 

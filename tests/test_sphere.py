@@ -22,6 +22,7 @@ from fiva import (
     normalize,
     slerp,
 )
+from fiva.sphere import _slerp_rows
 from conftest import random_unit
 
 HALF_SQRT2 = math.sqrt(0.5)  # oracle: unit vector at 45 degrees has both coords sin(pi/4)
@@ -166,6 +167,92 @@ class TestSlerp:
         assert cosine_distance(out, a) <= 1e-6
 
 
+def reference_slerp(a, b, t):
+    """The one-pair slerp formula, kept here as an independent reference;
+    ``None`` for an antipodal pair."""
+    c = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    if c <= -1.0 + 1e-6:
+        return None
+    if c >= 1.0 - 1e-12:
+        mixed = (1.0 - t) * a + t * b
+    else:
+        omega = math.acos(c)
+        mixed = (math.sin((1.0 - t) * omega) * a + math.sin(t * omega) * b) / math.sin(omega)
+    return mixed / np.linalg.norm(mixed)
+
+
+def unit_rows(rng, count, dim):
+    rows = rng.normal(size=(count, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def pair_kinds(rng, dim=64):
+    """Row pairs of every kind: random, near-parallel (the chord path),
+    identical, exactly antipodal and just inside the antipodal tolerance."""
+    a = unit_rows(rng, 40, dim)
+    b = unit_rows(rng, 40, dim)
+    near = a[10:20] + 1e-9 * rng.normal(size=(10, dim))
+    b[10:20] = near / np.linalg.norm(near, axis=1, keepdims=True)
+    b[20:25] = a[20:25]
+    b[25:30] = -a[25:30]
+    tilted = -a[30:35] + 1e-7 * rng.normal(size=(5, dim))
+    b[30:35] = tilted / np.linalg.norm(tilted, axis=1, keepdims=True)
+    return a, b
+
+
+class TestSlerpRows:
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    def test_bits_match_the_one_pair_reference(self, rng, t):
+        a, b = pair_kinds(rng)
+        expected = [reference_slerp(x, y, t) for x, y in zip(a, b)]
+        keep, rows = _slerp_rows(a, b, t)
+        assert keep.tolist() == [e is not None for e in expected]
+        assert not keep[25:35].any() and keep[:25].all()
+        assert rows.tobytes() == np.stack([e for e in expected if e is not None]).tobytes()
+        for x, y, e in zip(a, b, expected):
+            if e is None:
+                with pytest.raises(AntipodalPair):
+                    slerp(Embedding(x), Embedding(y), t)
+            else:
+                assert slerp(Embedding(x), Embedding(y), t).values.tobytes() == e.tobytes()
+
+    def test_build_anchor_set_matches_a_per_pair_loop(self, rng):
+        means = unit_rows(rng, 30, 32)
+        means[5] = -means[4]  # antipodal: skipped in round 1
+        means[9] = means[8]  # identical: the chord path
+        anchors = build_anchor_set(means, rounds=3, t=0.3)
+        rows, provenance, skipped = [], [], []
+        current = list(means)
+        for round_index in (1, 2, 3):
+            produced = []
+            for i in range(len(current)):
+                j = (i + 1) % len(current)
+                anchor = reference_slerp(current[i], current[j], 0.3)
+                if anchor is None:
+                    skipped.append((round_index, i, j))
+                    continue
+                produced.append(anchor)
+                provenance.append((round_index, i, j, 0.3))
+            rows += produced
+            current = produced
+        assert skipped == [(1, 4, 5)]
+        assert anchors.matrix.tobytes() == np.stack(rows).tobytes()
+        assert [
+            (p.round_index, p.source_a, p.source_b, p.t) for p in anchors.provenance
+        ] == provenance
+        assert [(s.round_index, s.source_a, s.source_b) for s in anchors.skipped] == skipped
+        from_embeddings = build_anchor_set([Embedding(row) for row in means], rounds=3, t=0.3)
+        assert from_embeddings.matrix.tobytes() == anchors.matrix.tobytes()
+
+    def test_a_round_after_an_empty_round_produces_nothing(self):
+        e = np.eye(3)[0]
+        anchors = build_anchor_set(np.stack([e, -e]), rounds=3)
+        assert len(anchors) == 0 and anchors.matrix.shape == (0, 3)
+        assert [(s.round_index, s.source_a, s.source_b) for s in anchors.skipped] == [
+            (1, 0, 1), (1, 1, 0)
+        ]
+
+
 class TestMean:
     def test_two_axis_mean(self):
         # oracle: mean of e1 and e2 normalizes to the 45-degree vector
@@ -243,7 +330,7 @@ class TestBuildAnchorSet:
 
     def test_anchor_set_rejects_unnormalized(self):
         with pytest.raises(NotUnitNorm):
-            AnchorSet(anchors=(Embedding(np.array([2.0, 0.0])),))
+            AnchorSet.from_embeddings((Embedding(np.array([2.0, 0.0])),))
 
     def test_matrix_matches_anchor_rows(self, rng):
         means = [random_unit(rng, 8) for _ in range(4)]

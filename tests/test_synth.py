@@ -3,6 +3,7 @@ import pytest
 
 from fiva import (
     AnchorSet,
+    Embedding,
     MockAnonymizer,
     SynthConfig,
     TrackerState,
@@ -211,7 +212,9 @@ class TestArraysMatchSingleRowPaths:
         shape = (config.identity_count, per_video, config.dimension)
         for array in (result.frames, result.tracked_fakes, result.per_frame_fakes):
             assert array.shape == shape and array.dtype == np.float64
-        tracker = TrackerState(sampler=lambda z: mock_anonymize(z, anonymizer))
+        tracker = TrackerState(sampler=lambda rows: np.stack([
+            mock_anonymize(Embedding(row), anonymizer).values for row in rows
+        ]))
         for i, entry in enumerate(gallery.entries):
             frames = generate_frames(
                 entry.embedding, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, i)

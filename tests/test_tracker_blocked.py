@@ -15,6 +15,7 @@ from fiva import (
     Embedding,
     EmptyAnchorSet,
     NotUnitNorm,
+    ShapeMismatch,
     TrackerState,
     load_state,
     save_state,
@@ -159,12 +160,13 @@ def test_mint_then_match_in_one_block(rng):
     assert tracker.key_pointer == 2
 
 
-def test_custom_sampler_called_once_per_mint_in_key_order(rng):
+def test_custom_sampler_gets_new_rows_in_key_order(rng):
     calls = []
 
-    def sampler(z):
-        calls.append(z.values.copy())
-        return Embedding(-z.values)
+    def sampler(rows):
+        assert not rows.flags.writeable
+        calls.append(rows.copy())
+        return -rows
 
     people = np.linalg.qr(rng.normal(size=(16, 5)))[0].T
     frames = people[[0, 1, 0, 2, 3, 1, 4, 4]]
@@ -172,10 +174,15 @@ def test_custom_sampler_called_once_per_mint_in_key_order(rng):
     with block_rows(3):
         matched, keys, _ = tracker.track_rows(frames)
     assert keys.tolist() == [0, 1, 0, 2, 3, 1, 4, 4]
-    assert len(calls) == 5
+    # One call per track_rows, with the new identities' stored rows in key order.
+    assert len(calls) == 1
     stored = np.stack([row.values for row in tracker.stored])
-    assert np.array_equal(np.stack(calls), stored)
+    assert np.array_equal(calls[0], stored)
+    assert np.array_equal(stored, stored.astype(np.float32))
     assert np.array_equal(tracker.fake_matrix, -stored)
+    # A call that mints nothing does not call the sampler.
+    tracker.track_rows(people[[4, 2]])
+    assert len(calls) == 1
 
 
 def test_near_threshold_frames_are_rescored_alone(rng):
@@ -233,19 +240,37 @@ def test_minting_without_anchors_leaves_store_consistent(rng):
 def test_failing_sampler_leaves_store_consistent(rng):
     calls = []
 
-    def sampler(z):
-        calls.append(z)
-        if len(calls) == 3:
+    def sampler(rows):
+        calls.append(rows.copy())
+        if len(calls) == 2:
             raise RuntimeError("backend down")
-        return z
+        return rows
 
     people = np.linalg.qr(rng.normal(size=(16, 4)))[0].T
     tracker = TrackerState(sampler=sampler)
     tracker.track_rows(people[:1])
     before = state_bytes(tracker)
     with block_rows(2), pytest.raises(RuntimeError):
-        tracker.track_rows(people[1:])
+        tracker.track_rows(people[[3, 1, 2, 1]])
+    assert np.array_equal(calls[1], people[[3, 1, 2]].astype(np.float32))
     assert len(tracker.stored) == len(tracker.fakes) == tracker.key_pointer == 1
+    assert state_bytes(tracker) == before
+
+
+@pytest.mark.parametrize("bad_sampler, error", [
+    (lambda rows: rows[:1], ShapeMismatch),  # one fake for three identities
+    (lambda rows: rows[0], DimensionMismatch),
+    (lambda rows: rows[:, :8], DimensionMismatch),
+    (lambda rows: 2 * rows, NotUnitNorm),
+])
+def test_bad_sampler_result_raises_before_the_store_changes(rng, bad_sampler, error):
+    people = np.linalg.qr(rng.normal(size=(16, 4)))[0].T
+    tracker = TrackerState(sampler=lambda rows: -rows)
+    tracker.track_rows(people[:1])
+    before = state_bytes(tracker)
+    tracker.sampler = bad_sampler
+    with pytest.raises(error):
+        tracker.track_rows(people[1:])
     assert state_bytes(tracker) == before
 
 

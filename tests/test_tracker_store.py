@@ -68,7 +68,7 @@ def test_loaded_store_grows_and_saves_identically(rng):
 
 
 def test_fakes_are_copies(rng):
-    tracker = TrackerState(sampler=lambda z: Embedding(-z.values))
+    tracker = TrackerState(sampler=lambda rows: -rows)
     z = random_unit(rng, 8)
     fake = tracker.track(z).fake_identity
     assert not fake.values.flags.writeable

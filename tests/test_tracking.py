@@ -10,7 +10,6 @@ from fiva import (
     IoFailure,
     TrackerState,
     load_state,
-    normalize,
     sample_fake,
     save_state,
 )
@@ -97,15 +96,27 @@ class TestTrack:
     def test_custom_sampler_callable(self, rng):
         calls = []
 
-        def sampler(z):
-            calls.append(z)
-            return normalize(-z.values)
+        def sampler(rows):
+            calls.append(rows.copy())
+            if len(calls) == 3:
+                raise RuntimeError("backend down")
+            return -rows
 
         tracker = TrackerState(threshold=0.63, sampler=sampler)
         z = random_unit(rng, 8)
         result = tracker.track(z)
         assert len(calls) == 1
         assert np.allclose(result.fake_identity.values, -z.values, atol=1e-6)
+        # The new identities of one call arrive together, in key order.
+        a, b = basis(8, 0).values, basis(8, 1).values
+        _, keys, _ = tracker.track_rows(np.stack([b, z.values, a]))
+        assert keys.tolist() == [1, 0, 2]
+        assert np.array_equal(calls[1], np.stack([b, a]))
+        # A sampler that raises leaves the tracker as it was.
+        with pytest.raises(RuntimeError):
+            tracker.track_rows(basis(8, 2).values[None, :])
+        assert tracker.key_pointer == 3
+        assert np.array_equal(tracker.fake_matrix[1:], -calls[1])
 
     def test_requires_some_fake_source(self, rng):
         tracker = TrackerState(threshold=0.63)
