@@ -1,0 +1,147 @@
+"""Layer scaling of fiva's scoring: how retrieval and temporal consistency grow.
+
+Times, in process, the two scoring layers ``fiva bench`` runs per variant:
+
+- ``retrieval``: the id and the neg-id report of I * F probes against an
+  I-entry gallery (``retrieval_reports``; on a tree without it, the two
+  ``retrieval_report`` calls it replaces);
+- ``temporal``: ``temporal_consistency`` of the (I, F, D) array of videos.
+
+Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
+warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
+{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The JSON
+printed on stdout holds the raw points, the log-log slope of each layer
+along each axis, and the Python, numpy and BLAS versions and ``nproc``.
+Only the stdlib and numpy are needed::
+
+    python3 bench/scaling.py                       # the src/ of this checkout
+    python3 bench/scaling.py --src OTHER/src       # another tree, same grid
+    python3 bench/scaling.py --smallest            # one point per axis, a smoke run
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+DIM = 512
+JITTER = 0.01
+REPEATS = 5
+SEED = 7
+IDENTITY_AXIS = (250, 1000, 4000)
+FRAME_AXIS = (5, 10, 20)
+BASE_IDENTITIES, BASE_FRAMES = 1000, 10
+
+
+def corpus(identities: int, frames: int):
+    """A unit gallery of ``identities`` rows and ``frames`` jittered copies of each."""
+    rng = np.random.default_rng(SEED)
+    gallery = rng.normal(size=(identities, DIM))
+    gallery /= np.linalg.norm(gallery, axis=1, keepdims=True)
+    videos = rng.normal(0.0, JITTER, size=(identities, frames, DIM))
+    videos += gallery[:, None, :]
+    videos /= np.linalg.norm(videos, axis=2, keepdims=True)
+    return gallery, videos
+
+
+def layers(fiva):
+    """name -> callable(gallery, labels, probes, videos) for the tree under test."""
+    both = getattr(fiva, "retrieval_reports", None)
+    if both is None:
+        def both(probes, labels, gallery, threshold):
+            return tuple(
+                fiva.retrieval_report(probes, labels, gallery, threshold, negate=flag)
+                for flag in (False, True)
+            )
+    return {
+        "retrieval": lambda gallery, labels, probes, videos: both(probes, labels, gallery, 0.63),
+        "temporal": lambda gallery, labels, probes, videos: fiva.temporal_consistency(videos),
+    }
+
+
+def time_point(fiva, identities: int, frames: int) -> dict[str, float]:
+    matrix, videos = corpus(identities, frames)
+    names = [f"id_{i:04d}" for i in range(identities)]
+    gallery = fiva.Gallery(matrix, names)
+    labels = [name for name in names for _ in range(frames)]
+    probes = videos.reshape(-1, DIM)
+    medians = {}
+    for name, layer in layers(fiva).items():
+        layer(gallery, labels, probes, videos)  # warm-up, untimed
+        runs = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            layer(gallery, labels, probes, videos)
+            runs.append(time.perf_counter() - start)
+        medians[name] = statistics.median(runs)
+    return medians
+
+
+def slope(sizes, seconds) -> float:
+    """Least-squares slope of log(seconds) against log(size)."""
+    x = np.log(np.asarray(sizes, dtype=float))
+    y = np.log(np.asarray(seconds, dtype=float))
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "nproc": os.cpu_count(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="the src directory of the fiva tree to time")
+    parser.add_argument("--smallest", action="store_true",
+                        help="time only the smallest point of each axis")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import fiva
+
+    identity_axis = IDENTITY_AXIS[:1] if args.smallest else IDENTITY_AXIS
+    frame_axis = FRAME_AXIS[:1] if args.smallest else FRAME_AXIS
+    axes = {
+        "identities": [(i, BASE_FRAMES) for i in identity_axis],
+        "frames": [(BASE_IDENTITIES, f) for f in frame_axis],
+    }
+    cache: dict[tuple[int, int], dict[str, float]] = {}
+    points, slopes = [], {}
+    for axis, grid in axes.items():
+        for shape in grid:
+            if shape not in cache:
+                cache[shape] = time_point(fiva, *shape)
+                points.append({"identities": shape[0], "frames": shape[1], "dim": DIM,
+                               "median_s": cache[shape]})
+        if len(grid) > 1:
+            sizes = [i if axis == "identities" else f for i, f in grid]
+            slopes[axis] = {
+                name: slope(sizes, [cache[shape][name] for shape in grid])
+                for name in cache[grid[0]]
+            }
+    print(json.dumps({
+        "src": str(Path(args.src).resolve()),
+        "repeats": REPEATS,
+        "seed": SEED,
+        "points": points,
+        "loglog_slope": slopes,
+        "env": environment(),
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

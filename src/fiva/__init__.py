@@ -75,6 +75,7 @@ from .metrics import (
     pairwise_distance_matrix,
     recon_l1,
     retrieval_report,
+    retrieval_reports,
     retrieve,
     temporal_consistency,
 )

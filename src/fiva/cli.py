@@ -302,8 +302,10 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
         fh.write("probe_index,true_label,retrieved_label,distance,success\n")
         writer = csv.writer(fh, lineterminator="\n")  # quotes labels that need it
         writer.writerows(
-            [i, o.true_label, o.retrieved_label, _fmt(o.distance), int(o.success)]
-            for i, o in enumerate(report.per_query)
+            [i, true, gallery.labels[k], _fmt(distance), int(success)]
+            for i, (true, k, distance, success) in enumerate(zip(
+                labels, report.index.tolist(), report.distance.tolist(), report.success.tolist()
+            ))
         )
         fh.write(f"aggregate,,,,{_fmt(report.success_rate)}\n")
     _info(
@@ -319,8 +321,10 @@ def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
         csv.writer(fh, lineterminator="\n").writerows(
-            [i, Path(path).name, len(video), _fmt(stats.mean_distance), _fmt(stats.std_distance)]
-            for i, (path, video, stats) in enumerate(zip(args.frames, videos, report.per_video))
+            [i, Path(path).name, len(video), _fmt(mean), _fmt(std)]
+            for i, (path, video, mean, std) in enumerate(zip(
+                args.frames, videos, report.video_means.tolist(), report.video_stds.tolist()
+            ))
         )
         fh.write(
             f"aggregate,,,{_fmt(report.mean_of_means)},{_fmt(report.mean_of_stds)}\n"
@@ -413,10 +417,11 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     mode = opts.get("mode", "anchor_sample")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    gallery = generate_identities(config)
     anchors = None
     if mode in ("anchor_sample", "slerp_blend"):
         anchors = build_anchor_set(
-            generate_identities(config).matrix,
+            gallery.matrix,
             rounds=opts.get("rounds", 2, int),
             t=opts.get("t", 0.5, float),
         )
@@ -432,8 +437,8 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         anonymizer,
         retrieval_threshold=opts.get("retrieval_threshold", DEFAULT_MATCH_THRESHOLD, float),
         tracker_threshold=opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float),
+        gallery=gallery,
     )
-    gallery = result.gallery
     fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
     per_video = config.frames_per_identity
     frame_labels = [label for label in gallery.labels for _ in range(per_video)]

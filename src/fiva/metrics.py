@@ -19,7 +19,16 @@ import numpy as np
 
 from .errors import EmptyGallery, EmptyList, ShapeMismatch
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, _nearest, _rows_of, _stack, _unit_matrix, cosine
+from .sphere import (
+    _BLOCK_ELEMENTS,
+    Embedding,
+    _nearest,
+    _rows_of,
+    _stack,
+    _tie,
+    _unit_matrix,
+    cosine,
+)
 
 __all__ = [
     "VideoConsistency",
@@ -30,12 +39,28 @@ __all__ = [
     "temporal_consistency",
     "retrieve",
     "retrieval_report",
+    "retrieval_reports",
     "id_retrieval_rate",
     "neg_id_retrieval_rate",
     "anti_id_loss",
     "id_loss",
     "recon_l1",
 ]
+
+
+class _ValueEq:
+    """Reports held as arrays compare and hash by the values they report."""
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -46,13 +71,29 @@ class VideoConsistency:
     std_distance: float
 
 
-@dataclass(frozen=True)
-class TemporalReport:
-    """Per-video consistency plus the across-video averages of both stats."""
+@dataclass(frozen=True, eq=False)
+class TemporalReport(_ValueEq):
+    """Per-video consistency plus the across-video averages of both stats.
+
+    The per-video stats are held as the arrays ``video_means`` and
+    ``video_stds``; ``per_video`` builds a :class:`VideoConsistency` tuple
+    from them when read.
+    """
 
     mean_of_means: float
     mean_of_stds: float
-    per_video: tuple[VideoConsistency, ...]
+    video_means: np.ndarray
+    video_stds: np.ndarray
+
+    @property
+    def per_video(self) -> tuple[VideoConsistency, ...]:
+        return tuple(
+            VideoConsistency(m, s)
+            for m, s in zip(self.video_means.tolist(), self.video_stds.tolist())
+        )
+
+    def _key(self) -> tuple:
+        return self.mean_of_means, self.mean_of_stds, self.per_video
 
 
 @dataclass(frozen=True)
@@ -65,70 +106,216 @@ class ProbeOutcome:
     success: bool
 
 
-@dataclass(frozen=True)
-class RetrievalReport:
-    """Success rate over all probes at a fixed distance threshold."""
+@dataclass(frozen=True, eq=False)
+class RetrievalReport(_ValueEq):
+    """Success rate over all probes at a fixed distance threshold.
+
+    Per probe, held as arrays: ``index`` of the nearest entry among
+    ``gallery_labels``, its cosine ``distance`` and ``success``; the probes'
+    own labels are ``true_labels``. ``per_query`` builds a
+    :class:`ProbeOutcome` tuple from them when read.
+    """
 
     success_rate: float
     threshold: float
-    per_query: tuple[ProbeOutcome, ...]
+    true_labels: tuple[str, ...]
+    gallery_labels: Sequence[str]
+    index: np.ndarray
+    distance: np.ndarray
+    success: np.ndarray
+
+    @property
+    def per_query(self) -> tuple[ProbeOutcome, ...]:
+        labels = self.gallery_labels
+        return tuple(
+            ProbeOutcome(true, labels[i], d, s)
+            for true, i, d, s in zip(
+                self.true_labels,
+                self.index.tolist(),
+                self.distance.tolist(),
+                self.success.tolist(),
+            )
+        )
+
+    def _key(self) -> tuple:
+        return self.success_rate, self.threshold, self.per_query
+
+
+def _video_rows(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
+    rows = _rows_of(frames, "frame")
+    if not len(rows):
+        raise EmptyList("a video needs at least one frame embedding")
+    return rows
+
+
+def _zero_equal_rows(videos: np.ndarray, distances: np.ndarray) -> None:
+    """Set the distance of every pair of equal rows within a video to exactly 0.
+
+    Equal rows of norm within 1e-6 of 1 come out of the Gram form at most
+    about ``(D + 1) eps`` apart, so only pairs within ``2 D eps`` are
+    candidates. Each row is compared with its lowest candidate (one gather
+    per row), and only a row that differs from it is compared with its other
+    earlier candidates.
+    """
+    count, n, dim = videos.shape
+    near = distances <= 2 * _tie(dim)
+    first = np.argmax(near, axis=2)  # the diagonal is 0, so first <= own index
+    video, row = np.nonzero(first < np.arange(n))
+    if not video.size:
+        return
+    # Per row, the lowest index of a row equal to it.
+    owner = np.tile(np.arange(n), (count, 1))
+    head = first[video, row]
+    equal = (videos[video, row] == videos[video, head]).all(axis=1)
+    owner[video[equal], row[equal]] = head[equal]
+    for v, r in zip(video[~equal].tolist(), row[~equal].tolist()):
+        earlier = np.flatnonzero(near[v, r, :r])
+        same = earlier[(videos[v, earlier] == videos[v, r]).all(axis=1)]
+        if same.size:
+            owner[v, r] = same[0]
+    v, i, j = np.nonzero(near)
+    same = owner[v, i] == owner[v, j]
+    distances[v[same], i[same], j[same]] = 0.0
+
+
+def _video_distances(videos: np.ndarray) -> np.ndarray:
+    """The (B, n, n) pairwise cosine distances within each video of a (B, n, D) block.
+
+    Entry (i, j) is ``|a - b|^2 / 2`` in Gram form, ``(s_i + s_j) / 2 - g_ij``
+    with ``g = V V^T`` and ``s`` its diagonal, the squared row norms. On rows
+    stored as float32, which lie up to ~1e-7 off the sphere, this keeps the
+    difference form's value to ~1e-15 where ``1 - g_ij`` is off by ~1e-8.
+    The upper triangle is mirrored, values are clipped to [0, 2], and every
+    pair of equal rows, the diagonal included, is exactly 0.
+    """
+    gram = np.matmul(videos, videos.transpose(0, 2, 1))
+    squares = np.diagonal(gram, axis1=1, axis2=2)
+    distances = squares[:, :, None] + squares[:, None, :]
+    distances *= 0.5
+    distances -= gram
+    lower, upper = np.tril_indices(videos.shape[1], -1)
+    distances[:, lower, upper] = distances[:, upper, lower]
+    np.clip(distances, 0.0, 2.0, out=distances)
+    _zero_equal_rows(videos, distances)
+    return distances
 
 
 def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
     """All-pairs cosine distances of a frame list or (N, D) array as an (N, N) array.
 
-    For unit vectors 1 - cos(a, b) equals |a - b|^2 / 2, which is what is
-    computed here: it is exactly symmetric, exactly zero for identical
-    frames, and never dips below zero, so downstream statistics are clean.
+    For unit vectors 1 - cos(a, b) equals |a - b|^2 / 2, which is computed
+    here in Gram form: the matrix is exactly symmetric, in [0, 2], and
+    exactly zero for identical frames. Each entry is within ``(D + 2) * eps``
+    of the difference form computed on the rows as given.
     """
-    stacked = _rows_of(frames, "frame")
-    if not len(stacked):
-        raise EmptyList("a video needs at least one frame embedding")
-    n = stacked.shape[0]
-    distances = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        diff = stacked - stacked[i]
-        distances[i] = 0.5 * (diff * diff).sum(axis=1)
-    np.clip(distances, 0.0, 2.0, out=distances)
-    return distances
-
-
-def _video_consistency(frames: Sequence[Embedding] | np.ndarray) -> VideoConsistency:
-    distances = pairwise_distance_matrix(frames)
-    mean = float(distances.mean())
-    std = float(np.sqrt(np.mean((distances - mean) ** 2)))
-    return VideoConsistency(mean, std)
+    return _video_distances(_video_rows(frames)[None])[0]
 
 
 def temporal_consistency(
-    videos: Sequence[Sequence[Embedding] | np.ndarray], threads: int = 1
+    videos: Sequence[Sequence[Embedding] | np.ndarray] | np.ndarray, threads: int = 1
 ) -> TemporalReport:
-    """Consistency statistics for a list of videos (frame lists or (F, D) arrays).
+    """Consistency statistics for a list of videos (frame lists or (F, D) arrays)
+    or for an (I, F, D) array of I videos.
 
-    ``threads`` is accepted for compatibility and has no effect.
+    Videos of one shape are scored together, a block of them per batched
+    Gram product (see :func:`pairwise_distance_matrix`); an (I, F, D) array
+    is used in place. ``threads`` is accepted for compatibility and has no
+    effect.
     """
-    videos = list(videos)
-    if not videos:
+    stacked = isinstance(videos, np.ndarray) and videos.ndim == 3
+    videos = videos if stacked else list(videos)
+    if not len(videos):
         raise EmptyList("need at least one video")
-    per_video = [_video_consistency(video) for video in videos]
-    mean_of_means = float(np.mean([v.mean_distance for v in per_video]))
-    mean_of_stds = float(np.mean([v.std_distance for v in per_video]))
-    return TemporalReport(mean_of_means, mean_of_stds, tuple(per_video))
+    # Per (F, D) shape: the indices of its videos and their rows.
+    groups: dict[tuple[int, ...], tuple[list[int], Sequence[np.ndarray]]] = {}
+    if stacked:  # checked as one matrix of I * F frames, then used in place
+        count, frames, dim = videos.shape
+        flat = _video_rows(videos.reshape(count * frames, dim))
+        groups[(frames, dim)] = list(range(count)), flat.reshape(videos.shape)
+    else:
+        for i, video in enumerate(map(_video_rows, videos)):
+            members, rows = groups.setdefault(video.shape, ([], []))
+            members.append(i)
+            rows.append(video)
+    means = np.empty(len(videos), dtype=np.float64)
+    stds = np.empty(len(videos), dtype=np.float64)
+    for (n, dim), (members, rows) in groups.items():
+        step = max(1, _BLOCK_ELEMENTS // (n * (n + dim)))
+        for start in range(0, len(members), step):
+            distances = _video_distances(np.asarray(rows[start : start + step]))
+            mean = distances.mean(axis=(1, 2))
+            deviation = distances - mean[:, None, None]
+            chosen = members[start : start + step]
+            means[chosen] = mean
+            stds[chosen] = np.sqrt((deviation * deviation).mean(axis=(1, 2)))
+    means.setflags(write=False)
+    stds.setflags(write=False)
+    return TemporalReport(float(means.mean()), float(stds.mean()), means, stds)
 
 
-def _search(queries, gallery: Gallery, negate: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest entry index and cosine distance for each row of a (N, D) array-like."""
+def _search(
+    queries, gallery: Gallery, negate: Sequence[bool]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per flag of ``negate``, the nearest entry index and cosine distance of
+    each row of a (N, D) array-like, all from one product with the gallery."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
     probes = _unit_matrix(queries, "probe", gallery.dim)
-    index, cosine = _nearest(probes, gallery.matrix, -1.0, negate)
-    return index, 1.0 - cosine
+    return tuple(
+        (index, 1.0 - cosine)
+        for index, cosine in _nearest(probes, gallery.matrix, -1.0, tuple(negate))
+    )
+
+
+def _reports(
+    true_labels: Sequence[str],
+    gallery: Gallery,
+    threshold: float,
+    picks: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[RetrievalReport, ...]:
+    """One report per (index, distance) pair of arrays over the probes labeled ``true_labels``."""
+    true_labels = tuple(true_labels)
+    # Gallery labels are unique, so a probe's own entry is at most one index.
+    position = {label: i for i, label in enumerate(gallery.labels)}
+    own = np.array([position.get(label, -1) for label in true_labels], dtype=np.intp)
+    reports = []
+    for index, distance in picks:
+        if len(index) != len(true_labels):
+            raise ShapeMismatch(f"{len(true_labels)} labels for {len(index)} probes")
+        success = (index == own) & (distance <= threshold)
+        for array in (index, distance, success):
+            array.setflags(write=False)
+        rate = int(np.count_nonzero(success)) / len(success)
+        reports.append(
+            RetrievalReport(rate, threshold, true_labels, gallery.labels, index, distance, success)
+        )
+    return tuple(reports)
 
 
 def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:
     """Nearest gallery entry by cosine distance; ties go to the lowest index."""
-    index, distance = _search(query.values[None, :], gallery)
+    ((index, distance),) = _search(query.values[None, :], gallery, (False,))
     return gallery.labels[int(index[0])], float(distance[0])
+
+
+def retrieval_reports(
+    queries,
+    true_labels: Sequence[str],
+    gallery: Gallery,
+    threshold: float,
+    negate: Sequence[bool] = (False, True),
+) -> tuple[RetrievalReport, ...]:
+    """One :func:`retrieval_report` per flag of ``negate``, all from one
+    product of the probes with the gallery.
+
+    Each report has the indices, distance bits and success flags of its
+    one-flag call, because negating a product is exact.
+    """
+    if len(true_labels) == 0:
+        raise EmptyList("need at least one probe")
+    if not 0.0 <= threshold <= 2.0:
+        raise ValueError(f"threshold must be in [0, 2], got {threshold}")
+    return _reports(true_labels, gallery, threshold, _search(queries, gallery, negate))
 
 
 def retrieval_report(
@@ -144,20 +331,7 @@ def retrieval_report(
     no larger than ``threshold``. With ``negate`` each probe is negated
     before the search, as :func:`neg_id_retrieval_rate` does.
     """
-    if len(true_labels) == 0:
-        raise EmptyList("need at least one probe")
-    if not 0.0 <= threshold <= 2.0:
-        raise ValueError(f"threshold must be in [0, 2], got {threshold}")
-    index, distance = _search(queries, gallery, negate)
-    if len(index) != len(true_labels):
-        raise ShapeMismatch(f"{len(true_labels)} labels for {len(index)} probes")
-    labels = gallery.labels
-    outcomes = tuple(
-        ProbeOutcome(true, labels[i], d, labels[i] == true and d <= threshold)
-        for true, i, d in zip(true_labels, index.tolist(), distance.tolist())
-    )
-    rate = sum(1 for o in outcomes if o.success) / len(outcomes)
-    return RetrievalReport(rate, threshold, outcomes)
+    return retrieval_reports(queries, true_labels, gallery, threshold, (negate,))[0]
 
 
 def _probe_rows(

@@ -180,6 +180,11 @@ def _normalize_rows(rows, name: str = "row") -> np.ndarray:
 # throughput, small enough that a block's (rows, K) temporaries stay a few MiB.
 _BLOCK_ROWS = 256
 
+# Cells of one block's temporaries in the kernels whose blocks grow with a
+# second size (stored identities, frames per video): bounds a block's memory
+# whatever that size.
+_BLOCK_ELEMENTS = 1 << 18
+
 
 def _tie(dim: int) -> float:
     """Rounding slack of a D-term dot product: values this close count as equal."""
@@ -203,29 +208,33 @@ def _pick(objective: np.ndarray, dim: int) -> np.ndarray:
     return np.argmax(objective <= objective.min(axis=1, keepdims=True) + _tie(dim), axis=1)
 
 
-def _nearest(
-    queries: np.ndarray, matrix: np.ndarray, m: float, negate: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
     """Per query row, the ``matrix`` row minimizing ``|cos + m|``, and that cosine.
 
     Cosines are ``clip(q . row, -1, 1)``, of ``-q`` with ``negate``. Queries
     run in balanced blocks of about ``_BLOCK_ROWS`` rows (see
     :func:`_block_products`) and ties follow :func:`_pick`. With ``m = -1``,
     ``|c - 1|`` is exactly the distance ``1 - c``.
+
+    ``negate`` may also be a tuple of flags: the result is then one
+    ``(index, cosine)`` pair per flag, all picked from the same products.
+    Negation is exact, so each pair has the bits of a one-flag call.
     """
+    flags = negate if isinstance(negate, tuple) else (negate,)
     count, dim = queries.shape
-    index = np.empty(count, dtype=np.intp)
-    cosine = np.empty(count, dtype=np.float64)
+    picks = tuple(
+        (np.empty(count, dtype=np.intp), np.empty(count, dtype=np.float64)) for _ in flags
+    )
     blocks = -(-count // _BLOCK_ROWS)
     bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     for start, stop in zip(bounds, bounds[1:]):
         sims = _block_products(queries[start:stop], matrix)
-        if negate:
-            np.negative(sims, out=sims)
-        best = _pick(np.abs(sims + m), dim)
-        index[start:stop] = best
-        cosine[start:stop] = sims[np.arange(stop - start), best]
-    return index, cosine
+        for flag, (index, cosine) in zip(flags, picks):
+            signed = np.negative(sims) if flag else sims
+            best = _pick(np.abs(signed + m), dim)
+            index[start:stop] = best
+            cosine[start:stop] = signed[np.arange(stop - start), best]
+    return picks if isinstance(negate, tuple) else picks[0]
 
 
 def _require_same_dim(a: Embedding, b: Embedding) -> None:

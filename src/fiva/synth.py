@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gallery import Gallery
-from .metrics import RetrievalReport, TemporalReport, retrieval_report, temporal_consistency
+from .errors import ShapeMismatch
+from .metrics import (
+    RetrievalReport,
+    TemporalReport,
+    _reports,
+    _search,
+    retrieval_reports,
+    temporal_consistency,
+)
 from .sampling import sample_batch
 from .sphere import (
     AnchorSet,
@@ -180,6 +188,7 @@ def end_to_end_benchmark(
     retrieval_threshold: float = DEFAULT_MATCH_THRESHOLD,
     tracker_threshold: float = DEFAULT_MATCH_THRESHOLD,
     threads: int = 1,
+    gallery: Gallery | None = None,
 ) -> BenchmarkResult:
     """Generate a corpus, anonymize it two ways, and score both ways.
 
@@ -187,10 +196,17 @@ def end_to_end_benchmark(
     minting function is the mock anonymizer; the per-frame path anonymizes
     every frame independently. Both are scored for identity retrieval,
     inverted-identity retrieval, and temporal consistency against the
-    generated gallery. ``threads`` is accepted for compatibility and has
-    no effect.
+    gallery: ``generate_identities(config)``, or ``gallery`` when given,
+    whose shape must then be ``(identity_count, dimension)``. ``threads`` is
+    accepted for compatibility and has no effect.
     """
-    gallery = generate_identities(config)
+    if gallery is None:
+        gallery = generate_identities(config)
+    elif gallery.matrix.shape != (config.identity_count, config.dimension):
+        raise ShapeMismatch(
+            f"gallery of shape {gallery.matrix.shape} for "
+            f"{config.identity_count} identities of dimension {config.dimension}"
+        )
     per_video = config.frames_per_identity
     frames = np.concatenate([
         _frame_rows(center, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, index))
@@ -204,19 +220,18 @@ def end_to_end_benchmark(
     per_frame = _anonymize_rows(frames, anonymizer)
     labels = [label for label in gallery.labels for _ in range(per_video)]
     shape = (config.identity_count, per_video, config.dimension)
-
-    def _variant(fakes: np.ndarray) -> BenchmarkVariant:
-        return BenchmarkVariant(
-            id_report=retrieval_report(fakes, labels, gallery, retrieval_threshold),
-            neg_id_report=retrieval_report(
-                fakes, labels, gallery, retrieval_threshold, negate=True
-            ),
-            temporal=temporal_consistency(fakes.reshape(shape)),
-        )
-
+    per_frame_reports = retrieval_reports(per_frame, labels, gallery, retrieval_threshold)
+    # Frame f carries fake row keys[f]: score each distinct fake once, then
+    # judge the gathered picks against every frame's own label.
+    tracked_reports = _reports(labels, gallery, retrieval_threshold, [
+        (index[keys], distance[keys])
+        for index, distance in _search(tracker.fake_matrix, gallery, (False, True))
+    ])
     return BenchmarkResult(
-        tracked=_variant(tracked),
-        per_frame=_variant(per_frame),
+        tracked=BenchmarkVariant(*tracked_reports, temporal_consistency(tracked.reshape(shape))),
+        per_frame=BenchmarkVariant(
+            *per_frame_reports, temporal_consistency(per_frame.reshape(shape))
+        ),
         gallery=gallery,
         frames=frames.reshape(shape),
         tracked_fakes=tracked.reshape(shape),

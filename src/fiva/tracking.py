@@ -38,6 +38,7 @@ from .errors import (
 )
 from .sampling import sample_batch
 from .sphere import (
+    _BLOCK_ELEMENTS,
     _BLOCK_ROWS,
     AnchorSet,
     Embedding,
@@ -66,10 +67,6 @@ _TRAILER = struct.Struct("<ffI")
 # Unit-norm slack allowed when validating reloaded state; single-precision
 # storage can add ~1e-7 on top of the live tolerance.
 _LOAD_NORM_TOL = 1e-5
-
-# Cells of one block's (frames, stored identities) distance matrix: bounds
-# a block's temporaries whatever the store size.
-_BLOCK_ELEMENTS = 1 << 18
 
 
 def _f32_exact(values: np.ndarray) -> np.ndarray:
