@@ -1,18 +1,23 @@
-"""Layer scaling of fiva's scoring: how retrieval and temporal consistency grow.
+"""Layer scaling of fiva's sampling and scoring: how each layer grows.
 
-Times, in process, the two scoring layers ``fiva bench`` runs per variant:
+Times, in process, the layers ``fiva bench`` runs per variant, on a corpus of
+I identities with F jittered frames each:
 
-- ``retrieval``: the id and the neg-id report of I * F probes against an
-  I-entry gallery (``retrieval_reports``; on a tree without it, the two
-  ``retrieval_report`` calls it replaces);
+- ``sample_batch``: the nearest anchor of each of the I * F frames among
+  2 * I anchors (``build_anchor_set`` of the identities, 2 rounds), at m = 0;
+- ``retrieval``: the id and the neg-id report of the I * F jittered frames
+  (all distinct) against an I-entry gallery (``retrieval_reports``; on a tree
+  without it, the two ``retrieval_report`` calls it replaces);
+- ``retrieval_sampled``: the same reports on the anchor each frame samples,
+  the per-frame fakes of ``fiva bench``: few distinct rows, many copies;
 - ``temporal``: ``temporal_consistency`` of the (I, F, D) array of videos.
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
 {250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The JSON
-printed on stdout holds the raw points, the log-log slope of each layer
-along each axis, and the Python, numpy and BLAS versions and ``nproc``.
-Only the stdlib and numpy are needed::
+printed on stdout holds the raw points (with the count of distinct sampled
+anchors), the log-log slope of each layer along each axis, and the Python,
+numpy and BLAS versions and ``nproc``. Only the stdlib and numpy are needed::
 
     python3 bench/scaling.py                       # the src/ of this checkout
     python3 bench/scaling.py --src OTHER/src       # another tree, same grid
@@ -52,8 +57,27 @@ def corpus(identities: int, frames: int):
     return gallery, videos
 
 
+def inputs(fiva, identities: int, frames: int) -> dict:
+    """The gallery, labels, frames, anchors and sampled fakes of one grid point,
+    and how many distinct anchors the frames sampled."""
+    matrix, videos = corpus(identities, frames)
+    names = [f"id_{i:04d}" for i in range(identities)]
+    probes = videos.reshape(-1, DIM)
+    anchors = fiva.build_anchor_set(matrix, rounds=2)
+    picked = fiva.sample_batch(probes, anchors, 0.0)[0]
+    return {
+        "gallery": fiva.Gallery(matrix, names),
+        "labels": [name for name in names for _ in range(frames)],
+        "probes": probes,
+        "videos": videos,
+        "anchors": anchors,
+        "sampled": anchors.matrix[picked],
+        "sampled_distinct": len(np.unique(picked)),
+    }
+
+
 def layers(fiva):
-    """name -> callable(gallery, labels, probes, videos) for the tree under test."""
+    """name -> callable(inputs) for the tree under test."""
     both = getattr(fiva, "retrieval_reports", None)
     if both is None:
         def both(probes, labels, gallery, threshold):
@@ -62,27 +86,26 @@ def layers(fiva):
                 for flag in (False, True)
             )
     return {
-        "retrieval": lambda gallery, labels, probes, videos: both(probes, labels, gallery, 0.63),
-        "temporal": lambda gallery, labels, probes, videos: fiva.temporal_consistency(videos),
+        "sample_batch": lambda x: fiva.sample_batch(x["probes"], x["anchors"], 0.0),
+        "retrieval": lambda x: both(x["probes"], x["labels"], x["gallery"], 0.63),
+        "retrieval_sampled": lambda x: both(x["sampled"], x["labels"], x["gallery"], 0.63),
+        "temporal": lambda x: fiva.temporal_consistency(x["videos"]),
     }
 
 
-def time_point(fiva, identities: int, frames: int) -> dict[str, float]:
-    matrix, videos = corpus(identities, frames)
-    names = [f"id_{i:04d}" for i in range(identities)]
-    gallery = fiva.Gallery(matrix, names)
-    labels = [name for name in names for _ in range(frames)]
-    probes = videos.reshape(-1, DIM)
+def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], int]:
+    """Per layer, the median time at one grid point; and the distinct sampled anchors."""
+    point = inputs(fiva, identities, frames)
     medians = {}
     for name, layer in layers(fiva).items():
-        layer(gallery, labels, probes, videos)  # warm-up, untimed
+        layer(point)  # warm-up, untimed
         runs = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            layer(gallery, labels, probes, videos)
+            layer(point)
             runs.append(time.perf_counter() - start)
         medians[name] = statistics.median(runs)
-    return medians
+    return medians, point["sampled_distinct"]
 
 
 def slope(sizes, seconds) -> float:
@@ -123,9 +146,9 @@ def main(argv=None) -> int:
     for axis, grid in axes.items():
         for shape in grid:
             if shape not in cache:
-                cache[shape] = time_point(fiva, *shape)
+                cache[shape], distinct = time_point(fiva, *shape)
                 points.append({"identities": shape[0], "frames": shape[1], "dim": DIM,
-                               "median_s": cache[shape]})
+                               "sampled_distinct": distinct, "median_s": cache[shape]})
         if len(grid) > 1:
             sizes = [i if axis == "identities" else f for i, f in grid]
             slopes[axis] = {

@@ -21,6 +21,7 @@ from .errors import EmptyGallery, EmptyList, ShapeMismatch
 from .gallery import Gallery, LabeledEmbedding
 from .sphere import (
     _BLOCK_ELEMENTS,
+    _BLOCK_ROWS,
     Embedding,
     _nearest,
     _rows_of,
@@ -253,43 +254,54 @@ def temporal_consistency(
     return TemporalReport(float(means.mean()), float(stds.mean()), means, stds)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the bit-distinct rows of a float64 (N, D) array at their
+    first appearance, and per row the position of its copy among them. Copies
+    meet in a stable sort on each row's first two uint64 words and are compared
+    in full, ``_BLOCK_ELEMENTS`` words at a time; a run that mixes rows is sorted."""
+    count, dim = rows.shape
+    if count < 2:
+        return np.arange(count), np.arange(count)
+    words = np.ascontiguousarray(rows).view(np.uint64)
+    order = np.lexsort(words[:, 1::-1].T)
+    lead = words[:, :2][order]
+    tied = (lead[1:] == lead[:-1]).all(axis=1)
+    same = np.zeros_like(tied)  # sorted rows k and k + 1 are equal
+    pairs = np.flatnonzero(tied)
+    for k in np.array_split(pairs, -(-len(pairs) * dim // _BLOCK_ELEMENTS) or 1):
+        same[k] = (words[order[k]] == words[order[k + 1]]).all(axis=1)
+    # Per row, the lowest index of a row equal to it: the head of its run.
+    heads = np.concatenate(([True], ~tied))
+    run = np.cumsum(heads) - 1
+    owner = np.empty_like(order)
+    owner[order] = order[heads][run]
+    mixed = np.isin(run, run[1:][tied & ~same])
+    if mixed.any():
+        rest = np.sort(order[mixed])
+        _, first, back = np.unique(words[rest], axis=0, return_index=True, return_inverse=True)
+        owner[rest] = rest[first][back.reshape(-1)]
+    first = np.flatnonzero(owner == np.arange(count))
+    return first, np.searchsorted(first, owner)
+
+
 def _search(
     queries, gallery: Gallery, negate: Sequence[bool]
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per flag of ``negate``, the nearest entry index and cosine distance of
-    each row of a (N, D) array-like, all from one product with the gallery."""
+    each row of a (N, D) array-like, all from one product with the gallery. Each
+    distinct row is searched once, in blocks gathered one at a time; copies get its bits."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
-    probes = _unit_matrix(queries, "probe", gallery.dim)
-    return tuple(
-        (index, 1.0 - cosine)
-        for index, cosine in _nearest(probes, gallery.matrix, -1.0, tuple(negate))
-    )
-
-
-def _reports(
-    true_labels: Sequence[str],
-    gallery: Gallery,
-    threshold: float,
-    picks: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[RetrievalReport, ...]:
-    """One report per (index, distance) pair of arrays over the probes labeled ``true_labels``."""
-    true_labels = tuple(true_labels)
-    # Gallery labels are unique, so a probe's own entry is at most one index.
-    position = {label: i for i, label in enumerate(gallery.labels)}
-    own = np.array([position.get(label, -1) for label in true_labels], dtype=np.intp)
-    reports = []
-    for index, distance in picks:
-        if len(index) != len(true_labels):
-            raise ShapeMismatch(f"{len(true_labels)} labels for {len(index)} probes")
-        success = (index == own) & (distance <= threshold)
-        for array in (index, distance, success):
-            array.setflags(write=False)
-        rate = int(np.count_nonzero(success)) / len(success)
-        reports.append(
-            RetrievalReport(rate, threshold, true_labels, gallery.labels, index, distance, success)
-        )
-    return tuple(reports)
+    rows = _unit_matrix(queries, "probe", gallery.dim)
+    first, inverse = _distinct_rows(rows)
+    if len(first) == len(rows):  # all distinct: searched in place
+        return tuple((i, 1.0 - c) for i, c in _nearest(rows, gallery.matrix, -1.0, tuple(negate)))
+    parts = [
+        _nearest(rows[block], gallery.matrix, -1.0, tuple(negate))
+        for block in np.array_split(first, -(-len(first) // _BLOCK_ROWS))
+    ]
+    picks = (map(np.concatenate, zip(*flag)) for flag in zip(*parts))  # per flag, blocks joined
+    return tuple((index[inverse], 1.0 - cosine[inverse]) for index, cosine in picks)
 
 
 def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:
@@ -315,7 +327,22 @@ def retrieval_reports(
         raise EmptyList("need at least one probe")
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must be in [0, 2], got {threshold}")
-    return _reports(true_labels, gallery, threshold, _search(queries, gallery, negate))
+    true_labels = tuple(true_labels)
+    # Gallery labels are unique, so a probe's own entry is at most one index.
+    position = {label: i for i, label in enumerate(gallery.labels)}
+    own = np.array([position.get(label, -1) for label in true_labels], dtype=np.intp)
+    reports = []
+    for index, distance in _search(queries, gallery, negate):
+        if len(index) != len(true_labels):
+            raise ShapeMismatch(f"{len(true_labels)} labels for {len(index)} probes")
+        success = (index == own) & (distance <= threshold)
+        for array in (index, distance, success):
+            array.setflags(write=False)
+        rate = int(np.count_nonzero(success)) / len(success)
+        reports.append(
+            RetrievalReport(rate, threshold, true_labels, gallery.labels, index, distance, success)
+        )
+    return tuple(reports)
 
 
 def retrieval_report(

@@ -219,6 +219,9 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
     ``negate`` may also be a tuple of flags: the result is then one
     ``(index, cosine)`` pair per flag, all picked from the same products.
     Negation is exact, so each pair has the bits of a one-flag call.
+
+    Picks run in row slices of ``_BLOCK_ELEMENTS`` cells, in two buffers reused
+    for all: the tie mask and ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``).
     """
     flags = negate if isinstance(negate, tuple) else (negate,)
     count, dim = queries.shape
@@ -227,13 +230,20 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
     )
     blocks = -(-count // _BLOCK_ROWS)
     bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(matrix)))
+    objective = np.empty((min(step, _BLOCK_ROWS), len(matrix)))
+    tied = np.empty(objective.shape, dtype=bool)
     for start, stop in zip(bounds, bounds[1:]):
         sims = _block_products(queries[start:stop], matrix)
-        for flag, (index, cosine) in zip(flags, picks):
-            signed = np.negative(sims) if flag else sims
-            best = _pick(np.abs(signed + m), dim)
-            index[start:stop] = best
-            cosine[start:stop] = signed[np.arange(stop - start), best]
+        for lo in range(0, stop - start, step):
+            part = sims[lo : lo + step]
+            obj, mask = objective[: len(part)], tied[: len(part)]
+            span = slice(start + lo, start + lo + len(part))
+            for flag, (index, cosine) in zip(flags, picks):
+                np.abs(np.add(part, -m if flag else m, out=obj), out=obj)
+                limit = obj.min(axis=1, keepdims=True) + _tie(dim)
+                index[span] = best = np.argmax(np.less_equal(obj, limit, out=mask), axis=1)
+                cosine[span] = part[np.arange(len(part)), best] * (-1.0 if flag else 1.0)
     return picks if isinstance(negate, tuple) else picks[0]
 
 

@@ -17,8 +17,6 @@ from .errors import ShapeMismatch
 from .metrics import (
     RetrievalReport,
     TemporalReport,
-    _reports,
-    _search,
     retrieval_reports,
     temporal_consistency,
 )
@@ -221,12 +219,7 @@ def end_to_end_benchmark(
     labels = [label for label in gallery.labels for _ in range(per_video)]
     shape = (config.identity_count, per_video, config.dimension)
     per_frame_reports = retrieval_reports(per_frame, labels, gallery, retrieval_threshold)
-    # Frame f carries fake row keys[f]: score each distinct fake once, then
-    # judge the gathered picks against every frame's own label.
-    tracked_reports = _reports(labels, gallery, retrieval_threshold, [
-        (index[keys], distance[keys])
-        for index, distance in _search(tracker.fake_matrix, gallery, (False, True))
-    ])
+    tracked_reports = retrieval_reports(tracked, labels, gallery, retrieval_threshold)
     return BenchmarkResult(
         tracked=BenchmarkVariant(*tracked_reports, temporal_consistency(tracked.reshape(shape))),
         per_frame=BenchmarkVariant(

@@ -257,10 +257,14 @@ class TestTrackedScoring:
     def test_tracked_rows_searched_once_per_key(self):
         # At D = 128 no two identities fall within the tracker threshold.
         config, _, anonymizer = small_bench(dim=128)
-        with mock.patch.object(synth, "_search", wraps=synth._search) as spy:
-            end_to_end_benchmark(config, anonymizer)
-        (call,) = spy.call_args_list
-        assert len(call.args[0]) == config.identity_count
+        with mock.patch.object(metrics, "_nearest", wraps=metrics._nearest) as spy:
+            result = end_to_end_benchmark(config, anonymizer)
+        # Retrieval searches the per-frame fakes, then the tracked ones.
+        per_frame, tracked = spy.call_args_list
+        searched = tracked.args[0]
+        assert len(searched) <= config.identity_count
+        fakes = result.tracked_fakes.reshape(-1, config.dimension)
+        assert len(searched) == len(np.unique(fakes, axis=0))
 
 
 class TestBenchGallery:
