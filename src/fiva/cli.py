@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -216,11 +217,13 @@ class _Options:
 
 @contextlib.contextmanager
 def _text_out(path: str | None) -> Iterator[IO[str]]:
+    """stdout, or a buffer written to ``path`` atomically when the block ends."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    buffer = io.StringIO()
+    yield buffer
+    fio._write_bytes(path, buffer.getvalue().encode("utf-8"))
 
 
 def _info(message: str) -> None:

@@ -179,7 +179,7 @@ def _write_bytes(destination: str | Path | BinaryIO, blob: bytes) -> None:
         return
     path = Path(destination).resolve()
     if path.exists() and not path.is_file():
-        path.write_bytes(blob)
+        Path(destination).write_bytes(blob)  # errors name the path as given
         return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -26,7 +26,6 @@ from .sphere import (
     _nearest,
     _rows_of,
     _stack,
-    _tie,
     _unit_matrix,
     cosine,
 )
@@ -150,33 +149,14 @@ def _video_rows(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
 
 
 def _zero_equal_rows(videos: np.ndarray, distances: np.ndarray) -> None:
-    """Set the distance of every pair of equal rows within a video to exactly 0.
+    """Set the distance of every pair of bit-equal rows within a video to exactly 0.
 
-    Equal rows of norm within 1e-6 of 1 come out of the Gram form at most
-    about ``(D + 1) eps`` apart, so only pairs within ``2 D eps`` are
-    candidates. Each row is compared with its lowest candidate (one gather
-    per row), and only a row that differs from it is compared with its other
-    earlier candidates.
+    Rows are equal as they are for retrieval: each row's owner is its copy
+    among the distinct rows of the whole (B * n, D) block (:func:`_distinct_rows`).
     """
     count, n, dim = videos.shape
-    near = distances <= 2 * _tie(dim)
-    first = np.argmax(near, axis=2)  # the diagonal is 0, so first <= own index
-    video, row = np.nonzero(first < np.arange(n))
-    if not video.size:
-        return
-    # Per row, the lowest index of a row equal to it.
-    owner = np.tile(np.arange(n), (count, 1))
-    head = first[video, row]
-    equal = (videos[video, row] == videos[video, head]).all(axis=1)
-    owner[video[equal], row[equal]] = head[equal]
-    for v, r in zip(video[~equal].tolist(), row[~equal].tolist()):
-        earlier = np.flatnonzero(near[v, r, :r])
-        same = earlier[(videos[v, earlier] == videos[v, r]).all(axis=1)]
-        if same.size:
-            owner[v, r] = same[0]
-    v, i, j = np.nonzero(near)
-    same = owner[v, i] == owner[v, j]
-    distances[v[same], i[same], j[same]] = 0.0
+    owner = _distinct_rows(videos.reshape(count * n, dim))[1].reshape(count, n)
+    distances[owner[:, :, None] == owner[:, None, :]] = 0.0
 
 
 def _video_distances(videos: np.ndarray) -> np.ndarray:
@@ -187,7 +167,7 @@ def _video_distances(videos: np.ndarray) -> np.ndarray:
     stored as float32, which lie up to ~1e-7 off the sphere, this keeps the
     difference form's value to ~1e-15 where ``1 - g_ij`` is off by ~1e-8.
     The upper triangle is mirrored, values are clipped to [0, 2], and every
-    pair of equal rows, the diagonal included, is exactly 0.
+    pair of bit-equal rows, the diagonal included, is exactly 0.
     """
     gram = np.matmul(videos, videos.transpose(0, 2, 1))
     squares = np.diagonal(gram, axis1=1, axis2=2)
@@ -206,22 +186,21 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
 
     For unit vectors 1 - cos(a, b) equals |a - b|^2 / 2, which is computed
     here in Gram form: the matrix is exactly symmetric, in [0, 2], and
-    exactly zero for identical frames. Each entry is within ``(D + 2) * eps``
+    exactly zero for bit-identical frames. Each entry is within ``(D + 2) * eps``
     of the difference form computed on the rows as given.
     """
     return _video_distances(_video_rows(frames)[None])[0]
 
 
 def temporal_consistency(
-    videos: Sequence[Sequence[Embedding] | np.ndarray] | np.ndarray, threads: int = 1
+    videos: Sequence[Sequence[Embedding] | np.ndarray] | np.ndarray,
 ) -> TemporalReport:
     """Consistency statistics for a list of videos (frame lists or (F, D) arrays)
     or for an (I, F, D) array of I videos.
 
     Videos of one shape are scored together, a block of them per batched
     Gram product (see :func:`pairwise_distance_matrix`); an (I, F, D) array
-    is used in place. ``threads`` is accepted for compatibility and has no
-    effect.
+    is used in place.
     """
     stacked = isinstance(videos, np.ndarray) and videos.ndim == 3
     videos = videos if stacked else list(videos)
@@ -375,12 +354,10 @@ def id_retrieval_rate(
     probes: Sequence[tuple[Embedding, str] | LabeledEmbedding],
     gallery: Gallery,
     threshold: float,
-    threads: int = 1,
 ) -> RetrievalReport:
     """Fraction of probes whose nearest entry is their own label in range.
 
     A retrieval at exactly the threshold distance still counts as success.
-    ``threads`` is accepted for compatibility and has no effect.
     """
     return retrieval_report(*_probe_rows(probes), gallery, threshold)
 
@@ -389,12 +366,11 @@ def neg_id_retrieval_rate(
     probes: Sequence[tuple[Embedding, str] | LabeledEmbedding],
     gallery: Gallery,
     threshold: float,
-    threads: int = 1,
 ) -> RetrievalReport:
     """Retrieval rate after negating each probe first.
 
     Measures whether the original identity is recoverable from a fake by
-    the cheapest possible inversion. ``threads`` has no effect.
+    the cheapest possible inversion.
     """
     return retrieval_report(*_probe_rows(probes), gallery, threshold, negate=True)
 

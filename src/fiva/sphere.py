@@ -197,15 +197,16 @@ def _block_products(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def _pick(objective: np.ndarray, dim: int) -> np.ndarray:
+def _pick(objective: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Per row, the lowest column within ``_tie(dim)`` of the row's minimum.
 
     BLAS rounds a product by a few ulps differently depending on its place
     in a block or in the matrix, so near-equal values are ties and the
     lowest index wins. A column appended to a row therefore changes its
-    pick only if it lowers the row's minimum.
+    pick only if it lowers the row's minimum. ``out`` takes the tie mask.
     """
-    return np.argmax(objective <= objective.min(axis=1, keepdims=True) + _tie(dim), axis=1)
+    limit = objective.min(axis=1, keepdims=True) + _tie(dim)
+    return np.argmax(np.less_equal(objective, limit, out=out), axis=1)
 
 
 def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
@@ -241,8 +242,7 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
             span = slice(start + lo, start + lo + len(part))
             for flag, (index, cosine) in zip(flags, picks):
                 np.abs(np.add(part, -m if flag else m, out=obj), out=obj)
-                limit = obj.min(axis=1, keepdims=True) + _tie(dim)
-                index[span] = best = np.argmax(np.less_equal(obj, limit, out=mask), axis=1)
+                index[span] = best = _pick(obj, dim, out=mask)
                 cosine[span] = part[np.arange(len(part)), best] * (-1.0 if flag else 1.0)
     return picks if isinstance(negate, tuple) else picks[0]
 

@@ -185,7 +185,6 @@ def end_to_end_benchmark(
     anonymizer: MockAnonymizer,
     retrieval_threshold: float = DEFAULT_MATCH_THRESHOLD,
     tracker_threshold: float = DEFAULT_MATCH_THRESHOLD,
-    threads: int = 1,
     gallery: Gallery | None = None,
 ) -> BenchmarkResult:
     """Generate a corpus, anonymize it two ways, and score both ways.
@@ -195,8 +194,7 @@ def end_to_end_benchmark(
     every frame independently. Both are scored for identity retrieval,
     inverted-identity retrieval, and temporal consistency against the
     gallery: ``generate_identities(config)``, or ``gallery`` when given,
-    whose shape must then be ``(identity_count, dimension)``. ``threads`` is
-    accepted for compatibility and has no effect.
+    whose shape must then be ``(identity_count, dimension)``.
     """
     if gallery is None:
         gallery = generate_identities(config)

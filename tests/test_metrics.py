@@ -107,18 +107,6 @@ class TestTemporalConsistency:
         assert abs(report.mean_of_means - 0.3) <= 1e-9
         assert abs(report.mean_of_stds - 0.3) <= 1e-9
 
-    def test_thread_count_does_not_change_result(self, rng):
-        videos = [
-            [random_unit(rng, 16) for _ in range(4)] for _ in range(6)
-        ]
-        one = temporal_consistency(videos, threads=1)
-        many = temporal_consistency(videos, threads=4)
-        assert one.mean_of_means == many.mean_of_means
-        assert one.mean_of_stds == many.mean_of_stds
-        for a, b in zip(one.per_video, many.per_video):
-            assert a.mean_distance == b.mean_distance
-            assert a.std_distance == b.std_distance
-
     def test_empty_videos_rejected(self):
         with pytest.raises(EmptyList):
             temporal_consistency([])
@@ -238,18 +226,6 @@ class TestRetrievalRates:
         gallery = make_gallery(rng)
         with pytest.raises(EmptyList):
             id_retrieval_rate([], gallery, threshold=0.63)
-
-    def test_thread_invariance(self, rng):
-        gallery = make_gallery(rng, count=20)
-        probes = [
-            (embedding_at_distance(e.embedding, 0.2, rng), e.label)
-            for e in gallery.entries
-        ]
-        one = id_retrieval_rate(probes, gallery, 0.63, threads=1)
-        many = id_retrieval_rate(probes, gallery, 0.63, threads=8)
-        assert one.success_rate == many.success_rate
-        for a, b in zip(one.per_query, many.per_query):
-            assert a.distance == b.distance
 
 
 class TestLosses:

@@ -229,6 +229,32 @@ class TestEqualRowsAreExactlyZero:
         assert np.all(tiny[0][equal] == 0.0)
         assert np.all(tiny[0][~equal] == EPS)
 
+    @pytest.mark.parametrize("dim", [2, 16, 512])
+    def test_copies_are_bit_equal_rows(self, rng, dim):
+        # A row with a 0.0, its copy, and the copy with that 0.0 set to -0.0.
+        row = rng.normal(size=(1, dim))
+        row[0, 0] = 0.0
+        video = stored(np.repeat(row / np.linalg.norm(row), 3, axis=0))
+        video[2, 0] = -0.0
+        distances = pairwise_distance_matrix(video)
+        assert distances[0, 1] == distances[1, 0] == 0.0
+        difference = row_loop_distances(video)
+        assert np.abs(distances - difference).max() <= entry_bound(dim)
+        tiny = np.full((1, 3, 3), EPS)
+        metrics._zero_equal_rows(video[None], tiny)
+        assert tiny[0, 0, 1] == tiny[0, 1, 0] == 0.0
+        assert tiny[0, 0, 2] == tiny[0, 2, 1] == EPS
+
+    def test_rows_shared_across_videos_are_not_forced(self, rng):
+        # Distinct rows within each video; video 1 repeats two rows of video 0.
+        videos = np.stack([stored(unit_rows(rng, 4, 16)) for _ in range(2)])
+        videos[1, 3] = videos[0, 0]
+        videos[1, 0] = videos[0, 2]
+        tiny = np.full((2, 4, 4), EPS)
+        metrics._zero_equal_rows(videos, tiny)
+        off_diagonal = ~np.eye(4, dtype=bool)
+        assert np.all(tiny[:, off_diagonal] == EPS)
+
 
 def small_bench(mode="anchor_sample", margin=0.0, identities=60, frames=6, dim=32):
     config = SynthConfig(dim, identities, frames, 0.01, 5)

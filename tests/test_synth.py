@@ -183,14 +183,6 @@ class TestEndToEndBenchmark:
             for fa, fb in zip(va, vb):
                 assert fa.tobytes() == fb.tobytes()
 
-    def test_thread_invariance(self):
-        config = small_config()
-        one = end_to_end_benchmark(config, MockAnonymizer(mode="negation"), threads=1)
-        four = end_to_end_benchmark(config, MockAnonymizer(mode="negation"), threads=4)
-        assert one.tracked.temporal.mean_of_means == four.tracked.temporal.mean_of_means
-        assert one.per_frame.temporal.mean_of_stds == four.per_frame.temporal.mean_of_stds
-        assert one.tracked.id_report.success_rate == four.tracked.id_report.success_rate
-
 
 class TestArraysMatchSingleRowPaths:
     """The array-first benchmark takes the bits of the public one-row functions."""

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fiva import cli
 from fiva import (
     IoFailure,
     LabelCountMismatch,
@@ -101,6 +102,64 @@ def test_failed_write_keeps_old_bytes_and_leaves_no_temporary(
     assert target.read_bytes() == before
 
 
+# Per command: its arguments, with {inputs} and {out} folders, and the text file checked.
+TEXT_OUTPUTS = {
+    "eval-retrieval --report": (
+        "eval-retrieval --probes {inputs}/means.emb --gallery {inputs}/means.emb"
+        " --report {out}/report.csv",
+        "report.csv",
+    ),
+    "track --log": (
+        "track --frames {inputs}/means.emb --anchors {inputs}/means.emb --log {out}/log.csv",
+        "log.csv",
+    ),
+    "build-anchors --provenance": (
+        "build-anchors --means {inputs}/means.emb --out {out}/anchors.emb"
+        " --provenance {out}/provenance.csv",
+        "provenance.csv",
+    ),
+    "bench report.csv": (
+        "bench --identities 6 --frames 2 --dim 8 --out-dir {out}",
+        "report.csv",
+    ),
+}
+
+
+def only_for(target, injected, real):
+    """``injected`` when the first argument is a temporary of ``target``, else ``real``."""
+
+    def call(first, *rest):
+        if Path(first).name.startswith(f".{target.name}."):
+            return injected(first, *rest)
+        return real(first, *rest)
+
+    return call
+
+
+@pytest.mark.parametrize("command", TEXT_OUTPUTS)
+@pytest.mark.parametrize("failure", ["midway", "at rename"])
+def test_failed_text_output_keeps_old_bytes_and_leaves_no_temporary(
+    rng, tmp_path, monkeypatch, capsys, command, failure
+):
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    write_container(inputs / "means.emb", unit_matrix(rng, 6, 8), [f"id_{i}" for i in range(6)])
+    args, name = TEXT_OUTPUTS[command]
+    target = out / name
+    target.write_bytes(b"old bytes\n")
+    if failure == "midway":
+        monkeypatch.setattr(Path, "write_bytes", only_for(target, half_write, Path.write_bytes))
+    else:
+        monkeypatch.setattr(os, "replace", only_for(target, failing_replace, os.replace))
+    code = cli.main([arg.format(inputs=inputs, out=out) for arg in args.split()])
+    monkeypatch.undo()
+    assert code == 2
+    assert ("disk full" if failure == "midway" else "rename failed") in capsys.readouterr().err
+    assert target.read_bytes() == b"old bytes\n"
+    assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+
+
 def test_new_file_gets_the_default_mode(rng, tmp_path):
     umask = os.umask(0)
     os.umask(umask)
@@ -118,3 +177,12 @@ def test_symlink_destination_is_kept_and_its_target_replaced(rng, tmp_path):
     write_container(link, matrix)
     assert link.is_symlink()
     assert read_container(target)[0].tobytes() == matrix.tobytes()
+
+
+def test_text_output_to_a_directory_names_the_path_as_given(rng, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_container("means.emb", unit_matrix(rng, 3, 8), ["a", "b", "c"])
+    Path("report.csv").mkdir()
+    args = ["eval-retrieval", "--probes", "means.emb", "--gallery", "means.emb"]
+    assert cli.main([*args, "--report", "report.csv"]) == 2
+    assert capsys.readouterr().err.endswith("Is a directory: 'report.csv'\n")
