@@ -10,7 +10,12 @@ I identities with F jittered frames each:
   without it, the two ``retrieval_report`` calls it replaces);
 - ``retrieval_sampled``: the same reports on the anchor each frame samples,
   the per-frame fakes of ``fiva bench``: few distinct rows, many copies;
-- ``temporal``: ``temporal_consistency`` of the (I, F, D) array of videos.
+- ``temporal``: ``temporal_consistency`` of the (I, F, D) array of videos;
+- ``track_mint``: ``TrackerState.track_rows`` of the I * F frames in scene
+  order (each identity's frames in a row) into an empty tracker with the
+  anchors above: I new identities, the rest matches;
+- ``track_match``: the same frames shuffled, into the tracker the scene-order
+  run filled: matches only.
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
@@ -65,6 +70,8 @@ def inputs(fiva, identities: int, frames: int) -> dict:
     probes = videos.reshape(-1, DIM)
     anchors = fiva.build_anchor_set(matrix, rounds=2)
     picked = fiva.sample_batch(probes, anchors, 0.0)[0]
+    filled = fiva.TrackerState(anchors=anchors)
+    filled.track_rows(probes)
     return {
         "gallery": fiva.Gallery(matrix, names),
         "labels": [name for name in names for _ in range(frames)],
@@ -73,6 +80,8 @@ def inputs(fiva, identities: int, frames: int) -> dict:
         "anchors": anchors,
         "sampled": anchors.matrix[picked],
         "sampled_distinct": len(np.unique(picked)),
+        "filled": filled,
+        "shuffled": probes[np.random.default_rng(SEED).permutation(len(probes))],
     }
 
 
@@ -90,6 +99,8 @@ def layers(fiva):
         "retrieval": lambda x: both(x["probes"], x["labels"], x["gallery"], 0.63),
         "retrieval_sampled": lambda x: both(x["sampled"], x["labels"], x["gallery"], 0.63),
         "temporal": lambda x: fiva.temporal_consistency(x["videos"]),
+        "track_mint": lambda x: fiva.TrackerState(anchors=x["anchors"]).track_rows(x["probes"]),
+        "track_match": lambda x: x["filled"].track_rows(x["shuffled"]),
     }
 
 

@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, unknown command),
 2 on data errors (malformed files, dimension conflicts, bad values).
 Diagnostics go to stderr; data goes to files or stdout.
 
-A JSON config file (flat key/value pairs keyed by flag name) can provide
-any option; explicit flags override it. The ``FIVA_SEED`` environment
-variable supplies a default seed when neither a flag nor the config does.
+A JSON config file (flat key/value pairs keyed by flag name, on/off flags
+as JSON booleans) can provide any option; explicit flags override it. The
+``FIVA_SEED`` environment variable supplies a default seed when neither a
+flag nor the config does.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .synth import (
     end_to_end_benchmark,
     generate_identities,
 )
-from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState, load_state, save_state
+from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState, _f32_margin, load_state, save_state
 
 __all__ = ["main"]
 
@@ -81,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--means", required=True, help="embedding file of identity means")
     p.add_argument("--rounds", type=int, default=None, help="interpolation generations (default 1)")
     p.add_argument("--t", type=float, default=None, help="interpolation parameter in (0, 1) (default 0.5)")
-    p.add_argument("--normalize", action="store_true", help="project input rows onto the sphere on read")
+    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
     p.add_argument("--out", required=True, help="output anchor embedding file")
     p.add_argument("--provenance", default=None, help="optional CSV of per-anchor source pairs")
     p.add_argument("--skips", default=None, help="optional CSV of skipped antipodal pairs")
@@ -92,7 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--anchors", required=True, help="anchor embedding file")
     p.add_argument("--query", required=True, help="embedding file of identities to anonymize")
     p.add_argument("--margin", type=float, default=None, help="margin m in [-1, 1]: the sampler targets cosine -m, so m=0 picks the most orthogonal anchor and m=0.7 picks one near cosine -0.7 (default 0)")
-    p.add_argument("--normalize", action="store_true", help="project input rows onto the sphere on read")
+    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
     p.add_argument("--out", required=True, help="output embedding file of sampled fakes")
     _add_common(p, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_sample)
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--anchors", default=None, help="anchor embedding file for minting new fakes")
     p.add_argument("--threshold", type=float, default=None, help="cosine-distance match threshold (default 0.63)")
     p.add_argument("--margin", type=float, default=None, help="sampling margin m; targets cosine -m (default 0)")
-    p.add_argument("--normalize", action="store_true", help="project input rows onto the sphere on read")
+    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
     p.add_argument("--state-in", default=None, help="resume from a saved tracker state file")
     p.add_argument("--state-out", default=None, help="write the final tracker state here")
     p.add_argument("--out", default=None, help="output embedding file of per-frame fakes")
@@ -114,15 +115,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--probes", required=True, help="labeled embedding file of probes")
     p.add_argument("--gallery", required=True, help="labeled embedding file of gallery identities")
     p.add_argument("--threshold", type=float, default=None, help="success distance threshold (default 0.63)")
-    p.add_argument("--negate", action="store_true", help="negate each probe first (inversion leakage check)")
-    p.add_argument("--normalize", action="store_true", help="project input rows onto the sphere on read")
+    p.add_argument("--negate", action="store_true", default=None, help="negate each probe first (inversion leakage check)")
+    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
     p.add_argument("--report", default=None, help="report CSV path (default stdout)")
     _add_common(p, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_eval_retrieval)
 
     p = sub.add_parser("eval-temporal", allow_abbrev=False, help="temporal consistency of per-video embedding files")
     p.add_argument("--frames", required=True, nargs="+", help="one embedding file per video")
-    p.add_argument("--normalize", action="store_true", help="project input rows onto the sphere on read")
+    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
     p.add_argument("--report", default=None, help="report CSV path (default stdout)")
     _add_common(p, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_eval_temporal)
@@ -142,7 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--inputs", required=True, help="embedding file of original identities")
     p.add_argument("--outputs", required=True, help="embedding file of pipeline outputs, row-aligned")
     p.add_argument("--threshold", type=float, default=None, help="fakeness distance threshold (default 0.6)")
-    p.add_argument("--normalize", action="store_true", help="project input rows onto the sphere on read")
+    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
     p.add_argument("--report", default=None, help="report CSV path (default stdout)")
     _add_common(p, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_detect)
@@ -187,7 +188,10 @@ class _Options:
                     raise ConfigError(
                         f"config key {key!r} must map to a scalar, got {type(value).__name__}"
                     )
-                self.config[str(key).replace("-", "_")] = value
+                key = str(key).replace("-", "_")
+                if key in ("normalize", "negate") and not isinstance(value, bool):
+                    raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+                self.config[key] = value
 
     def get(self, name: str, default, cast=None):
         value = getattr(self.args, name, None)
@@ -231,7 +235,7 @@ def _info(message: str) -> None:
 
 
 def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
-    means, _ = fio.load_rows(args.means, args.normalize)
+    means, _ = fio.load_rows(args.means, opts.get("normalize", False))
     anchors = build_anchor_set(
         means,
         rounds=opts.get("rounds", 1, int),
@@ -255,9 +259,9 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
-    anchors = AnchorSet(fio.load_rows(args.anchors, args.normalize)[0])
-    queries, _ = fio.load_rows(args.query, args.normalize)
-    margin = opts.get("margin", 0.0, float)
+    anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize", False))[0])
+    queries, _ = fio.load_rows(args.query, opts.get("normalize", False))
+    margin = _f32_margin(opts.get("margin", 0.0, float))
     index, cosine = sample_batch(queries, anchors, margin)
     fio.write_container(args.out, anchors.matrix[index])
     print("query_index,anchor_index,achieved_cosine")
@@ -269,7 +273,7 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
 def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
     anchors = None
     if args.anchors is not None:
-        anchors = AnchorSet(fio.load_rows(args.anchors, args.normalize)[0])
+        anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize", False))[0])
     if args.state_in is not None:
         state = load_state(args.state_in, anchors=anchors)
     else:
@@ -277,7 +281,7 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
     # The setters range-check and round the overrides as the constructor does.
     state.threshold = opts.get("threshold", state.threshold, float)
     state.margin = opts.get("margin", state.margin, float)
-    frames, _ = fio.load_rows(args.frames, args.normalize)
+    frames, _ = fio.load_rows(args.frames, opts.get("normalize", False))
     matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
         fio.write_container(args.out, state.fake_matrix[keys])
@@ -297,10 +301,11 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
-    probes, labels = fio.load_labeled_rows(args.probes, args.normalize)
-    gallery = fio.load_gallery(args.gallery, args.normalize)
+    probes, labels = fio.load_labeled_rows(args.probes, opts.get("normalize", False))
+    gallery = fio.load_gallery(args.gallery, opts.get("normalize", False))
     threshold = opts.get("threshold", DEFAULT_MATCH_THRESHOLD, float)
-    report = retrieval_report(probes, labels, gallery, threshold, args.negate)
+    negate = opts.get("negate", False)
+    report = retrieval_report(probes, labels, gallery, threshold, negate)
     with _text_out(args.report) as fh:
         fh.write("probe_index,true_label,retrieved_label,distance,success\n")
         writer = csv.writer(fh, lineterminator="\n")  # quotes labels that need it
@@ -312,14 +317,14 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
         )
         fh.write(f"aggregate,,,,{_fmt(report.success_rate)}\n")
     _info(
-        f"{'neg-id' if args.negate else 'id'} retrieval rate "
+        f"{'neg-id' if negate else 'id'} retrieval rate "
         f"{report.success_rate:.6f} at threshold {threshold}"
     )
     return 0
 
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
-    videos = [fio.load_rows(path, args.normalize)[0] for path in args.frames]
+    videos = [fio.load_rows(path, opts.get("normalize", False))[0] for path in args.frames]
     report = temporal_consistency(videos)
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
@@ -388,8 +393,8 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
-    inputs, _ = fio.load_rows(args.inputs, args.normalize)
-    outputs, _ = fio.load_rows(args.outputs, args.normalize)
+    inputs, _ = fio.load_rows(args.inputs, opts.get("normalize", False))
+    outputs, _ = fio.load_rows(args.outputs, opts.get("normalize", False))
     threshold = opts.get("threshold", DEFAULT_DETECT_THRESHOLD, float)
     if not 0.0 < threshold < 2.0:
         raise ValueError(f"threshold must be in (0, 2), got {threshold}")

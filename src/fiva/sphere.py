@@ -192,8 +192,8 @@ def _tie(dim: int) -> float:
 
 
 def _block_products(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``clip(block @ matrix.T, -1, 1)``; a lone row is the GEMV ``matrix @ q`` bit for bit."""
-    sims = (matrix @ block[0])[None, :] if len(block) == 1 else block @ matrix.T
+    """``clip(block @ matrix.T, -1, 1)``; numpy runs a lone row as the GEMV ``matrix @ q``."""
+    sims = block @ matrix.T
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
@@ -202,8 +202,7 @@ def _pick(objective: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.
 
     BLAS rounds a product by a few ulps differently depending on its place
     in a block or in the matrix, so near-equal values are ties and the
-    lowest index wins. A column appended to a row therefore changes its
-    pick only if it lowers the row's minimum. ``out`` takes the tie mask.
+    lowest index wins. ``out`` takes the tie mask.
     """
     limit = objective.min(axis=1, keepdims=True) + _tie(dim)
     return np.argmax(np.less_equal(objective, limit, out=out), axis=1)

@@ -1,17 +1,18 @@
 """Identity tracking: one consistent fake identity per real identity.
 
 The tracker keeps every first-contact embedding it has seen. Frames are
-scored in blocks: one matrix product gives the cosine distance of every
-frame of a block to every stored embedding as the store stood at block
-start, then the block is walked in order. A frame whose best distance is
-below the match threshold returns the fake identity minted at first
-contact. An unmatched frame is appended to the store, which adds one
-column to the later frames' distances so they can match it, and gets a
-fresh fake from the sampler. A frame whose best distance lies within
-rounding of the threshold is scored again on its own against the store
-at its size, so blocked tracking takes exactly the decisions of tracking
-one frame at a time. Keys are assigned by an increasing pointer, so key k
-always means "the k-th distinct identity this tracker has seen".
+scored in blocks: one nearest-row search gives each frame of a block its
+key and distance in the store as it stood at block start, then the block
+is walked in order. A frame whose best distance is below the match
+threshold returns the fake identity minted at first contact. An unmatched
+frame is appended to the store and gets a fresh fake from the sampler; one
+matrix-vector product hands it each later frame of the block that it
+clearly beats. A frame it beats only within rounding, or whose best
+distance lies within rounding of the threshold, is scored again on its own
+against the store at its size, so blocked tracking takes exactly the
+decisions of tracking one frame at a time. Keys are assigned by an
+increasing pointer, so key k always means "the k-th distinct identity this
+tracker has seen".
 
 Embeddings are quantized to single precision when they enter the store.
 The persisted state file stores single-precision payloads, so quantizing
@@ -44,7 +45,6 @@ from .sphere import (
     Embedding,
     _block_products,
     _nearest,
-    _pick,
     _tie,
     _unit_matrix,
 )
@@ -72,6 +72,13 @@ _LOAD_NORM_TOL = 1e-5
 def _f32_exact(values: np.ndarray) -> np.ndarray:
     """Round float64 values to the nearest single-precision numbers."""
     return np.asarray(values, dtype=np.float32).astype(np.float64)
+
+
+def _f32_margin(value: float) -> float:
+    """A margin range-checked and rounded to single precision, as a tracker holds it."""
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"margin must be in [-1, 1], got {value}")
+    return float(np.float32(value))
 
 
 @dataclass(frozen=True)
@@ -143,9 +150,7 @@ class TrackerState:
 
     @margin.setter
     def margin(self, value: float) -> None:
-        if not -1.0 <= value <= 1.0:
-            raise ValueError(f"margin must be in [-1, 1], got {value}")
-        self._margin = float(np.float32(value))
+        self._margin = _f32_margin(value)
 
     @property
     def stored(self) -> tuple[Embedding, ...]:
@@ -200,6 +205,13 @@ class TrackerState:
             raise ShapeMismatch(f"sampler made {len(fakes)} fakes for {len(rows)} new identities")
         self._fakes[start:stop] = _f32_exact(fakes)
 
+    def _score(self, frames: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each frame's key and best distance among ``used`` stored rows (``inf`` if none)."""
+        if not used:
+            return np.zeros(len(frames), dtype=np.intp), np.full(len(frames), np.inf)
+        index, cosine = _nearest(frames, self._stored[:used], -1.0)
+        return index, 1.0 - cosine
+
     def _walk(
         self, block: np.ndarray, used: int, minted: np.ndarray
     ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -211,16 +223,7 @@ class TrackerState:
         """
         rows, dim = block.shape
         tie = _tie(dim)
-        # Column k holds the distances to stored row k, i.e. to key k.
-        distances = np.empty((rows, used + rows), dtype=np.float64)
-        if used:
-            sims = _block_products(block, self._stored[:used])
-            np.subtract(1.0, sims, out=distances[:, :used])
-            key = _pick(distances[:, :used], dim)
-            best = distances[np.arange(rows), key]
-        else:
-            key = np.zeros(rows, dtype=np.intp)
-            best = np.full(rows, np.inf)
+        key, best = self._score(block, used)
         pos = 0
         while True:
             ahead = np.flatnonzero(best[pos:] >= self.threshold - tie)
@@ -230,23 +233,22 @@ class TrackerState:
             pos = r + 1
             if abs(best[r] - self.threshold) <= tie:
                 # Too close to call on blocked bits: score as a lone frame.
-                index, cosine = _nearest(block[r : r + 1], self._stored[:used], -1.0)
-                key[r], best[r] = index[0], 1.0 - cosine[0]
+                key[r : r + 1], best[r : r + 1] = self._score(block[r : r + 1], used)
             if best[r] < self.threshold:
                 continue
             self._reserve(used, dim)
             self._stored[used] = _f32_exact(block[r])
             key[r], minted[r] = used, True
             if pos < rows:
-                # The new identity's distances to the rest of the block: one GEMV.
-                column = distances[pos:, used]
-                sims = _block_products(self._stored[used : used + 1], block[pos:])
-                np.subtract(1.0, sims[0], out=column)
-                # Only a row whose minimum the new column lowers can change its
-                # pick, and such a row's column beats its current best too.
-                lower = np.flatnonzero(column < best[pos:]) + pos
-                key[lower] = _pick(distances[lower, : used + 1], dim)
-                best[lower] = distances[lower, key[lower]]
+                # The new identity's distances to the later frames, one GEMV. As
+                # best <= min + tie, it takes each frame whose best it beats by
+                # over two ties; a frame it beats by less is scored alone.
+                column = 1.0 - _block_products(self._stored[used : used + 1], block[pos:])[0]
+                gap = best[pos:] - column
+                won = gap > 2 * tie
+                key[pos:][won], best[pos:][won] = used, column[won]
+                for j in np.flatnonzero(~won & (gap > 0)) + pos:
+                    key[j : j + 1], best[j : j + 1] = self._score(block[j : j + 1], used + 1)
             used += 1
 
     def track_rows(self, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -194,6 +194,33 @@ class TestSample:
         assert outputs[0] != outputs[1]
 
 
+def test_sample_and_track_round_the_margin_alike(capsys, tmp_path):
+    # Two anchors with cosines just either side of -0.3 to the query: the
+    # float64 margin 0.3 picks anchor 0, its float32 rounding anchor 1.
+    query = np.array([[1.0 - 2.0**-24, 0.0]])
+    first = np.float32(-0.3)
+    cosines = np.array([first, np.nextafter(first, np.float32(-1.0))], dtype=np.float64)
+    anchors = np.stack([cosines, np.sqrt(1.0 - cosines**2)], axis=1)
+    achieved = anchors[:, 0] * query[0, 0]
+    assert np.argmin(np.abs(achieved + 0.3)) == 0
+    assert np.argmin(np.abs(achieved + float(np.float32(0.3)))) == 1
+    paths = {name: tmp_path / f"{name}.emb" for name in ("query", "anchors", "sampled", "tracked")}
+    write_container(paths["query"], query)
+    write_container(paths["anchors"], anchors)
+    code, stdout, _ = run(
+        capsys, "sample", "--anchors", str(paths["anchors"]), "--query", str(paths["query"]),
+        "--margin", "0.3", "--out", str(paths["sampled"]),
+    )
+    assert code == 0 and stdout.splitlines()[1].startswith("0,1,")
+    code, _, _ = run(
+        capsys, "track", "--frames", str(paths["query"]), "--anchors", str(paths["anchors"]),
+        "--margin", "0.3", "--out", str(paths["tracked"]),
+    )
+    assert code == 0
+    assert paths["sampled"].read_bytes() == paths["tracked"].read_bytes()
+    assert read_container(paths["sampled"])[0].tobytes() == anchors[1:].astype(np.float32).tobytes()
+
+
 class TestTrack:
     def test_track_writes_log_and_state(self, capsys, anchors_file, rng, tmp_path):
         z = random_unit(rng, 16)
@@ -638,6 +665,48 @@ class TestOptionResolution:
             )
             assert code == 0
         assert (out_env / "gallery.emb").read_bytes() != (out_flag / "gallery.emb").read_bytes()
+
+    def test_config_negate_is_a_json_boolean(self, capsys, gallery_file, tmp_path):
+        path, embeddings, labels = gallery_file
+        negated = tmp_path / "negated.emb"
+        write_embeddings(negated, [normalize(-e.values) for e in embeddings], labels)
+        config = tmp_path / "config.json"
+        for value, flags, want in [
+            (True, [], "aggregate,,,,1.0"),
+            (False, [], "aggregate,,,,0.0"),
+            (False, ["--negate"], "aggregate,,,,1.0"),  # the flag wins
+            ("true", [], None),
+            (1, [], None),
+        ]:
+            config.write_text(json.dumps({"negate": value}))
+            code, stdout, err = run(
+                capsys, "--config", str(config),
+                "eval-retrieval", "--probes", str(negated), "--gallery", str(path), *flags,
+            )
+            if want is None:
+                assert code == 2 and stdout == ""
+                assert "'negate' must be true or false" in err
+            else:
+                assert code == 0 and stdout.splitlines()[-1] == want
+
+    def test_config_normalize_is_a_json_boolean(self, capsys, rng, tmp_path):
+        frames = tmp_path / "frames.emb"
+        write_container(frames, 2.0 * np.stack([random_unit(rng, 16).values for _ in range(3)]))
+        config = tmp_path / "config.json"
+        for value, flags, want in [
+            (True, [], 0),
+            (False, [], 2),  # rows of norm 2 are not unit
+            (False, ["--normalize"], 0),  # the flag wins
+            ("yes", [], 2),
+            (None, [], 2),
+        ]:
+            config.write_text(json.dumps({"normalize": value}))
+            code, _, err = run(
+                capsys, "--config", str(config), "eval-temporal", "--frames", str(frames), *flags
+            )
+            assert code == want
+            if value not in (True, False):
+                assert "'normalize' must be true or false" in err
 
     def test_malformed_config_is_data_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"

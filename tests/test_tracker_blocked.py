@@ -20,7 +20,7 @@ from fiva import (
     load_state,
     save_state,
 )
-from fiva import tracking
+from fiva import sphere, tracking
 from conftest import embedding_at_distance, random_unit
 
 EPS = np.finfo(np.float64).eps
@@ -208,17 +208,61 @@ def test_rescoring_overrides_blocked_bits_across_the_threshold(rng):
     frame = np.zeros(8)
     frame[0], frame[1] = cos, np.sqrt(1.0 - cos * cos)
     assert 1.0 - cos < tracker.threshold <= 1.0 - (cos - 4 * EPS)
-    real = tracking._block_products
+    real = sphere._block_products
 
     def off_by_ulps(block, matrix):
         sims = real(block, matrix)
         return sims - 4 * EPS if len(block) > 1 else sims
 
-    with mock.patch.object(tracking, "_block_products", off_by_ulps):
+    with mock.patch.object(sphere, "_block_products", off_by_ulps):
         matched, keys, distance = tracker.track_rows(np.stack([frame, frame]))
     assert matched.tolist() == [True, True]
     assert keys.tolist() == [0, 0]
     assert distance.tolist() == [1.0 - cos] * 2
+
+
+def test_new_identity_within_the_tie_band_keeps_the_lower_key(rng):
+    # d(f, e1) sits 3.5 eps below d(f, e0), well inside the tie of D * eps:
+    # the appended column lowers f's best but must not take it from key 0.
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 16) for _ in range(4)])
+    e0, e1 = np.eye(16)[:2]
+    c = np.sqrt(0.5) - 2 * EPS
+    f = c * e0 + np.sqrt(1.0 - c * c) * e1
+    f /= np.linalg.norm(f)
+    frames = np.stack([e1, f])
+    reference = TrackerState(anchors=anchors)
+    reference.track(Embedding(e0))
+    want = per_frame(reference, frames)
+    blocked = TrackerState(anchors=anchors)
+    blocked.track(Embedding(e0))
+    matched, keys, distance = blocked.track_rows(frames)
+    assert 0 < (1.0 - f[0]) - (1.0 - f[1]) < 16 * EPS
+    assert keys.tolist() == want[1].tolist() == [1, 0]
+    assert matched.tolist() == want[0].tolist() == [False, True]
+    assert distance[1] == want[2][1] == 1.0 - f[0]
+    assert state_bytes(blocked) == state_bytes(reference)
+
+
+def test_tie_band_frame_is_scored_alone_against_the_grown_store(rng):
+    # f's distances to e0, e1, e2: 0.5 + 12 eps, 0.5, 0.5 - 8 eps. Against
+    # {e0, e1} key 0 ties with the minimum; once e2 is minted, its column
+    # lowers f's best by 20 eps, inside two ties (32 eps at D = 16), and the
+    # new minimum's tie window holds e1 but no longer e0.
+    anchors = AnchorSet.from_embeddings([random_unit(rng, 16) for _ in range(4)])
+    basis = np.eye(16)
+    f = np.zeros(16)
+    f[:3] = 0.5 - 12 * EPS, 0.5, 0.5 + 8 * EPS
+    f[3] = np.sqrt(1.0 - f @ f)
+    frames = np.stack([basis[2], f])
+    trackers = [TrackerState(anchors=anchors) for _ in range(2)]
+    for tracker in trackers:
+        tracker.track_rows(basis[:2])
+    want = per_frame(trackers[0], frames)
+    matched, keys, distance = trackers[1].track_rows(frames)
+    assert keys.tolist() == want[1].tolist() == [2, 1]
+    assert matched.tolist() == want[0].tolist() == [False, True]
+    assert distance[1] == want[2][1] == 0.5
+    assert state_bytes(trackers[1]) == state_bytes(trackers[0])
 
 
 def test_minting_without_anchors_leaves_store_consistent(rng):
