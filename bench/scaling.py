@@ -15,14 +15,20 @@ I identities with F jittered frames each:
   order (each identity's frames in a row) into an empty tracker with the
   anchors above: I new identities, the rest matches;
 - ``track_match``: the same frames shuffled, into the tracker the scene-order
-  run filled: matches only.
+  run filled: matches only;
+- ``io_write``: ``write_container`` of the I * F labeled frames to a file in a
+  temporary directory;
+- ``io_read``: ``load_rows`` of that file, as float64 unit rows.
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
-{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The JSON
-printed on stdout holds the raw points (with the count of distinct sampled
-anchors), the log-log slope of each layer along each axis, and the Python,
-numpy and BLAS versions and ``nproc``. Only the stdlib and numpy are needed::
+{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The container
+layers also get one more run under ``tracemalloc``, whose peak (the most
+memory the call held at once, numpy's buffers included) is reported in MiB.
+The JSON printed on stdout holds the raw points (with the count of distinct
+sampled anchors), the log-log slope of each layer's time and of each traced
+peak along each axis, and the Python, numpy and BLAS versions and ``nproc``.
+Only the stdlib and numpy are needed::
 
     python3 bench/scaling.py                       # the src/ of this checkout
     python3 bench/scaling.py --src OTHER/src       # another tree, same grid
@@ -37,7 +43,9 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +57,8 @@ SEED = 7
 IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
+# Layers whose tracemalloc peak is reported besides their time.
+TRACED = ("io_write", "io_read")
 
 
 def corpus(identities: int, frames: int):
@@ -62,9 +72,9 @@ def corpus(identities: int, frames: int):
     return gallery, videos
 
 
-def inputs(fiva, identities: int, frames: int) -> dict:
+def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     """The gallery, labels, frames, anchors and sampled fakes of one grid point,
-    and how many distinct anchors the frames sampled."""
+    how many distinct anchors the frames sampled, and the frames' file path."""
     matrix, videos = corpus(identities, frames)
     names = [f"id_{i:04d}" for i in range(identities)]
     probes = videos.reshape(-1, DIM)
@@ -82,6 +92,7 @@ def inputs(fiva, identities: int, frames: int) -> dict:
         "sampled_distinct": len(np.unique(picked)),
         "filled": filled,
         "shuffled": probes[np.random.default_rng(SEED).permutation(len(probes))],
+        "file": workdir / "frames.emb",
     }
 
 
@@ -101,22 +112,39 @@ def layers(fiva):
         "temporal": lambda x: fiva.temporal_consistency(x["videos"]),
         "track_mint": lambda x: fiva.TrackerState(anchors=x["anchors"]).track_rows(x["probes"]),
         "track_match": lambda x: x["filled"].track_rows(x["shuffled"]),
+        "io_write": lambda x: fiva.write_container(x["file"], x["probes"], x["labels"]),
+        "io_read": lambda x: fiva.load_rows(x["file"]),
     }
 
 
-def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], int]:
-    """Per layer, the median time at one grid point; and the distinct sampled anchors."""
-    point = inputs(fiva, identities, frames)
-    medians = {}
-    for name, layer in layers(fiva).items():
-        layer(point)  # warm-up, untimed
-        runs = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            layer(point)
-            runs.append(time.perf_counter() - start)
-        medians[name] = statistics.median(runs)
-    return medians, point["sampled_distinct"]
+def traced_peak(layer, point) -> float:
+    """The most memory, in MiB, one run of ``layer`` held at once beyond what it started with."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        layer(point)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], dict[str, float], int]:
+    """Per layer, the median time at one grid point; per traced layer, its peak
+    MiB; and the distinct sampled anchors."""
+    with tempfile.TemporaryDirectory() as workdir:
+        point = inputs(fiva, identities, frames, Path(workdir))
+        medians, peaks = {}, {}
+        for name, layer in layers(fiva).items():
+            layer(point)  # warm-up, untimed
+            runs = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                layer(point)
+                runs.append(time.perf_counter() - start)
+            medians[name] = statistics.median(runs)
+            if name in TRACED:
+                peaks[name] = traced_peak(layer, point)
+    return medians, peaks, point["sampled_distinct"]
 
 
 def slope(sizes, seconds) -> float:
@@ -153,25 +181,29 @@ def main(argv=None) -> int:
         "frames": [(BASE_IDENTITIES, f) for f in frame_axis],
     }
     cache: dict[tuple[int, int], dict[str, float]] = {}
-    points, slopes = [], {}
+    peak_cache: dict[tuple[int, int], dict[str, float]] = {}
+    points, slopes, peak_slopes = [], {}, {}
     for axis, grid in axes.items():
         for shape in grid:
             if shape not in cache:
-                cache[shape], distinct = time_point(fiva, *shape)
+                cache[shape], peak_cache[shape], distinct = time_point(fiva, *shape)
                 points.append({"identities": shape[0], "frames": shape[1], "dim": DIM,
-                               "sampled_distinct": distinct, "median_s": cache[shape]})
+                               "sampled_distinct": distinct, "median_s": cache[shape],
+                               "peak_mib": peak_cache[shape]})
         if len(grid) > 1:
             sizes = [i if axis == "identities" else f for i, f in grid]
-            slopes[axis] = {
-                name: slope(sizes, [cache[shape][name] for shape in grid])
-                for name in cache[grid[0]]
-            }
+            for into, table in ((slopes, cache), (peak_slopes, peak_cache)):
+                into[axis] = {
+                    name: slope(sizes, [table[shape][name] for shape in grid])
+                    for name in table[grid[0]]
+                }
     print(json.dumps({
         "src": str(Path(args.src).resolve()),
         "repeats": REPEATS,
         "seed": SEED,
         "points": points,
         "loglog_slope": slopes,
+        "peak_loglog_slope": peak_slopes,
         "env": environment(),
     }, indent=1))
     return 0

@@ -166,6 +166,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config_number(name: str, value, cast):
+    """A config value of an int or float option, cast: int options take JSON
+    integers, float options finite JSON numbers, and neither takes a boolean."""
+    if cast is int:
+        fits, want = isinstance(value, int), "an integer"
+    else:
+        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        want = "a finite number"
+    if isinstance(value, bool) or not fits:
+        raise ConfigError(f"config key {name!r} must be {want}, got {value!r}")
+    return cast(value)
+
+
 class _Options:
     """Flag > config file > environment > default resolution."""
 
@@ -197,6 +210,8 @@ class _Options:
         value = getattr(self.args, name, None)
         if value is None:
             value = self.config.get(name)
+            if value is not None and cast in (int, float):
+                return _config_number(name, value, cast)
         if value is None and name == "seed":
             env = os.environ.get(SEED_ENV_VAR)
             if env is not None:
@@ -260,10 +275,12 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
     anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize", False))[0])
-    queries, _ = fio.load_rows(args.query, opts.get("normalize", False))
+    queries = fio.load_rows(args.query, opts.get("normalize", False))[0]
     margin = _f32_margin(opts.get("margin", 0.0, float))
     index, cosine = sample_batch(queries, anchors, margin)
-    fio.write_container(args.out, anchors.matrix[index])
+    del queries  # freed before the output buffer is built
+    # Rounding is elementwise: the gather from the float32 table has the float64 gather's bits.
+    fio.write_container(args.out, anchors.matrix.astype("<f4")[index])
     print("query_index,anchor_index,achieved_cosine")
     for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist())):
         print(f"{i},{chosen},{_fmt(achieved)}")
@@ -281,10 +298,11 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
     # The setters range-check and round the overrides as the constructor does.
     state.threshold = opts.get("threshold", state.threshold, float)
     state.margin = opts.get("margin", state.margin, float)
-    frames, _ = fio.load_rows(args.frames, opts.get("normalize", False))
+    frames = fio.load_rows(args.frames, opts.get("normalize", False))[0]
     matched, keys, distances = state.track_rows(frames)
+    del frames  # freed before the output buffers are built
     if args.out is not None:
-        fio.write_container(args.out, state.fake_matrix[keys])
+        fio.write_container(args.out, state.fake_matrix.astype("<f4")[keys])
     if args.state_out is not None:
         save_state(state, args.state_out)
     with _text_out(args.log) as fh:
@@ -295,7 +313,7 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
             cell = "" if math.isnan(distance) else _fmt(distance)
             fh.write(f"{i},{int(hit)},{key},{cell}\n")
     _info(
-        f"tracked {len(frames)} frames: {state.key_pointer} distinct identities"
+        f"tracked {len(keys)} frames: {state.key_pointer} distinct identities"
     )
     return 0
 
@@ -423,28 +441,23 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         seed=opts.seed,
     )
     mode = opts.get("mode", "anchor_sample")
+    # Every option is read before anything is written, so a bad value writes nothing.
+    rounds, t = opts.get("rounds", 2, int), opts.get("t", 0.5, float)
+    margin, blend = opts.get("margin", 0.0, float), opts.get("blend", 0.5, float)
+    retrieval_threshold = opts.get("retrieval_threshold", DEFAULT_MATCH_THRESHOLD, float)
+    tracker_threshold = opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gallery = generate_identities(config)
     anchors = None
     if mode in ("anchor_sample", "slerp_blend"):
-        anchors = build_anchor_set(
-            gallery.matrix,
-            rounds=opts.get("rounds", 2, int),
-            t=opts.get("t", 0.5, float),
-        )
+        anchors = build_anchor_set(gallery.matrix, rounds=rounds, t=t)
         fio.write_container(out_dir / "anchors.emb", anchors.matrix)
-    anonymizer = MockAnonymizer(
-        mode=mode,
-        margin=opts.get("margin", 0.0, float),
-        blend=opts.get("blend", 0.5, float),
-        anchors=anchors,
-    )
     result = end_to_end_benchmark(
         config,
-        anonymizer,
-        retrieval_threshold=opts.get("retrieval_threshold", DEFAULT_MATCH_THRESHOLD, float),
-        tracker_threshold=opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float),
+        MockAnonymizer(mode=mode, margin=margin, blend=blend, anchors=anchors),
+        retrieval_threshold=retrieval_threshold,
+        tracker_threshold=tracker_threshold,
         gallery=gallery,
     )
     fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)

@@ -23,12 +23,13 @@ round(v * 255) with ties to even.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import Embedding, _normalize_rows, _stack, _unit_matrix
+from .sphere import _BLOCK_ELEMENTS, Embedding, _normalize_rows, _stack, _unit_matrix
 
 __all__ = [
     "MAGIC",
@@ -70,6 +71,8 @@ ContainerError = (BadMagic, Truncated, LabelCountMismatch)
 
 
 def _coerce_matrix(matrix: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """``matrix`` as a 2-D array of any dtype: a 1-D one is one row, and an
+    empty one is ``(0, dim)`` when ``dim`` is given."""
     arr = np.asarray(matrix)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -79,7 +82,7 @@ def _coerce_matrix(matrix: np.ndarray, dim: int | None = None) -> np.ndarray:
         )
     if dim is not None and arr.shape[0] == 0:
         arr = arr.reshape(0, dim)
-    return np.ascontiguousarray(arr, dtype="<f4")
+    return arr
 
 
 def _check_labels(labels: Sequence[str] | None, count: int) -> list[str] | None:
@@ -98,16 +101,122 @@ def _check_labels(labels: Sequence[str] | None, count: int) -> list[str] | None:
     return labels
 
 
+def _container(
+    matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
+) -> tuple[np.ndarray, bytes]:
+    """One container's checked 2-D rows and encoded label block."""
+    arr = _coerce_matrix(matrix, dim)
+    labels = _check_labels(labels, len(arr))
+    return arr, "".join(f"{label}\n" for label in labels or ()).encode("utf-8")
+
+
+def _packed(containers: Sequence[tuple[np.ndarray, bytes]], tail: bytes = b"") -> bytearray:
+    """One buffer of the file's exact size: each :func:`_container` in turn, then
+    ``tail``. Rows are converted to float32 straight into the buffer."""
+    size = sum(_HEADER.size + 4 * arr.size + len(block) for arr, block in containers)
+    buf = bytearray(size + len(tail))
+    offset = 0
+    for arr, block in containers:
+        _HEADER.pack_into(buf, offset, MAGIC, *arr.shape)
+        offset += _HEADER.size
+        np.frombuffer(buf, "<f4", arr.size, offset).reshape(arr.shape)[...] = arr
+        offset += 4 * arr.size
+        buf[offset : offset + len(block)] = block
+        offset += len(block)
+    buf[offset:] = tail
+    return buf
+
+
 def pack_container(
     matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
 ) -> bytes:
     """Serialize a (count, dim) matrix and optional labels to bytes."""
-    arr = _coerce_matrix(matrix, dim)
-    count, width = arr.shape
-    labels = _check_labels(labels, count)
-    label_block = "".join(f"{label}\n" for label in labels or ()).encode("utf-8")
-    # The float32 array joins through the buffer protocol: the payload is copied once.
-    return b"".join((_HEADER.pack(MAGIC, count, width), arr, label_block))
+    return bytes(_packed([_container(matrix, labels, dim)]))
+
+
+@contextlib.contextmanager
+def _binary_stream(source: str | Path | BinaryIO) -> Iterator[BinaryIO]:
+    """``source`` as a seekable binary stream at its current position: a path is
+    opened, and a stream that cannot seek or ``readinto`` (a pipe, say) is read
+    whole first."""
+    if not hasattr(source, "read"):
+        with open(source, "rb") as opened, _binary_stream(opened) as stream:
+            yield stream
+    elif hasattr(source, "readinto") and getattr(source, "seekable", bool)():
+        yield source
+    else:
+        yield io.BytesIO(source.read())
+
+
+def _remaining(stream: BinaryIO) -> int:
+    here = stream.tell()
+    end = stream.seek(0, os.SEEK_END)
+    stream.seek(here)
+    return end - here
+
+
+def _readinto(stream: BinaryIO, buffer) -> int:
+    """Fill ``buffer`` from ``stream`` through short reads; the bytes filled,
+    fewer only at end of stream."""
+    view = memoryview(buffer).cast("B")
+    filled = 0
+    while filled < len(view):
+        got = stream.readinto(view[filled:])
+        if not got:
+            break
+        filled += got
+    return filled
+
+
+def _fill(stream: BinaryIO, matrix: np.ndarray) -> None:
+    """Fill ``matrix`` from the stream's float32 rows through one chunk of at
+    most ``_BLOCK_ELEMENTS`` bytes (or one row), converted into each row block."""
+    count, dim = matrix.shape
+    step = max(1, _BLOCK_ELEMENTS // (4 * dim))
+    chunk = np.empty((min(step, count), dim), "<f4")
+    for start in range(0, count, step):
+        rows = matrix[start : start + step]
+        if _readinto(stream, chunk[: len(rows)]) < 4 * rows.size:
+            raise Truncated(f"payload ends before row {start + len(rows)} of {count}")
+        rows[...] = chunk[: len(rows)]
+
+
+def _read_rows(
+    stream: BinaryIO, dtype, allow_labels: bool
+) -> tuple[np.ndarray, list[str] | None]:
+    """Read one container from ``stream``'s position as a ``dtype`` matrix.
+
+    The declared payload is checked against the bytes left before anything
+    is allocated, so a read holds the result and at most one chunk. With
+    ``allow_labels`` the label block runs to the end of the stream; otherwise
+    the stream is left one past the payload.
+    """
+    remaining = _remaining(stream)
+    head = bytearray(_HEADER.size)
+    got = _readinto(stream, head)
+    if got < len(MAGIC):
+        raise Truncated(
+            f"file ends after {remaining} bytes, before the {len(MAGIC)}-byte magic"
+        )
+    if head[: len(MAGIC)] != MAGIC:
+        raise BadMagic(f"bad magic {bytes(head[: len(MAGIC)])!r}, expected {MAGIC!r}")
+    if got < _HEADER.size:
+        raise Truncated(f"header needs {_HEADER.size} bytes, found {remaining}")
+    _, count, dim = _HEADER.unpack(head)
+    payload_bytes = count * dim * 4
+    remaining -= _HEADER.size
+    if remaining < payload_bytes:
+        raise Truncated(
+            f"payload needs {payload_bytes} bytes for {count}x{dim} values, "
+            f"found {remaining}"
+        )
+    matrix = np.empty((count, dim), dtype)
+    if matrix.size:
+        _fill(stream, matrix)
+    labels = None
+    if allow_labels and remaining > payload_bytes:
+        labels = _parse_label_block(stream.read(), count)
+    return matrix, labels
 
 
 def parse_container(
@@ -120,38 +229,10 @@ def parse_container(
     block is assumed to run to the end of the buffer; embedded containers
     must pass ``allow_labels=False``.
     """
-    remaining = len(buf) - offset
-    if remaining < len(MAGIC):
-        raise Truncated(
-            f"file ends after {remaining} bytes, before the {len(MAGIC)}-byte magic"
-        )
-    if buf[offset : offset + len(MAGIC)] != MAGIC:
-        raise BadMagic(
-            f"bad magic {buf[offset:offset + len(MAGIC)]!r}, expected {MAGIC!r}"
-        )
-    if remaining < _HEADER.size:
-        raise Truncated(
-            f"header needs {_HEADER.size} bytes, found {remaining}"
-        )
-    _, count, dim = _HEADER.unpack_from(buf, offset)
-    payload_bytes = count * dim * 4
-    body = offset + _HEADER.size
-    if len(buf) - body < payload_bytes:
-        raise Truncated(
-            f"payload needs {payload_bytes} bytes for {count}x{dim} values, "
-            f"found {len(buf) - body}"
-        )
-    matrix = (
-        np.frombuffer(buf, dtype="<f4", count=count * dim, offset=body)
-        .reshape(count, dim)
-        .copy()
-    )
-    end = body + payload_bytes
-    labels: list[str] | None = None
-    if allow_labels and end < len(buf):
-        labels = _parse_label_block(buf[end:], count)
-        end = len(buf)
-    return matrix, labels, end
+    stream = io.BytesIO(buf)
+    stream.seek(offset)
+    matrix, labels = _read_rows(stream, "<f4", allow_labels)
+    return matrix, labels, stream.tell()
 
 
 def _parse_label_block(block: bytes, count: int) -> list[str]:
@@ -162,12 +243,6 @@ def _parse_label_block(block: bytes, count: int) -> list[str]:
     if not text.endswith("\n"):
         raise LabelCountMismatch("label block must end with a newline")
     return _check_labels(text.split("\n")[:-1], count)
-
-
-def _read_bytes(source: str | Path | BinaryIO) -> bytes:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_bytes()
 
 
 def _write_bytes(destination: str | Path | BinaryIO, blob: bytes) -> None:
@@ -245,6 +320,24 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     return matrix, (_check_labels(labels, len(rows)) if labeled else None)
 
 
+def _read(source: str | Path | BinaryIO, dtype) -> tuple[np.ndarray, list[str] | None]:
+    """:func:`read_container` with a binary payload read as ``dtype``."""
+    with _binary_stream(source) as stream:
+        here = stream.tell()
+        head = bytearray(len(MAGIC))
+        del head[_readinto(stream, head) :]
+        stream.seek(here)
+        if _looks_like_csv(source, head):
+            matrix, labels = _parse_csv(stream.read())
+        else:
+            matrix, labels = _read_rows(stream, dtype, allow_labels=True)
+    # min and max are NaN or infinite exactly when some value is, without a mask.
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        raise NonFinite(f"row {bad[0]} contains a NaN or infinite value")
+    return matrix, labels
+
+
 def read_container(
     source: str | Path | BinaryIO,
 ) -> tuple[np.ndarray, list[str] | None]:
@@ -255,17 +348,7 @@ def read_container(
     Raises:
         NonFinite: if any value is NaN or infinite.
     """
-    data = _read_bytes(source)
-    if _looks_like_csv(source, data):
-        matrix, labels = _parse_csv(data)
-    else:
-        matrix, labels, end = parse_container(data, 0, allow_labels=True)
-        if end != len(data):
-            raise Truncated(f"{len(data) - end} undecodable bytes after payload")
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise NonFinite(f"row {bad[0]} contains a NaN or infinite value")
-    return matrix, labels
+    return _read(source, "<f4")
 
 
 def write_container(
@@ -277,11 +360,12 @@ def write_container(
 
     A ``.csv`` destination gets interop CSV (single-precision values
     rendered exactly, labels quoted where CSV needs it); anything else gets
-    the binary container. Labels must be non-empty and newline-free.
+    the binary container, built in one buffer of the file's size. Labels
+    must be non-empty and newline-free.
     """
     name = getattr(destination, "name", destination)
     if str(name).lower().endswith(".csv"):
-        arr = _coerce_matrix(matrix)
+        arr = np.asarray(_coerce_matrix(matrix), dtype="<f4")
         labels = _check_labels(labels, len(arr))
         text = io.StringIO()
         writer = csv.writer(text, lineterminator="\n")
@@ -290,7 +374,7 @@ def write_container(
             writer.writerow(cells if labels is None else [labels[i], *cells])
         blob = text.getvalue().encode("utf-8")
     else:
-        blob = pack_container(matrix, labels)
+        blob = _packed([_container(matrix, labels)])
     _write_bytes(destination, blob)
 
 
@@ -299,10 +383,11 @@ def load_rows(
 ) -> tuple[np.ndarray, list[str] | None]:
     """Read an embedding file as a float64 (count, dim) array of unit rows.
 
-    The unit-norm check runs once over the whole matrix and names the first
-    failing row. Returns the rows and the labels (or ``None``).
+    A binary payload is read straight into the float64 result. The unit-norm
+    check runs once over the whole matrix and names the first failing row.
+    Returns the rows and the labels (or ``None``).
     """
-    matrix, labels = read_container(source)
+    matrix, labels = _read(source, np.float64)
     return (_normalize_rows(matrix) if renormalize else _unit_matrix(matrix, "row")), labels
 
 
@@ -356,7 +441,8 @@ def read_image_ppm(source: str | Path | BinaryIO) -> np.ndarray:
     P6 yields C = 3, P5 yields C = 1. Only maxval 255 is supported; plain
     (ASCII) variants and other maxvals raise :class:`UnsupportedFormat`.
     """
-    data = _read_bytes(source)
+    with _binary_stream(source) as stream:
+        data = stream.read()
     if len(data) < 2:
         raise Truncated("file too short for a netpbm magic")
     magic = data[:2]

@@ -302,15 +302,15 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
 
     Layout: the stored identities as one label-free embedding container,
     the fake identities (in key order) as a second one, then threshold
-    (f32), margin (f32), and key pointer (u32), all little-endian.
+    (f32), margin (f32), and key pointer (u32), all little-endian. The file
+    is built in one buffer of its size.
     """
     count = state.key_pointer
     dim = state.dim or 0
-    blob = b"".join((
-        fio.pack_container(state._stored[:count], dim=dim),
-        fio.pack_container(state._fakes[:count], dim=dim),
+    blob = fio._packed(
+        [fio._container(rows[:count], dim=dim) for rows in (state._stored, state._fakes)],
         _TRAILER.pack(state.threshold, state.margin, count),
-    ))
+    )
     try:
         fio._write_bytes(destination, blob)
     except OSError as exc:
@@ -330,19 +330,19 @@ def load_state(
     :class:`DimensionMismatch`.
     """
     try:
-        data = fio._read_bytes(source)
+        with fio._binary_stream(source) as stream:
+            stored, _ = fio._read_rows(stream, np.float64, allow_labels=False)
+            fakes, _ = fio._read_rows(stream, np.float64, allow_labels=False)
+            left, trailer = fio._remaining(stream), bytearray(_TRAILER.size)
+            if left != _TRAILER.size or fio._readinto(stream, trailer) != left:
+                raise CorruptState(
+                    f"expected a {_TRAILER.size}-byte trailer, found {left} bytes"
+                )
     except OSError as exc:
         raise IoFailure(f"cannot read tracker state: {exc}") from exc
-    try:
-        stored, _, offset = fio.parse_container(data, 0, allow_labels=False)
-        fakes, _, offset = fio.parse_container(data, offset, allow_labels=False)
     except fio.ContainerError as exc:
         raise CorruptState(f"malformed embedding block: {exc}") from exc
-    if len(data) - offset != _TRAILER.size:
-        raise CorruptState(
-            f"expected a {_TRAILER.size}-byte trailer, found {len(data) - offset} bytes"
-        )
-    threshold, margin, key_pointer = _TRAILER.unpack_from(data, offset)
+    threshold, margin, key_pointer = _TRAILER.unpack(trailer)
     if stored.shape != fakes.shape:
         raise CorruptState(
             f"stored block shape {stored.shape} != fake block shape {fakes.shape}"

@@ -708,6 +708,47 @@ class TestOptionResolution:
             if value not in (True, False):
                 assert "'normalize' must be true or false" in err
 
+    def test_config_int_options_take_json_integers(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        base = {"dim": 16, "frames": 2, "mode": "negation"}
+        for value, want in [(5, 0), (7.9, 2), (5.0, 2), (True, 2), ("5", 2)]:
+            out_dir = tmp_path / f"bench_{value!r}"
+            config.write_text(json.dumps({**base, "identities": value}))
+            code, _, err = run(capsys, "--config", str(config), "bench", "--out-dir", str(out_dir))
+            assert code == want, value
+            if want:
+                assert "'identities' must be an integer" in err
+                assert not out_dir.exists()  # nothing written, not even the directory
+            else:
+                assert len(load_embeddings(out_dir / "gallery.emb")) == 5
+
+    def test_config_float_options_take_finite_json_numbers(self, capsys, gallery_file, tmp_path):
+        path, _, _ = gallery_file
+        config = tmp_path / "config.json"
+        report = tmp_path / "report.csv"
+        for text, want in [
+            ('{"threshold": 0.5}', "0.5"),
+            ('{"threshold": 1}', "1.0"),  # a JSON integer is a number too
+            ('{"threshold": true}', None),
+            ('{"threshold": "0.5"}', None),
+            ('{"threshold": NaN}', None),
+            ('{"threshold": Infinity}', None),
+            ('{"threshold": 1e400}', None),
+        ]:
+            config.write_text(text)
+            code, _, err = run(
+                capsys, "--config", str(config),
+                "eval-retrieval", "--probes", str(path), "--gallery", str(path),
+                "--report", str(report),
+            )
+            if want is None:
+                assert code == 2, text
+                assert "'threshold' must be a finite number" in err
+                assert not report.exists()
+            else:
+                assert code == 0 and err.rstrip().endswith(f"at threshold {want}")
+                report.unlink()
+
     def test_malformed_config_is_data_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
