@@ -18,13 +18,17 @@ I identities with F jittered frames each:
   run filled: matches only;
 - ``io_write``: ``write_container`` of the I * F labeled frames to a file in a
   temporary directory;
-- ``io_read``: ``load_rows`` of that file, as float64 unit rows.
+- ``io_read``: ``load_rows`` of that file, as float64 unit rows;
+- ``bench``: ``end_to_end_benchmark`` of the I identities with F frames each,
+  anchor sampling at m = 0 from the anchors above, given the gallery: the
+  frames, both fake corpora and their retrieval and temporal scores.
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
 {250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The container
-layers also get one more run under ``tracemalloc``, whose peak (the most
-memory the call held at once, numpy's buffers included) is reported in MiB.
+layers and ``bench`` also get one more run under ``tracemalloc``, whose peak
+(the most memory the call held at once, numpy's buffers included) is reported
+in MiB.
 The JSON printed on stdout holds the raw points (with the count of distinct
 sampled anchors), the log-log slope of each layer's time and of each traced
 peak along each axis, and the Python, numpy and BLAS versions and ``nproc``.
@@ -58,7 +62,7 @@ IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
 # Layers whose tracemalloc peak is reported besides their time.
-TRACED = ("io_write", "io_read")
+TRACED = ("io_write", "io_read", "bench")
 
 
 def corpus(identities: int, frames: int):
@@ -84,6 +88,7 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     filled.track_rows(probes)
     return {
         "gallery": fiva.Gallery(matrix, names),
+        "config": fiva.SynthConfig(DIM, identities, frames, JITTER, SEED),
         "labels": [name for name in names for _ in range(frames)],
         "probes": probes,
         "videos": videos,
@@ -114,6 +119,10 @@ def layers(fiva):
         "track_match": lambda x: x["filled"].track_rows(x["shuffled"]),
         "io_write": lambda x: fiva.write_container(x["file"], x["probes"], x["labels"]),
         "io_read": lambda x: fiva.load_rows(x["file"]),
+        "bench": lambda x: fiva.end_to_end_benchmark(
+            x["config"], fiva.MockAnonymizer("anchor_sample", anchors=x["anchors"]),
+            gallery=x["gallery"],
+        ),
     }
 
 

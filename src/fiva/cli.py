@@ -38,7 +38,7 @@ from .detector import DEFAULT_DETECT_THRESHOLD, score_rows
 from .errors import ConfigError, FivaError
 from .metrics import retrieval_report, temporal_consistency
 from .sampling import sample_batch
-from .sphere import AnchorSet, build_anchor_set
+from .sphere import AnchorSet, _Take, build_anchor_set
 from .synth import (
     MockAnonymizer,
     SynthConfig,
@@ -279,8 +279,7 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
     margin = _f32_margin(opts.get("margin", 0.0, float))
     index, cosine = sample_batch(queries, anchors, margin)
     del queries  # freed before the output buffer is built
-    # Rounding is elementwise: the gather from the float32 table has the float64 gather's bits.
-    fio.write_container(args.out, anchors.matrix.astype("<f4")[index])
+    fio.write_container(args.out, _Take(anchors.matrix, index))
     print("query_index,anchor_index,achieved_cosine")
     for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist())):
         print(f"{i},{chosen},{_fmt(achieved)}")
@@ -302,7 +301,7 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
     matched, keys, distances = state.track_rows(frames)
     del frames  # freed before the output buffers are built
     if args.out is not None:
-        fio.write_container(args.out, state.fake_matrix.astype("<f4")[keys])
+        fio.write_container(args.out, _Take(state.fake_matrix, keys))
     if args.state_out is not None:
         save_state(state, args.state_out)
     with _text_out(args.log) as fh:
@@ -463,12 +462,11 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
     per_video = config.frames_per_identity
     frame_labels = [label for label in gallery.labels for _ in range(per_video)]
-    for name, videos in (
-        ("frames", result.frames),
-        ("fakes_tracked", result.tracked_fakes),
-        ("fakes_per_frame", result.per_frame_fakes),
+    for name, rows in (
+        ("frames", result.frames.reshape(-1, config.dimension)),
+        ("fakes_tracked", result._tracked_rows),
+        ("fakes_per_frame", result._per_frame_rows),
     ):
-        rows = videos.reshape(-1, config.dimension)
         fio.write_container(out_dir / f"{name}.emb", rows, frame_labels)
     with _text_out(str(out_dir / "report.csv")) as fh:
         fh.write("variant,id_rate,neg_id_rate,mtc_mean,mtc_std\n")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import os
 import struct
 from pathlib import Path
@@ -43,7 +44,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import _BLOCK_ELEMENTS, Embedding, _normalize_rows, _stack, _unit_matrix
+from .sphere import _BLOCK_ELEMENTS, Embedding, _normalize_rows, _stack, _Take, _unit_matrix
 
 __all__ = [
     "MAGIC",
@@ -70,9 +71,11 @@ _HEADER = struct.Struct("<8sII")
 ContainerError = (BadMagic, Truncated, LabelCountMismatch)
 
 
-def _coerce_matrix(matrix: np.ndarray, dim: int | None = None) -> np.ndarray:
+def _coerce_matrix(matrix: np.ndarray, dim: int | None = None) -> np.ndarray | _Take:
     """``matrix`` as a 2-D array of any dtype: a 1-D one is one row, and an
-    empty one is ``(0, dim)`` when ``dim`` is given."""
+    empty one is ``(0, dim)`` when ``dim`` is given. Gathered rows pass as they are."""
+    if isinstance(matrix, _Take):
+        return matrix
     arr = np.asarray(matrix)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -110,17 +113,27 @@ def _container(
     return arr, "".join(f"{label}\n" for label in labels or ()).encode("utf-8")
 
 
+def _row_blocks(rows: np.ndarray | _Take) -> Iterator[slice]:
+    """The slices of 2-D rows, gathered rows included, into blocks of at most
+    ``_BLOCK_ELEMENTS`` cells (or one row)."""
+    count, dim = rows.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, dim))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def _packed(containers: Sequence[tuple[np.ndarray, bytes]], tail: bytes = b"") -> bytearray:
     """One buffer of the file's exact size: each :func:`_container` in turn, then
-    ``tail``. Rows are converted to float32 straight into the buffer."""
-    size = sum(_HEADER.size + 4 * arr.size + len(block) for arr, block in containers)
+    ``tail``. Rows are converted to float32 straight into the buffer, a block at a time."""
+    size = sum(_HEADER.size + 4 * math.prod(arr.shape) + len(block) for arr, block in containers)
     buf = bytearray(size + len(tail))
     offset = 0
     for arr, block in containers:
         _HEADER.pack_into(buf, offset, MAGIC, *arr.shape)
         offset += _HEADER.size
-        np.frombuffer(buf, "<f4", arr.size, offset).reshape(arr.shape)[...] = arr
-        offset += 4 * arr.size
+        payload = np.frombuffer(buf, "<f4", math.prod(arr.shape), offset).reshape(arr.shape)
+        for part in _row_blocks(arr):
+            payload[part] = arr[part]
+        offset += payload.nbytes
         buf[offset : offset + len(block)] = block
         offset += len(block)
     buf[offset:] = tail
@@ -365,13 +378,14 @@ def write_container(
     """
     name = getattr(destination, "name", destination)
     if str(name).lower().endswith(".csv"):
-        arr = np.asarray(_coerce_matrix(matrix), dtype="<f4")
+        arr = _coerce_matrix(matrix)
         labels = _check_labels(labels, len(arr))
         text = io.StringIO()
         writer = csv.writer(text, lineterminator="\n")
-        for i, row in enumerate(arr):
-            cells = [repr(float(v)) for v in row]
-            writer.writerow(cells if labels is None else [labels[i], *cells])
+        for part in _row_blocks(arr):
+            for i, row in enumerate(np.asarray(arr[part], dtype="<f4"), part.start):
+                cells = [repr(float(v)) for v in row]
+                writer.writerow(cells if labels is None else [labels[i], *cells])
         blob = text.getvalue().encode("utf-8")
     else:
         blob = _packed([_container(matrix, labels)])

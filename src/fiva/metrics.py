@@ -23,6 +23,7 @@ from .sphere import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROWS,
     Embedding,
+    _Take,
     _nearest,
     _rows_of,
     _stack,
@@ -195,23 +196,25 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
 def temporal_consistency(
     videos: Sequence[Sequence[Embedding] | np.ndarray] | np.ndarray,
 ) -> TemporalReport:
-    """Consistency statistics for a list of videos (frame lists or (F, D) arrays)
-    or for an (I, F, D) array of I videos.
+    """Consistency statistics for a list of videos (frame lists or (F, D) arrays),
+    for an (I, F, D) array of I videos, or for gathered rows with an (I, F) index.
 
     Videos of one shape are scored together, a block of them per batched
     Gram product (see :func:`pairwise_distance_matrix`); an (I, F, D) array
-    is used in place.
+    is used in place, and gathered rows are read a block of videos at a time.
     """
-    stacked = isinstance(videos, np.ndarray) and videos.ndim == 3
+    gathered = isinstance(videos, _Take)
+    stacked = gathered or (isinstance(videos, np.ndarray) and videos.ndim == 3)
     videos = videos if stacked else list(videos)
     if not len(videos):
         raise EmptyList("need at least one video")
     # Per (F, D) shape: the indices of its videos and their rows.
     groups: dict[tuple[int, ...], tuple[list[int], Sequence[np.ndarray]]] = {}
-    if stacked:  # checked as one matrix of I * F frames, then used in place
+    if stacked:  # checked as one table of rows, then read a block of videos at a time
         count, frames, dim = videos.shape
-        flat = _video_rows(videos.reshape(count * frames, dim))
-        groups[(frames, dim)] = list(range(count)), flat.reshape(videos.shape)
+        table = _video_rows(videos.table if gathered else videos.reshape(count * frames, dim))
+        videos = _Take(table, videos.index) if gathered else table.reshape(videos.shape)
+        groups[(frames, dim)] = list(range(count)), videos
     else:
         for i, video in enumerate(map(_video_rows, videos)):
             members, rows = groups.setdefault(video.shape, ([], []))
@@ -245,6 +248,8 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(words[:, 1::-1].T)
     lead = words[:, :2][order]
     tied = (lead[1:] == lead[:-1]).all(axis=1)
+    if not tied.any():  # no two rows share their leading words: all distinct
+        return np.arange(count), np.arange(count)
     same = np.zeros_like(tied)  # sorted rows k and k + 1 are equal
     pairs = np.flatnonzero(tied)
     for k in np.array_split(pairs, -(-len(pairs) * dim // _BLOCK_ELEMENTS) or 1):
@@ -267,19 +272,24 @@ def _search(
     queries, gallery: Gallery, negate: Sequence[bool]
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per flag of ``negate``, the nearest entry index and cosine distance of
-    each row of a (N, D) array-like, all from one product with the gallery. Each
-    distinct row is searched once, in blocks gathered one at a time; copies get its bits."""
+    each row of a (N, D) array-like or of gathered rows, all from one product
+    with the gallery. Each distinct row is searched once, in blocks gathered one
+    at a time; copies get its bits. Gathered rows search the table rows they use."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
+    spread = slice(None)
+    if isinstance(queries, _Take):
+        used, spread = np.unique(queries.index, return_inverse=True)
+        queries = queries.table if len(used) == len(queries.table) else queries.table[used]
     rows = _unit_matrix(queries, "probe", gallery.dim)
     first, inverse = _distinct_rows(rows)
     if len(first) == len(rows):  # all distinct: searched in place
-        return tuple((i, 1.0 - c) for i, c in _nearest(rows, gallery.matrix, -1.0, tuple(negate)))
-    parts = [
-        _nearest(rows[block], gallery.matrix, -1.0, tuple(negate))
-        for block in np.array_split(first, -(-len(first) // _BLOCK_ROWS))
-    ]
+        blocks = [slice(None)]
+    else:
+        blocks = np.array_split(first, -(-len(first) // _BLOCK_ROWS))
+    parts = [_nearest(rows[block], gallery.matrix, -1.0, tuple(negate)) for block in blocks]
     picks = (map(np.concatenate, zip(*flag)) for flag in zip(*parts))  # per flag, blocks joined
+    inverse = inverse[spread]
     return tuple((index[inverse], 1.0 - cosine[inverse]) for index, cosine in picks)
 
 

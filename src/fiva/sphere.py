@@ -191,9 +191,29 @@ def _tie(dim: int) -> float:
     return dim * np.finfo(np.float64).eps
 
 
-def _block_products(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``clip(block @ matrix.T, -1, 1)``; numpy runs a lone row as the GEMV ``matrix @ q``."""
-    sims = block @ matrix.T
+@dataclass(frozen=True, eq=False)
+class _Take:
+    """The rows ``table[index]``, gathered only a slice of ``index`` at a time:
+    a corpus that repeats a few rows many times, held as the rows and an index."""
+
+    table: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.index.shape + self.table.shape[1:]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.table[self.index[part]]
+
+
+def _block_products(block: np.ndarray, matrix: np.ndarray, out=None) -> np.ndarray:
+    """``clip(block @ matrix.T, -1, 1)``, into ``out`` if given; numpy runs a lone
+    row as the GEMV ``matrix @ q``."""
+    sims = np.matmul(block, matrix.T, out=out)
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
@@ -220,8 +240,9 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
     ``(index, cosine)`` pair per flag, all picked from the same products.
     Negation is exact, so each pair has the bits of a one-flag call.
 
-    Picks run in row slices of ``_BLOCK_ELEMENTS`` cells, in two buffers reused
-    for all: the tie mask and ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``).
+    Products go to one buffer reused by every block. Picks run in row slices of
+    ``_BLOCK_ELEMENTS`` cells, in two buffers reused for all: the tie mask and
+    ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``).
     """
     flags = negate if isinstance(negate, tuple) else (negate,)
     count, dim = queries.shape
@@ -231,10 +252,11 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
     blocks = -(-count // _BLOCK_ROWS)
     bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     step = max(1, _BLOCK_ELEMENTS // max(1, len(matrix)))
+    products = np.empty((min(count, _BLOCK_ROWS), len(matrix)))
     objective = np.empty((min(step, _BLOCK_ROWS), len(matrix)))
     tied = np.empty(objective.shape, dtype=bool)
     for start, stop in zip(bounds, bounds[1:]):
-        sims = _block_products(queries[start:stop], matrix)
+        sims = _block_products(queries[start:stop], matrix, products[: stop - start])
         for lo in range(0, stop - start, step):
             part = sims[lo : lo + step]
             obj, mask = objective[: len(part)], tied[: len(part)]

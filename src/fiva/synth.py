@@ -24,6 +24,7 @@ from .sampling import sample_batch
 from .sphere import (
     AnchorSet,
     Embedding,
+    _Take,
     _antipodal,
     _normalize_rows,
     _require_unit,
@@ -140,18 +141,21 @@ def mock_anonymize(z_id: Embedding, anonymizer: MockAnonymizer) -> Embedding:
     return Embedding(_anonymize_rows(z_id.values[None, :], anonymizer)[0])
 
 
-def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> np.ndarray:
-    """:func:`mock_anonymize` for each unit row of an (N, D) array, sampled in one batch."""
+def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> _Take:
+    """:func:`mock_anonymize` for each unit row of an (N, D) array, sampled in one
+    batch, as gathered rows: the anchors and each row's pick for ``anchor_sample``,
+    the new rows in order for the other modes."""
     if anonymizer.mode == "negation":
-        return np.negative(_unit_matrix(rows, "frame"))
+        return _Take(np.negative(_unit_matrix(rows, "frame")), np.arange(len(rows)))
     anchors = anonymizer.anchors
-    targets = anchors.matrix[sample_batch(rows, anchors, anonymizer.margin)[0]]
+    picks = sample_batch(rows, anchors, anonymizer.margin)[0]
     if anonymizer.mode == "anchor_sample":
-        return targets
+        return _Take(anchors.matrix, picks)
+    targets = anchors.matrix[picks]
     keep, blended = _slerp_rows(rows, targets, anonymizer.blend)
     if not keep.all():
         raise _antipodal(rows[~keep][0], targets[~keep][0])
-    return blended
+    return _Take(blended, np.arange(len(rows)))
 
 
 @dataclass(frozen=True)
@@ -169,15 +173,26 @@ class BenchmarkResult:
 
     The headline retrieval numbers are the tracked variant's; the
     per-frame variant shows what tracking buys, mostly in temporal std.
-    The frames and both fake sets are float64 (identities, frames, D) arrays.
+    ``frames`` is a float64 (identities, frames, D) array. Each fake set is
+    held as a table of rows and an index, one row per frame in file order;
+    ``tracked_fakes`` and ``per_frame_fakes`` gather it as an array of the
+    frames' shape when read.
     """
 
     tracked: BenchmarkVariant
     per_frame: BenchmarkVariant
     gallery: Gallery
     frames: np.ndarray
-    tracked_fakes: np.ndarray
-    per_frame_fakes: np.ndarray
+    _tracked_rows: _Take
+    _per_frame_rows: _Take
+
+    @property
+    def tracked_fakes(self) -> np.ndarray:
+        return self._tracked_rows[:].reshape(self.frames.shape)
+
+    @property
+    def per_frame_fakes(self) -> np.ndarray:
+        return self._per_frame_rows[:].reshape(self.frames.shape)
 
 
 def end_to_end_benchmark(
@@ -204,27 +219,31 @@ def end_to_end_benchmark(
             f"{config.identity_count} identities of dimension {config.dimension}"
         )
     per_video = config.frames_per_identity
-    frames = np.concatenate([
-        _frame_rows(center, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, index))
-        for index, center in enumerate(gallery.matrix)
-    ])
-    tracker = TrackerState(
-        tracker_threshold, sampler=lambda rows: _anonymize_rows(rows, anonymizer)
-    )
-    _, keys, _ = tracker.track_rows(frames)
-    tracked = tracker.fake_matrix[keys]
-    per_frame = _anonymize_rows(frames, anonymizer)
-    labels = [label for label in gallery.labels for _ in range(per_video)]
     shape = (config.identity_count, per_video, config.dimension)
+    frames = np.empty(shape)
+    for index, center in enumerate(gallery.matrix):
+        seed = spawn_seed(config.seed, 1, index)
+        frames[index] = _frame_rows(center, per_video, config.jitter_sigma, seed)
+    rows = frames.reshape(-1, config.dimension)
+    tracker = TrackerState(
+        tracker_threshold, sampler=lambda new: _anonymize_rows(new, anonymizer)[:]
+    )
+    _, keys, _ = tracker.track_rows(rows)
+    tracked = _Take(tracker.fake_matrix.copy(), keys)
+    del tracker  # its (2, capacity, D) buffer is freed before scoring
+    per_frame = _anonymize_rows(rows, anonymizer)
+    labels = [label for label in gallery.labels for _ in range(per_video)]
     per_frame_reports = retrieval_reports(per_frame, labels, gallery, retrieval_threshold)
     tracked_reports = retrieval_reports(tracked, labels, gallery, retrieval_threshold)
+
+    def temporal(fakes: _Take) -> TemporalReport:
+        return temporal_consistency(_Take(fakes.table, fakes.index.reshape(shape[:2])))
+
     return BenchmarkResult(
-        tracked=BenchmarkVariant(*tracked_reports, temporal_consistency(tracked.reshape(shape))),
-        per_frame=BenchmarkVariant(
-            *per_frame_reports, temporal_consistency(per_frame.reshape(shape))
-        ),
+        tracked=BenchmarkVariant(*tracked_reports, temporal(tracked)),
+        per_frame=BenchmarkVariant(*per_frame_reports, temporal(per_frame)),
         gallery=gallery,
-        frames=frames.reshape(shape),
-        tracked_fakes=tracked.reshape(shape),
-        per_frame_fakes=per_frame.reshape(shape),
+        frames=frames,
+        _tracked_rows=tracked,
+        _per_frame_rows=per_frame,
     )

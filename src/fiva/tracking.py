@@ -69,11 +69,6 @@ _TRAILER = struct.Struct("<ffI")
 _LOAD_NORM_TOL = 1e-5
 
 
-def _f32_exact(values: np.ndarray) -> np.ndarray:
-    """Round float64 values to the nearest single-precision numbers."""
-    return np.asarray(values, dtype=np.float32).astype(np.float64)
-
-
 def _f32_margin(value: float) -> float:
     """A margin range-checked and rounded to single precision, as a tracker holds it."""
     if not -1.0 <= value <= 1.0:
@@ -203,7 +198,7 @@ class TrackerState:
         fakes = _unit_matrix(sampler(rows), "fake identity", rows.shape[1])
         if len(fakes) != len(rows):
             raise ShapeMismatch(f"sampler made {len(fakes)} fakes for {len(rows)} new identities")
-        self._fakes[start:stop] = _f32_exact(fakes)
+        self._fakes[start:stop] = fakes.astype(np.float32)  # widened exactly in place
 
     def _score(self, frames: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarray]:
         """Each frame's key and best distance among ``used`` stored rows (``inf`` if none)."""
@@ -237,7 +232,7 @@ class TrackerState:
             if best[r] < self.threshold:
                 continue
             self._reserve(used, dim)
-            self._stored[used] = _f32_exact(block[r])
+            self._stored[used] = block[r].astype(np.float32)
             key[r], minted[r] = used, True
             if pos < rows:
                 # The new identity's distances to the later frames, one GEMV. As

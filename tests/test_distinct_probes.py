@@ -82,6 +82,19 @@ class TestDistinctRows:
         assert np.array_equal(first, np.arange(300))
         assert np.array_equal(inverse, np.arange(300))
 
+    def test_all_distinct_leading_words_give_the_identity(self, rng):
+        rows = unit_rows(rng, 200, 16)
+        with mock.patch.object(np, "isin", side_effect=AssertionError("not all distinct")):
+            first, inverse = _distinct_rows(rows)
+        assert np.array_equal(first, np.arange(200)) and np.array_equal(inverse, np.arange(200))
+        # Copies, and rows equal only in their leading words, still fold exactly.
+        copies = np.concatenate([rows[:5], rows[:5], rows[:3]])
+        copies[2, 5] += 1.0
+        first, inverse = _distinct_rows(copies)
+        keys, want = byte_fold(copies)
+        assert [row.tobytes() for row in copies[first]] == keys
+        assert np.array_equal(inverse, want)
+
     def test_many_copies_over_chunks(self, rng):
         base = unit_rows(rng, 50, 64)
         picks = rng.integers(0, 50, size=5000)

@@ -1,4 +1,5 @@
-"""Container I/O holds each file once: traced peaks of writes and reads.
+"""Container I/O holds each file once, and ``fiva bench`` holds its frames
+once and each fake corpus as a table and an index: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiva import TrackerState, load_rows, save_state, write_container
+from fiva import TrackerState, cli, load_rows, save_state, write_container
 
 MiB = 1 << 20
 ROWS, DIM = 4096, 256
@@ -56,3 +57,18 @@ def test_save_state_holds_one_file_sized_buffer(labeled_rows, tmp_path):
     path = tmp_path / "tracker.state"
     _, peak = traced_peak(lambda: save_state(state, path))
     assert peak <= path.stat().st_size + MiB
+
+
+def test_bench_holds_the_frames_and_one_float32_corpus(tmp_path):
+    # Anchor sampling at 400 x 10, D = 256: the frames are 7.8 MiB, a float32
+    # corpus 3.9 MiB. A float64 (I, F, D) fake corpus held (+7.8 MiB) or a
+    # float32 gather beside a write's file buffer (+3.9 MiB) breaks the bound;
+    # the slack covers the gallery, the anchors, the fake table and the blocks
+    # of rows scoring and writing gather.
+    identities, frames, dim = 400, 10, 256
+    argv = ["bench", "--identities", str(identities), "--frames", str(frames),
+            "--dim", str(dim), "--out-dir", str(tmp_path)]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    cells = identities * frames * dim
+    assert peak <= cells * 8 + cells * 4 + 8 * MiB

@@ -210,8 +210,8 @@ def test_rescoring_overrides_blocked_bits_across_the_threshold(rng):
     assert 1.0 - cos < tracker.threshold <= 1.0 - (cos - 4 * EPS)
     real = sphere._block_products
 
-    def off_by_ulps(block, matrix):
-        sims = real(block, matrix)
+    def off_by_ulps(block, matrix, out=None):
+        sims = real(block, matrix, out)
         return sims - 4 * EPS if len(block) > 1 else sims
 
     with mock.patch.object(sphere, "_block_products", off_by_ulps):
