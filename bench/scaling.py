@@ -19,16 +19,23 @@ I identities with F jittered frames each:
 - ``io_write``: ``write_container`` of the I * F labeled frames to a file in a
   temporary directory;
 - ``io_read``: ``load_rows`` of that file, as float64 unit rows;
+- ``score_rows``: the detector's distance distribution of each frame against
+  the anchor it samples;
+- ``cli_track``: ``fiva track`` (``cli.main``, in process) of the frames file
+  in scene order into an empty tracker with the anchors file, writing the
+  fakes and the log;
+- ``cli_detect``: ``fiva detect`` of the frames file against the sampled
+  fakes' file, writing the report;
 - ``bench``: ``end_to_end_benchmark`` of the I identities with F frames each,
   anchor sampling at m = 0 from the anchors above, given the gallery: the
   frames, both fake corpora and their retrieval and temporal scores.
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
-{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The container
-layers and ``bench`` also get one more run under ``tracemalloc``, whose peak
-(the most memory the call held at once, numpy's buffers included) is reported
-in MiB.
+{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The container,
+detector and command layers and ``bench`` also get one more run under
+``tracemalloc``, whose peak (the most memory the call held at once, numpy's
+buffers included) is reported in MiB.
 The JSON printed on stdout holds the raw points (with the count of distinct
 sampled anchors), the log-log slope of each layer's time and of each traced
 peak along each axis, and the Python, numpy and BLAS versions and ``nproc``.
@@ -42,6 +49,8 @@ Only the stdlib and numpy are needed::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -62,7 +71,7 @@ IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
 # Layers whose tracemalloc peak is reported besides their time.
-TRACED = ("io_write", "io_read", "bench")
+TRACED = ("io_write", "io_read", "score_rows", "cli_track", "cli_detect", "bench")
 
 
 def corpus(identities: int, frames: int):
@@ -78,7 +87,8 @@ def corpus(identities: int, frames: int):
 
 def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     """The gallery, labels, frames, anchors and sampled fakes of one grid point,
-    how many distinct anchors the frames sampled, and the frames' file path."""
+    how many distinct anchors the frames sampled, and the files of the frames,
+    the anchors and the fakes, with a folder for command outputs."""
     matrix, videos = corpus(identities, frames)
     names = [f"id_{i:04d}" for i in range(identities)]
     probes = videos.reshape(-1, DIM)
@@ -86,10 +96,14 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     picked = fiva.sample_batch(probes, anchors, 0.0)[0]
     filled = fiva.TrackerState(anchors=anchors)
     filled.track_rows(probes)
+    labels = [name for name in names for _ in range(frames)]
+    fiva.write_container(workdir / "frames.emb", probes, labels)
+    fiva.write_container(workdir / "anchors.emb", anchors.matrix)
+    fiva.write_container(workdir / "sampled.emb", anchors.matrix[picked])
     return {
         "gallery": fiva.Gallery(matrix, names),
         "config": fiva.SynthConfig(DIM, identities, frames, JITTER, SEED),
-        "labels": [name for name in names for _ in range(frames)],
+        "labels": labels,
         "probes": probes,
         "videos": videos,
         "anchors": anchors,
@@ -98,7 +112,17 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
         "filled": filled,
         "shuffled": probes[np.random.default_rng(SEED).permutation(len(probes))],
         "file": workdir / "frames.emb",
+        "workdir": workdir,
     }
+
+
+def command(fiva, *argv):
+    """``fiva`` run in process on ``argv``, its messages dropped."""
+    from fiva import cli
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        if cli.main([str(arg) for arg in argv]):
+            raise RuntimeError(f"fiva {argv[0]} failed")
 
 
 def layers(fiva):
@@ -119,6 +143,15 @@ def layers(fiva):
         "track_match": lambda x: x["filled"].track_rows(x["shuffled"]),
         "io_write": lambda x: fiva.write_container(x["file"], x["probes"], x["labels"]),
         "io_read": lambda x: fiva.load_rows(x["file"]),
+        "score_rows": lambda x: fiva.score_rows(x["probes"], x["sampled"]),
+        "cli_track": lambda x: command(
+            fiva, "track", "--frames", x["file"], "--anchors", x["workdir"] / "anchors.emb",
+            "--out", x["workdir"] / "tracked.emb", "--log", x["workdir"] / "track.csv",
+        ),
+        "cli_detect": lambda x: command(
+            fiva, "detect", "--inputs", x["file"], "--outputs", x["workdir"] / "sampled.emb",
+            "--report", x["workdir"] / "detect.csv",
+        ),
         "bench": lambda x: fiva.end_to_end_benchmark(
             x["config"], fiva.MockAnonymizer("anchor_sample", anchors=x["anchors"]),
             gallery=x["gallery"],

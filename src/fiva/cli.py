@@ -242,7 +242,7 @@ def _text_out(path: str | None) -> Iterator[IO[str]]:
         return
     buffer = io.StringIO()
     yield buffer
-    fio._write_bytes(path, buffer.getvalue().encode("utf-8"))
+    fio._write(path, [buffer.getvalue().encode("utf-8")])
 
 
 def _info(message: str) -> None:
@@ -275,10 +275,9 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
     anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize", False))[0])
-    queries = fio.load_rows(args.query, opts.get("normalize", False))[0]
-    margin = _f32_margin(opts.get("margin", 0.0, float))
-    index, cosine = sample_batch(queries, anchors, margin)
-    del queries  # freed before the output buffer is built
+    with fio._open_rows(args.query, opts.get("normalize", False)) as (queries, _):
+        margin = _f32_margin(opts.get("margin", 0.0, float))
+        index, cosine = sample_batch(queries, anchors, margin)
     fio.write_container(args.out, _Take(anchors.matrix, index))
     print("query_index,anchor_index,achieved_cosine")
     for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist())):
@@ -297,9 +296,8 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
     # The setters range-check and round the overrides as the constructor does.
     state.threshold = opts.get("threshold", state.threshold, float)
     state.margin = opts.get("margin", state.margin, float)
-    frames = fio.load_rows(args.frames, opts.get("normalize", False))[0]
-    matched, keys, distances = state.track_rows(frames)
-    del frames  # freed before the output buffers are built
+    with fio._open_rows(args.frames, opts.get("normalize", False)) as (frames, _):
+        matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
         fio.write_container(args.out, _Take(state.fake_matrix, keys))
     if args.state_out is not None:
@@ -410,12 +408,15 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
-    inputs, _ = fio.load_rows(args.inputs, opts.get("normalize", False))
-    outputs, _ = fio.load_rows(args.outputs, opts.get("normalize", False))
-    threshold = opts.get("threshold", DEFAULT_DETECT_THRESHOLD, float)
-    if not 0.0 < threshold < 2.0:
-        raise ValueError(f"threshold must be in (0, 2), got {threshold}")
-    dist = score_rows(inputs, outputs)
+    normalize = opts.get("normalize", False)
+    with (
+        fio._open_rows(args.inputs, normalize) as (inputs, _),
+        fio._open_rows(args.outputs, normalize) as (outputs, _),
+    ):
+        threshold = opts.get("threshold", DEFAULT_DETECT_THRESHOLD, float)
+        if not 0.0 < threshold < 2.0:
+            raise ValueError(f"threshold must be in (0, 2), got {threshold}")
+        dist = score_rows(inputs, outputs)
     flags = [distance > threshold for distance in dist.scores]
     with _text_out(args.report) as fh:
         fh.write("pair_index,distance,is_fake\n")

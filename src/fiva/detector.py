@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyList, ShapeMismatch
-from .sphere import Embedding, _row_dots, _stack, _unit_matrix, cosine_distance
+from .sphere import Embedding, _row_blocks, _row_dots, _stack, _unit_matrix, cosine_distance
 
 __all__ = [
     "DEFAULT_DETECT_THRESHOLD",
@@ -67,8 +67,8 @@ def detect(
 def score_rows(inputs, outputs) -> ScoreDistribution:
     """Distance distribution over the aligned rows of two (N, D) unit array-likes.
 
-    One row-wise product over all pairs; each score has the bits of
-    :func:`~fiva.sphere.cosine_distance` on its pair.
+    Row-wise products, one block of pairs at a time; each score has the bits
+    of :func:`~fiva.sphere.cosine_distance` on its pair.
     """
     inputs = _unit_matrix(inputs, "input embedding")
     outputs = _unit_matrix(outputs, "output embedding", inputs.shape[1])
@@ -78,7 +78,10 @@ def score_rows(inputs, outputs) -> ScoreDistribution:
         )
     if len(inputs) == 0:
         raise EmptyList("need at least one embedding pair")
-    scores = 1.0 - np.clip(_row_dots(inputs, outputs), -1.0, 1.0)
+    scores = np.empty(len(inputs))
+    for part in _row_blocks(inputs):
+        scores[part] = _row_dots(inputs[part], outputs[part])
+    scores = 1.0 - np.clip(scores, -1.0, 1.0)
     counts, _ = np.histogram(scores, bins=HISTOGRAM_BINS, range=(0.0, 2.0))
     return ScoreDistribution(
         scores=tuple(scores.tolist()),

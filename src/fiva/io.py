@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
 import os
 import struct
 from pathlib import Path
@@ -40,11 +39,22 @@ from .errors import (
     LabelCountMismatch,
     MissingLabels,
     NonFinite,
+    NotUnitNorm,
     Truncated,
     UnsupportedFormat,
+    ZeroVector,
 )
 from .gallery import Gallery, LabeledEmbedding
-from .sphere import _BLOCK_ELEMENTS, Embedding, _normalize_rows, _stack, _Take, _unit_matrix
+from .sphere import (
+    _BLOCK_ELEMENTS,
+    Embedding,
+    _as_rows,
+    _check_norms,
+    _CheckedRows,
+    _row_blocks,
+    _stack,
+    _Take,
+)
 
 __all__ = [
     "MAGIC",
@@ -110,41 +120,34 @@ def _container(
     """One container's checked 2-D rows and encoded label block."""
     arr = _coerce_matrix(matrix, dim)
     labels = _check_labels(labels, len(arr))
-    return arr, "".join(f"{label}\n" for label in labels or ()).encode("utf-8")
+    return arr, ("\n".join(labels) + "\n" if labels else "").encode("utf-8")
 
 
-def _row_blocks(rows: np.ndarray | _Take) -> Iterator[slice]:
-    """The slices of 2-D rows, gathered rows included, into blocks of at most
-    ``_BLOCK_ELEMENTS`` cells (or one row)."""
-    count, dim = rows.shape
-    step = max(1, _BLOCK_ELEMENTS // max(1, dim))
-    return (slice(start, start + step) for start in range(0, count, step))
-
-
-def _packed(containers: Sequence[tuple[np.ndarray, bytes]], tail: bytes = b"") -> bytearray:
-    """One buffer of the file's exact size: each :func:`_container` in turn, then
-    ``tail``. Rows are converted to float32 straight into the buffer, a block at a time."""
-    size = sum(_HEADER.size + 4 * math.prod(arr.shape) + len(block) for arr, block in containers)
-    buf = bytearray(size + len(tail))
-    offset = 0
+def _packed(containers: Sequence[tuple[np.ndarray, bytes]], tail: bytes = b"") -> Iterator:
+    """The file's bytes in order: each :func:`_container`'s header, its rows as
+    float32 a block of at most ``_BLOCK_ELEMENTS`` cells at a time, and its label
+    block; then ``tail``. Row blocks share one buffer, so a piece is good only
+    until the next one is taken."""
+    buffer = np.empty(0, "<f4")
     for arr, block in containers:
-        _HEADER.pack_into(buf, offset, MAGIC, *arr.shape)
-        offset += _HEADER.size
-        payload = np.frombuffer(buf, "<f4", math.prod(arr.shape), offset).reshape(arr.shape)
+        count, dim = arr.shape
+        yield _HEADER.pack(MAGIC, count, dim)
         for part in _row_blocks(arr):
-            payload[part] = arr[part]
-        offset += payload.nbytes
-        buf[offset : offset + len(block)] = block
-        offset += len(block)
-    buf[offset:] = tail
-    return buf
+            rows = min(part.stop, count) - part.start
+            if buffer.size < rows * dim:
+                buffer = np.empty(rows * dim, "<f4")
+            chunk = buffer[: rows * dim].reshape(rows, dim)
+            chunk[...] = arr[part]  # gathered rows are held only while converted
+            yield chunk
+        yield block
+    yield tail
 
 
 def pack_container(
     matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
 ) -> bytes:
     """Serialize a (count, dim) matrix and optional labels to bytes."""
-    return bytes(_packed([_container(matrix, labels, dim)]))
+    return b"".join(map(bytes, _packed([_container(matrix, labels, dim)])))
 
 
 @contextlib.contextmanager
@@ -181,29 +184,10 @@ def _readinto(stream: BinaryIO, buffer) -> int:
     return filled
 
 
-def _fill(stream: BinaryIO, matrix: np.ndarray) -> None:
-    """Fill ``matrix`` from the stream's float32 rows through one chunk of at
-    most ``_BLOCK_ELEMENTS`` bytes (or one row), converted into each row block."""
-    count, dim = matrix.shape
-    step = max(1, _BLOCK_ELEMENTS // (4 * dim))
-    chunk = np.empty((min(step, count), dim), "<f4")
-    for start in range(0, count, step):
-        rows = matrix[start : start + step]
-        if _readinto(stream, chunk[: len(rows)]) < 4 * rows.size:
-            raise Truncated(f"payload ends before row {start + len(rows)} of {count}")
-        rows[...] = chunk[: len(rows)]
-
-
-def _read_rows(
-    stream: BinaryIO, dtype, allow_labels: bool
-) -> tuple[np.ndarray, list[str] | None]:
-    """Read one container from ``stream``'s position as a ``dtype`` matrix.
-
-    The declared payload is checked against the bytes left before anything
-    is allocated, so a read holds the result and at most one chunk. With
-    ``allow_labels`` the label block runs to the end of the stream; otherwise
-    the stream is left one past the payload.
-    """
+def _header(stream: BinaryIO) -> tuple[int, int, bool]:
+    """One container's row count and dimension from the header at ``stream``'s
+    position, and whether bytes follow its payload. The declared payload is
+    checked against the bytes left before anything is allocated."""
     remaining = _remaining(stream)
     head = bytearray(_HEADER.size)
     got = _readinto(stream, head)
@@ -223,12 +207,60 @@ def _read_rows(
             f"payload needs {payload_bytes} bytes for {count}x{dim} values, "
             f"found {remaining}"
         )
-    matrix = np.empty((count, dim), dtype)
-    if matrix.size:
-        _fill(stream, matrix)
-    labels = None
-    if allow_labels and remaining > payload_bytes:
-        labels = _parse_label_block(stream.read(), count)
+    return count, dim, remaining > payload_bytes
+
+
+def _chunk_rows(dim: int) -> int:
+    """Rows of one read chunk: ``_BLOCK_ELEMENTS`` bytes of float32 (or one row)."""
+    return max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
+
+
+def _chunks(
+    stream: BinaryIO, count: int, dim: int, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Rows ``start`` to ``stop`` (default ``count``) of a payload of ``count``
+    float32 rows, the stream at row ``start``, in chunks of at most
+    ``_BLOCK_ELEMENTS`` bytes (or one row) read into one reused buffer, each
+    with the index of its first row."""
+    stop = count if stop is None else stop
+    step = _chunk_rows(dim)
+    chunk = np.empty((min(step, stop - start), dim), "<f4")
+    for first in range(start, stop if dim else start, step):  # zero-width rows hold no bytes
+        rows = chunk[: min(step, stop - first)]
+        if _readinto(stream, rows) < rows.nbytes:
+            raise Truncated(f"payload ends before row {first + len(rows)} of {count}")
+        yield first, rows
+
+
+def _fill(
+    chunks: Iterable[tuple[int, np.ndarray]], matrix: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """``matrix`` filled from ``chunks`` of rows counted from ``start``, converted
+    a chunk at a time."""
+    for first, rows in chunks:
+        matrix[first - start : first - start + len(rows)] = rows
+    return matrix
+
+
+def _check_finite(rows: np.ndarray, first: int = 0) -> None:
+    """Raise :class:`NonFinite` naming the first row holding a NaN or infinite
+    value, rows counted from ``first``."""
+    # min and max are NaN or infinite exactly when some value is, without a mask.
+    if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        raise NonFinite(f"row {first + bad[0]} contains a NaN or infinite value")
+
+
+def _read_rows(
+    stream: BinaryIO, dtype, allow_labels: bool
+) -> tuple[np.ndarray, list[str] | None]:
+    """Read one container from ``stream``'s position as a ``dtype`` matrix,
+    holding the result and one chunk. With ``allow_labels`` the label block
+    runs to the end of the stream; otherwise the stream is left one past the
+    payload."""
+    count, dim, more = _header(stream)
+    matrix = _fill(_chunks(stream, count, dim), np.empty((count, dim), dtype))
+    labels = _parse_label_block(stream.read(), count) if allow_labels and more else None
     return matrix, labels
 
 
@@ -258,20 +290,28 @@ def _parse_label_block(block: bytes, count: int) -> list[str]:
     return _check_labels(text.split("\n")[:-1], count)
 
 
-def _write_bytes(destination: str | Path | BinaryIO, blob: bytes) -> None:
-    """Write to a file object, or to a path through a temporary file in its
-    directory and ``os.replace``, so a failed write leaves the old file whole.
-    Devices and pipes are written in place; a symlink's target is replaced."""
+def _write_file(path: str | Path, pieces: Iterable) -> None:
+    """Create or truncate the file at ``path`` and write ``pieces`` to it in order."""
+    with open(path, "wb") as fh:
+        fh.writelines(pieces)
+
+
+def _write(destination: str | Path | BinaryIO, pieces: Iterable) -> None:
+    """Write ``pieces`` (bytes-like, each written before the next is taken) to a
+    file object, or to a path through a temporary file in its directory and
+    ``os.replace``, so a failed write leaves the old file whole. Devices and
+    pipes are written in place; a symlink's target is replaced."""
     if hasattr(destination, "write"):
-        destination.write(blob)
+        for piece in pieces:
+            destination.write(piece)
         return
     path = Path(destination).resolve()
     if path.exists() and not path.is_file():
-        Path(destination).write_bytes(blob)  # errors name the path as given
+        _write_file(destination, pieces)  # errors name the path as given
         return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_bytes(blob)
+        _write_file(temporary, pieces)
         os.replace(temporary, path)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
@@ -280,8 +320,14 @@ def _write_bytes(destination: str | Path | BinaryIO, blob: bytes) -> None:
         raise
 
 
-def _looks_like_csv(source: str | Path | BinaryIO, data: bytes) -> bool:
-    if data[: len(MAGIC)] == MAGIC:
+def _looks_like_csv(source: str | Path | BinaryIO, stream: BinaryIO) -> bool:
+    """Whether ``source`` is named ``*.csv`` and ``stream``, left where it was,
+    does not start with the container magic."""
+    here = stream.tell()
+    head = bytearray(len(MAGIC))
+    del head[_readinto(stream, head) :]
+    stream.seek(here)
+    if head == MAGIC:
         return False
     name = getattr(source, "name", source)
     try:
@@ -333,24 +379,6 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     return matrix, (_check_labels(labels, len(rows)) if labeled else None)
 
 
-def _read(source: str | Path | BinaryIO, dtype) -> tuple[np.ndarray, list[str] | None]:
-    """:func:`read_container` with a binary payload read as ``dtype``."""
-    with _binary_stream(source) as stream:
-        here = stream.tell()
-        head = bytearray(len(MAGIC))
-        del head[_readinto(stream, head) :]
-        stream.seek(here)
-        if _looks_like_csv(source, head):
-            matrix, labels = _parse_csv(stream.read())
-        else:
-            matrix, labels = _read_rows(stream, dtype, allow_labels=True)
-    # min and max are NaN or infinite exactly when some value is, without a mask.
-    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        raise NonFinite(f"row {bad[0]} contains a NaN or infinite value")
-    return matrix, labels
-
-
 def read_container(
     source: str | Path | BinaryIO,
 ) -> tuple[np.ndarray, list[str] | None]:
@@ -361,7 +389,23 @@ def read_container(
     Raises:
         NonFinite: if any value is NaN or infinite.
     """
-    return _read(source, "<f4")
+    with _binary_stream(source) as stream:
+        if _looks_like_csv(source, stream):
+            matrix, labels = _parse_csv(stream.read())
+        else:
+            matrix, labels = _read_rows(stream, "<f4", allow_labels=True)
+    _check_finite(matrix)
+    return matrix, labels
+
+
+def _csv_lines(rows: np.ndarray, labels: list[str] | None, first: int) -> bytes:
+    """CSV lines of ``rows`` as float32, row i labeled ``labels[first + i]``."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for i, row in enumerate(np.asarray(rows, dtype="<f4"), first):
+        cells = [repr(float(v)) for v in row]
+        writer.writerow(cells if labels is None else [labels[i], *cells])
+    return text.getvalue().encode("utf-8")
 
 
 def write_container(
@@ -373,23 +417,84 @@ def write_container(
 
     A ``.csv`` destination gets interop CSV (single-precision values
     rendered exactly, labels quoted where CSV needs it); anything else gets
-    the binary container, built in one buffer of the file's size. Labels
-    must be non-empty and newline-free.
+    the binary container. Either is written a block of rows at a time, after
+    the shape and labels are checked. Labels must be non-empty and newline-free.
     """
     name = getattr(destination, "name", destination)
     if str(name).lower().endswith(".csv"):
         arr = _coerce_matrix(matrix)
         labels = _check_labels(labels, len(arr))
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        for part in _row_blocks(arr):
-            for i, row in enumerate(np.asarray(arr[part], dtype="<f4"), part.start):
-                cells = [repr(float(v)) for v in row]
-                writer.writerow(cells if labels is None else [labels[i], *cells])
-        blob = text.getvalue().encode("utf-8")
+        blocks = _row_blocks(arr)
+        pieces = (_csv_lines(arr[part], labels, part.start) for part in blocks)
     else:
-        blob = _packed([_container(matrix, labels)])
-    _write_bytes(destination, blob)
+        pieces = _packed([_container(matrix, labels)])
+    _write(destination, pieces)
+
+
+@contextlib.contextmanager
+def _open_rows(
+    source: str | Path | BinaryIO, renormalize: bool = False
+) -> Iterator[tuple[_CheckedRows, list[str] | None]]:
+    """The rows and labels of an embedding file as :func:`load_rows` gives them,
+    the rows served a slice at a time from the file while the block runs.
+
+    One chunked pass checks the whole file first and raises what
+    :func:`load_rows` raises, in its order, naming rows by their index in the
+    file: the first row holding a NaN or infinite value, then a bad shape, then
+    the first row off the sphere (with ``renormalize``, the first of norm zero).
+    Each slice served is checked again as it is read, so a file changed in the
+    meantime raises the same errors. A CSV file, or a stream that cannot seek,
+    is read whole first and served from memory.
+    """
+    with _binary_stream(source) as stream:
+        if _looks_like_csv(source, stream):
+            matrix, labels = _parse_csv(stream.read())
+            (count, dim), more = matrix.shape, False
+
+            def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+                step = _chunk_rows(dim)
+                return ((i, matrix[i : min(i + step, stop)]) for i in range(start, stop, step))
+
+        else:
+            (count, dim, more), labels = _header(stream), None
+            payload = stream.tell()
+
+            def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+                stream.seek(payload + 4 * dim * start)
+                return _chunks(stream, count, dim, start, stop)
+
+        def check(rows: np.ndarray, first: int) -> np.ndarray:
+            _check_finite(rows, first)
+            rows = rows.astype(np.float64, copy=False)
+            return _check_norms(rows, "row", renormalize, first=first)
+
+        fault = None
+        for start, chunk in chunks(0, count):
+            try:
+                if fault is None:
+                    check(chunk, start)
+                else:  # a row off the sphere is known; only a later NaN outranks it
+                    _check_finite(chunk, start)
+            except NonFinite as exc:
+                fault = exc
+                break
+            except (NotUnitNorm, ZeroVector) as exc:
+                fault = exc
+        if more:
+            stream.seek(payload + 4 * dim * count)
+            labels = _parse_label_block(stream.read(), count)
+        if isinstance(fault, NonFinite):
+            raise fault
+
+        def read(start: int, stop: int) -> np.ndarray:
+            rows = _fill(chunks(start, stop), np.empty((stop - start, dim)), start)
+            norms = check(rows, start)
+            return rows / norms[:, None] if renormalize else rows
+
+        rows = _as_rows(_CheckedRows((count, dim), read), "row")
+        if fault:
+            raise fault
+        yield rows, labels
 
 
 def load_rows(
@@ -397,12 +502,12 @@ def load_rows(
 ) -> tuple[np.ndarray, list[str] | None]:
     """Read an embedding file as a float64 (count, dim) array of unit rows.
 
-    A binary payload is read straight into the float64 result. The unit-norm
-    check runs once over the whole matrix and names the first failing row.
-    Returns the rows and the labels (or ``None``).
+    The file is checked whole, a chunk at a time, then read straight into the
+    float64 result (see :func:`_open_rows`). Returns the rows and the labels
+    (or ``None``).
     """
-    matrix, labels = _read(source, np.float64)
-    return (_normalize_rows(matrix) if renormalize else _unit_matrix(matrix, "row")), labels
+    with _open_rows(source, renormalize) as (rows, labels):
+        return rows[:], labels
 
 
 def load_labeled_rows(
@@ -523,4 +628,4 @@ def write_image_ppm(destination: str | Path | BinaryIO, image: np.ndarray) -> No
     magic = b"P6" if channels == 3 else b"P5"
     header = magic + f"\n{width} {height}\n255\n".encode("ascii")
     raster = np.rint(arr * 255.0).astype(np.uint8).tobytes(order="C")
-    _write_bytes(destination, header + raster)
+    _write(destination, (header, raster))

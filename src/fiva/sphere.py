@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,10 +138,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray:
-    """``rows`` as a float64 (N, D) array, D >= 2 (== ``dim`` if given); (0, ·) passes."""
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or (len(arr) and (arr.shape[1] < 2 or dim not in (None, arr.shape[1]))):
+def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows:
+    """``rows`` as a float64 (N, D) array, D >= 2 (== ``dim`` if given); (0, ·)
+    passes. Rows checked when read pass as they are."""
+    arr = rows if isinstance(rows, _CheckedRows) else np.asarray(rows, dtype=np.float64)
+    if len(arr.shape) != 2 or (len(arr) and (arr.shape[1] < 2 or dim not in (None, arr.shape[1]))):
         want = "D >= 2" if dim is None else f"D = {dim}"
         raise DimensionMismatch(
             f"{name} rows must form an (N, D) array with {want}, got shape {arr.shape}"
@@ -149,18 +150,42 @@ def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_norms(
+    arr: np.ndarray,
+    name: str,
+    renormalize: bool = False,
+    tol: float = UNIT_NORM_TOL,
+    first: int = 0,
+) -> np.ndarray:
+    """The row norms of a float64 (N, D) array. Raises :class:`NotUnitNorm`
+    naming its first row off the sphere (NaN included), or with ``renormalize``
+    :class:`ZeroVector` naming its first row of norm <= 1e-12 or not finite;
+    rows are counted from ``first``."""
+    norms = np.sqrt(_row_dots(arr, arr))
+    if renormalize:
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > _ZERO_NORM_TOL)))
+        if bad.size:
+            raise ZeroVector(
+                f"cannot normalize {name} {first + bad[0]} with norm {norms[bad[0]]:g}"
+            )
+    else:
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
+        if bad.size:
+            raise NotUnitNorm(
+                f"{name} {first + bad[0]} has norm {norms[bad[0]]:.8f}, expected 1 within {tol:g}"
+            )
+    return norms
+
+
 def _unit_matrix(
     rows, name: str, dim: int | None = None, tol: float = UNIT_NORM_TOL
-) -> np.ndarray:
+) -> np.ndarray | _CheckedRows:
     """The entry check of every batch: :func:`_as_rows`, then :class:`NotUnitNorm`
-    naming the first row off the sphere (NaN included)."""
+    naming the first row off the sphere (NaN included). Rows checked when read
+    are not checked again."""
     arr = _as_rows(rows, name, dim)
-    norms = np.sqrt(_row_dots(arr, arr))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
-    if bad.size:
-        raise NotUnitNorm(
-            f"{name} {bad[0]} has norm {norms[bad[0]]:.8f}, expected 1 within {tol:g}"
-        )
+    if not isinstance(arr, _CheckedRows):
+        _check_norms(arr, name, tol=tol)
     return arr
 
 
@@ -169,11 +194,7 @@ def _normalize_rows(rows, name: str = "row") -> np.ndarray:
     ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs). Raises
     :class:`ZeroVector` naming the first row of norm <= 1e-12 or not finite."""
     arr = _as_rows(rows, name)
-    norms = np.sqrt(_row_dots(arr, arr))
-    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > _ZERO_NORM_TOL)))
-    if bad.size:
-        raise ZeroVector(f"cannot normalize {name} {bad[0]} with norm {norms[bad[0]]:g}")
-    return arr / norms[:, None]
+    return arr / _check_norms(arr, name, renormalize=True)[:, None]
 
 
 # Query rows per block of the nearest-row kernel: large enough for GEMM
@@ -208,6 +229,31 @@ class _Take:
 
     def __getitem__(self, part: slice) -> np.ndarray:
         return self.table[self.index[part]]
+
+
+@dataclass(frozen=True, eq=False)
+class _CheckedRows:
+    """Unit rows checked whole when they were read, then served as float64 a
+    slice at a time by ``read(start, stop)``: the protocol of :class:`_Take`.
+    Kernels that only slice their rows take these in place of an array."""
+
+    shape: tuple[int, int]
+    read: Callable[[int, int], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        start, stop, _ = part.indices(self.shape[0])
+        return self.read(start, max(start, stop))
+
+
+def _row_blocks(rows) -> Iterator[slice]:
+    """The slices of 2-D rows (an array, gathered or checked rows) into blocks
+    of at most ``_BLOCK_ELEMENTS`` cells (or one row)."""
+    count, dim = rows.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, dim))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _block_products(block: np.ndarray, matrix: np.ndarray, out=None) -> np.ndarray:

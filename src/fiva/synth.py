@@ -28,6 +28,7 @@ from .sphere import (
     _antipodal,
     _normalize_rows,
     _require_unit,
+    _row_blocks,
     _slerp_rows,
     _unit_matrix,
 )
@@ -151,11 +152,14 @@ def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> _Take:
     picks = sample_batch(rows, anchors, anonymizer.margin)[0]
     if anonymizer.mode == "anchor_sample":
         return _Take(anchors.matrix, picks)
-    targets = anchors.matrix[picks]
-    keep, blended = _slerp_rows(rows, targets, anonymizer.blend)
-    if not keep.all():
-        raise _antipodal(rows[~keep][0], targets[~keep][0])
-    return _Take(blended, np.arange(len(rows)))
+    table = np.empty(rows.shape)
+    for part in _row_blocks(rows):  # blended into the table a block at a time
+        targets = anchors.matrix[picks[part]]
+        keep, blended = _slerp_rows(rows[part], targets, anonymizer.blend)
+        if not keep.all():
+            raise _antipodal(rows[part][~keep][0], targets[~keep][0])
+        table[part] = blended
+    return _Take(table, np.arange(len(rows)))
 
 
 @dataclass(frozen=True)

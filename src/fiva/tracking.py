@@ -298,16 +298,16 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
     Layout: the stored identities as one label-free embedding container,
     the fake identities (in key order) as a second one, then threshold
     (f32), margin (f32), and key pointer (u32), all little-endian. The file
-    is built in one buffer of its size.
+    is written a block of rows at a time.
     """
     count = state.key_pointer
     dim = state.dim or 0
-    blob = fio._packed(
+    pieces = fio._packed(
         [fio._container(rows[:count], dim=dim) for rows in (state._stored, state._fakes)],
         _TRAILER.pack(state.threshold, state.margin, count),
     )
     try:
-        fio._write_bytes(destination, blob)
+        fio._write(destination, pieces)
     except OSError as exc:
         raise IoFailure(f"cannot write tracker state: {exc}") from exc
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fiva import Gallery, read_container, retrieval_reports, temporal_consistency, write_container
-from fiva import io as fio
+from fiva import sphere
 from fiva.sphere import _Take
 
 
@@ -31,7 +31,7 @@ class TestWrites:
         labels = [f"id_{i}" for i in range(count)] if labeled else None
         gathered, array = tmp_path / f"gathered{suffix}", tmp_path / f"array{suffix}"
         # Blocks of 3 rows: 10 rows end in a part block.
-        with mock.patch.object(fio, "_BLOCK_ELEMENTS", 3 * table.shape[1]):
+        with mock.patch.object(sphere, "_BLOCK_ELEMENTS", 3 * table.shape[1]):
             write_container(gathered, _Take(table, index), labels)
         write_container(array, table[index], labels)
         assert gathered.read_bytes() == array.read_bytes()

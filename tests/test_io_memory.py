@@ -1,5 +1,6 @@
-"""Container I/O holds each file once, and ``fiva bench`` holds its frames
-once and each fake corpus as a table and an index: traced peaks.
+"""Container I/O holds each file once or one block of it, and ``fiva bench``
+holds its frames once and each fake corpus as a table and an index: traced
+peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 
 from fiva import TrackerState, cli, load_rows, save_state, write_container
+from fiva.sphere import _BLOCK_ELEMENTS
 
 MiB = 1 << 20
 ROWS, DIM = 4096, 256
+# One write block: _BLOCK_ELEMENTS cells as float32, a quarter of a 4096 x 256 file.
+BLOCK = 4 * _BLOCK_ELEMENTS
 
 
 def traced_peak(call):
@@ -34,10 +38,10 @@ def labeled_rows():
     return rows, [f"id_{i:05d}" for i in range(ROWS)]
 
 
-def test_write_container_holds_one_float32_payload(labeled_rows, tmp_path):
+def test_write_container_holds_one_block(labeled_rows, tmp_path):
     rows, labels = labeled_rows
     _, peak = traced_peak(lambda: write_container(tmp_path / "rows.emb", rows, labels))
-    assert peak <= rows.size * 4 + MiB
+    assert peak <= BLOCK + MiB // 4
 
 
 def test_load_rows_holds_the_float64_result_and_one_chunk(labeled_rows, tmp_path):
@@ -50,13 +54,14 @@ def test_load_rows_holds_the_float64_result_and_one_chunk(labeled_rows, tmp_path
     assert peak <= loaded.nbytes + MiB
 
 
-def test_save_state_holds_one_file_sized_buffer(labeled_rows, tmp_path):
+def test_save_state_holds_one_block(labeled_rows, tmp_path):
     rows, _ = labeled_rows
     state = TrackerState(sampler=lambda stored: stored)
     state.track_rows(rows)
     path = tmp_path / "tracker.state"
     _, peak = traced_peak(lambda: save_state(state, path))
-    assert peak <= path.stat().st_size + MiB
+    assert path.stat().st_size > 8 * BLOCK
+    assert peak <= BLOCK + MiB // 4
 
 
 def test_bench_holds_the_frames_and_one_float32_corpus(tmp_path):
@@ -72,3 +77,71 @@ def test_bench_holds_the_frames_and_one_float32_corpus(tmp_path):
     assert code == 0
     cells = identities * frames * dim
     assert peak <= cells * 8 + cells * 4 + 8 * MiB
+
+
+@pytest.fixture(scope="module")
+def scenes(tmp_path_factory):
+    """256 identities of D = 256, 512 anchors, and files of 4 and 16 shuffled
+    jittered frames per identity."""
+    folder = tmp_path_factory.mktemp("scenes")
+    rng = np.random.default_rng(5)
+    people, anchors = (rng.normal(size=(n, DIM)) for n in (256, 512))
+    people /= np.linalg.norm(people, axis=1, keepdims=True)
+    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+    write_container(folder / "anchors.emb", anchors)
+    for per in (4, 16):
+        frames = np.repeat(people, per, axis=0) + rng.normal(0.0, 0.01, (256 * per, DIM))
+        frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+        write_container(folder / f"frames{per}.emb", frames[rng.permutation(len(frames))])
+    return folder
+
+
+def command_peak(argv):
+    code, peak = traced_peak(lambda: cli.main([str(arg) for arg in argv]))
+    assert code == 0
+    return peak
+
+
+def test_track_holds_the_anchors_and_the_store_not_the_frames(scenes, tmp_path, capsys):
+    # The anchors are 1 MiB (held twice while the anchor set copies them), the
+    # store's (2, 256, D) buffer 1 MiB. Float64 frames would add 2 MiB at 4
+    # frames per identity and 8 MiB at 16; a block of rows read, products and
+    # gathered for the write stays under 3 MiB whatever the frame count.
+    peaks = {}
+    for per in (4, 16):
+        out = tmp_path / f"out{per}"
+        out.mkdir()
+        peaks[per] = command_peak([
+            "track", "--frames", scenes / f"frames{per}.emb", "--anchors", scenes / "anchors.emb",
+            "--out", out / "fakes.emb", "--state-out", out / "state.bin", "--log", out / "log.csv",
+        ])
+        assert "256 distinct identities" in capsys.readouterr().err
+    assert peaks[4] <= 2 * MiB + MiB + 3 * MiB
+    # 3072 more frames add their log lines and per-frame keys, not their rows.
+    assert peaks[16] <= peaks[4] + MiB // 2
+
+
+def test_detect_peak_does_not_grow_with_the_row_count(scenes, tmp_path):
+    peaks = {}
+    for per in (4, 16):
+        frames = scenes / f"frames{per}.emb"
+        peaks[per] = command_peak([
+            "detect", "--inputs", frames, "--outputs", frames, "--report", tmp_path / "detect.csv",
+        ])
+    # Float64 inputs and outputs would grow it by 12 MiB; per-row scores and
+    # report lines stay under 1 MiB.
+    assert peaks[16] <= peaks[4] + MiB
+
+
+def test_bench_slerp_blend_holds_one_blended_table(tmp_path):
+    # Slerp blending at 400 x 10, D = 256: the frames and the blended table are
+    # 7.8 MiB each. Gathering all targets or blending every row at once adds
+    # several more such arrays; the slack covers a block's blend and what
+    # anchor sampling holds besides its frames.
+    identities, frames, dim = 400, 10, 256
+    argv = ["bench", "--identities", str(identities), "--frames", str(frames), "--dim", str(dim),
+            "--mode", "slerp_blend", "--out-dir", str(tmp_path)]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    cells = identities * frames * dim
+    assert peak <= 2 * cells * 8 + 16 * MiB

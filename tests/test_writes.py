@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fiva import cli
+from fiva import io as fio
 from fiva import (
     IoFailure,
     LabelCountMismatch,
@@ -73,8 +74,10 @@ WRITERS = {
 }
 
 
-def half_write(self, data):
-    with open(self, "wb") as fh:
+def half_write(path, pieces):
+    """``io._write_file`` that writes half the file's bytes and fails."""
+    data = b"".join(bytes(piece) for piece in pieces)  # a piece is good until the next
+    with open(path, "wb") as fh:
         fh.write(data[: len(data) // 2])
     raise OSError("disk full")
 
@@ -92,7 +95,7 @@ def test_failed_write_keeps_old_bytes_and_leaves_no_temporary(
     (target,) = tmp_path.iterdir()
     before = target.read_bytes()
     if failure == "midway":
-        monkeypatch.setattr(Path, "write_bytes", half_write)
+        monkeypatch.setattr(fio, "_write_file", half_write)
     else:
         monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises((OSError, IoFailure)):
@@ -149,7 +152,7 @@ def test_failed_text_output_keeps_old_bytes_and_leaves_no_temporary(
     target = out / name
     target.write_bytes(b"old bytes\n")
     if failure == "midway":
-        monkeypatch.setattr(Path, "write_bytes", only_for(target, half_write, Path.write_bytes))
+        monkeypatch.setattr(fio, "_write_file", only_for(target, half_write, fio._write_file))
     else:
         monkeypatch.setattr(os, "replace", only_for(target, failing_replace, os.replace))
     code = cli.main([arg.format(inputs=inputs, out=out) for arg in args.split()])
