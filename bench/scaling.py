@@ -26,6 +26,10 @@ I identities with F jittered frames each:
   fakes and the log;
 - ``cli_detect``: ``fiva detect`` of the frames file against the sampled
   fakes' file, writing the report;
+- ``cli_eval_retrieval``: ``fiva eval-retrieval`` of the labeled frames file
+  (all distinct probes) against the I-entry gallery's file, writing the report;
+- ``cli_eval_temporal``: ``fiva eval-temporal`` of one file per identity
+  holding its F frames, writing the report;
 - ``bench``: ``end_to_end_benchmark`` of the I identities with F frames each,
   anchor sampling at m = 0 from the anchors above, given the gallery: the
   frames, both fake corpora and their retrieval and temporal scores.
@@ -71,7 +75,8 @@ IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
 # Layers whose tracemalloc peak is reported besides their time.
-TRACED = ("io_write", "io_read", "score_rows", "cli_track", "cli_detect", "bench")
+TRACED = ("io_write", "io_read", "score_rows", "cli_track", "cli_detect",
+          "cli_eval_retrieval", "cli_eval_temporal", "bench")
 
 
 def corpus(identities: int, frames: int):
@@ -88,7 +93,8 @@ def corpus(identities: int, frames: int):
 def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     """The gallery, labels, frames, anchors and sampled fakes of one grid point,
     how many distinct anchors the frames sampled, and the files of the frames,
-    the anchors and the fakes, with a folder for command outputs."""
+    the anchors, the fakes, the gallery and each identity's video, with a
+    folder for command outputs."""
     matrix, videos = corpus(identities, frames)
     names = [f"id_{i:04d}" for i in range(identities)]
     probes = videos.reshape(-1, DIM)
@@ -100,6 +106,11 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     fiva.write_container(workdir / "frames.emb", probes, labels)
     fiva.write_container(workdir / "anchors.emb", anchors.matrix)
     fiva.write_container(workdir / "sampled.emb", anchors.matrix[picked])
+    fiva.write_container(workdir / "gallery.emb", matrix, names)
+    (workdir / "videos").mkdir()
+    video_files = [workdir / "videos" / f"{name}.emb" for name in names]
+    for path, video in zip(video_files, videos):
+        fiva.write_container(path, video)
     return {
         "gallery": fiva.Gallery(matrix, names),
         "config": fiva.SynthConfig(DIM, identities, frames, JITTER, SEED),
@@ -112,6 +123,7 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
         "filled": filled,
         "shuffled": probes[np.random.default_rng(SEED).permutation(len(probes))],
         "file": workdir / "frames.emb",
+        "video_files": video_files,
         "workdir": workdir,
     }
 
@@ -151,6 +163,14 @@ def layers(fiva):
         "cli_detect": lambda x: command(
             fiva, "detect", "--inputs", x["file"], "--outputs", x["workdir"] / "sampled.emb",
             "--report", x["workdir"] / "detect.csv",
+        ),
+        "cli_eval_retrieval": lambda x: command(
+            fiva, "eval-retrieval", "--probes", x["file"], "--gallery", x["workdir"] / "gallery.emb",
+            "--report", x["workdir"] / "retrieval.csv",
+        ),
+        "cli_eval_temporal": lambda x: command(
+            fiva, "eval-temporal", "--frames", *x["video_files"],
+            "--report", x["workdir"] / "temporal.csv",
         ),
         "bench": lambda x: fiva.end_to_end_benchmark(
             x["config"], fiva.MockAnonymizer("anchor_sample", anchors=x["anchors"]),

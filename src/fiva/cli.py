@@ -316,8 +316,9 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
-    probes, labels = fio.load_labeled_rows(args.probes, opts.get("normalize", False))
-    gallery = fio.load_gallery(args.gallery, opts.get("normalize", False))
+    normalize = opts.get("normalize", False)
+    probes, labels = fio._labeled(args.probes, fio._load_table(args.probes, normalize))
+    gallery = fio.load_gallery(args.gallery, normalize)
     threshold = opts.get("threshold", DEFAULT_MATCH_THRESHOLD, float)
     negate = opts.get("negate", False)
     report = retrieval_report(probes, labels, gallery, threshold, negate)
@@ -339,7 +340,7 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
-    videos = [fio.load_rows(path, opts.get("normalize", False))[0] for path in args.frames]
+    videos = [fio._load_table(path, opts.get("normalize", False))[0] for path in args.frames]
     report = temporal_consistency(videos)
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")

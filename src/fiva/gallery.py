@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import LabelCountMismatch
-from .sphere import Embedding, _stack, _unit_matrix
+from .sphere import Embedding, _frozen, _stack, _unit_matrix
 
 __all__ = ["LabeledEmbedding", "Gallery"]
 
@@ -28,7 +28,9 @@ class LabeledEmbedding:
 @dataclass(frozen=True, eq=False)
 class Gallery:
     """An ordered set of labeled unit embeddings with unique labels, held as a
-    read-only (N, D) float64 copy of the rows given and one label per row."""
+    read-only (N, D) float64 array and one label per row. The rows a loader
+    returns are kept without a copy, any other rows given are copied (see
+    :func:`fiva.sphere._frozen`)."""
 
     matrix: np.ndarray
     labels: list[str]
@@ -40,7 +42,7 @@ class Gallery:
             if not label or label in seen:
                 raise ValueError(f"gallery labels must be non-empty and unique, got {label!r}")
             seen.add(label)
-        matrix = _unit_matrix(np.array(self.matrix, dtype=np.float64), "gallery entry")
+        matrix = _unit_matrix(_frozen(self.matrix), "gallery entry")
         if len(labels) != len(matrix):
             raise LabelCountMismatch(f"{len(labels)} labels for {len(matrix)} gallery entries")
         matrix.setflags(write=False)

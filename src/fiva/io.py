@@ -433,8 +433,8 @@ def write_container(
 
 @contextlib.contextmanager
 def _open_rows(
-    source: str | Path | BinaryIO, renormalize: bool = False
-) -> Iterator[tuple[_CheckedRows, list[str] | None]]:
+    source: str | Path | BinaryIO, renormalize: bool = False, table: bool = False
+) -> Iterator[tuple[_CheckedRows | np.ndarray, list[str] | None]]:
     """The rows and labels of an embedding file as :func:`load_rows` gives them,
     the rows served a slice at a time from the file while the block runs.
 
@@ -444,11 +444,17 @@ def _open_rows(
     the first row off the sphere (with ``renormalize``, the first of norm zero).
     Each slice served is checked again as it is read, so a file changed in the
     meantime raises the same errors. A CSV file, or a stream that cannot seek,
-    is read whole first and served from memory.
+    is read whole first and served from memory. With ``table`` every file is
+    read whole as float32 first, and once checked those rows, made read-only,
+    are given in place of the reader.
     """
     with _binary_stream(source) as stream:
+        matrix = None
         if _looks_like_csv(source, stream):
             matrix, labels = _parse_csv(stream.read())
+        elif table:
+            matrix, labels = _read_rows(stream, "<f4", allow_labels=True)
+        if matrix is not None:
             (count, dim), more = matrix.shape, False
 
             def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -494,30 +500,52 @@ def _open_rows(
         rows = _as_rows(_CheckedRows((count, dim), read), "row")
         if fault:
             raise fault
+        if table:
+            matrix.flags.writeable = False
+            rows = matrix
         yield rows, labels
 
 
 def load_rows(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> tuple[np.ndarray, list[str] | None]:
-    """Read an embedding file as a float64 (count, dim) array of unit rows.
+    """Read an embedding file as a read-only float64 (count, dim) array of unit rows.
 
     The file is checked whole, a chunk at a time, then read straight into the
     float64 result (see :func:`_open_rows`). Returns the rows and the labels
-    (or ``None``).
+    (or ``None``). :class:`Gallery` and :class:`AnchorSet` keep these rows
+    without a copy.
     """
     with _open_rows(source, renormalize) as (rows, labels):
-        return rows[:], labels
+        rows = rows[:]
+    rows.flags.writeable = False
+    return rows, labels
+
+
+def _load_table(source, renormalize: bool = False) -> tuple[np.ndarray, list[str] | None]:
+    """:func:`load_rows` at the width the file stores: the rows as a read-only
+    float32 (count, dim) array, read whole once and checked from memory, with
+    :func:`load_rows`'s errors in its order. With ``renormalize`` the rows are
+    :func:`load_rows`'s float64 projections."""
+    if renormalize:
+        return load_rows(source, True)
+    with _open_rows(source, table=True) as loaded:
+        return loaded
+
+
+def _labeled(source, loaded: tuple) -> tuple[np.ndarray, list[str]]:
+    """The rows and labels ``loaded`` from ``source``, which must carry a label per row."""
+    rows, labels = loaded
+    if labels is None:
+        raise MissingLabels(f"{getattr(source, 'name', source)} has no label block")
+    return rows, labels
 
 
 def load_labeled_rows(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> tuple[np.ndarray, list[str]]:
     """:func:`load_rows` for a file that must carry a label per row."""
-    rows, labels = load_rows(source, renormalize)
-    if labels is None:
-        raise MissingLabels(f"{getattr(source, 'name', source)} has no label block")
-    return rows, labels
+    return _labeled(source, load_rows(source, renormalize))
 
 
 def load_embeddings(

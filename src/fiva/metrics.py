@@ -23,11 +23,11 @@ from .sphere import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROWS,
     Embedding,
+    _Scratch,
     _Take,
     _nearest,
-    _rows_of,
     _stack,
-    _unit_matrix,
+    _unit_table,
     cosine,
 )
 
@@ -143,7 +143,10 @@ class RetrievalReport(_ValueEq):
 
 
 def _video_rows(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
-    rows = _rows_of(frames, "frame")
+    """A video's checked (F, D) rows, float32 ones kept at that width."""
+    if not isinstance(frames, np.ndarray):
+        frames = _stack(list(frames), "frame")
+    rows = _unit_table(frames, "frame")
     if not len(rows):
         raise EmptyList("a video needs at least one frame embedding")
     return rows
@@ -160,8 +163,9 @@ def _zero_equal_rows(videos: np.ndarray, distances: np.ndarray) -> None:
     distances[owner[:, :, None] == owner[:, None, :]] = 0.0
 
 
-def _video_distances(videos: np.ndarray) -> np.ndarray:
-    """The (B, n, n) pairwise cosine distances within each video of a (B, n, D) block.
+def _video_distances(videos) -> np.ndarray:
+    """The (B, n, n) pairwise cosine distances within each video of a (B, n, D)
+    block, widened to float64 (from a float32 array, or a list of videos).
 
     Entry (i, j) is ``|a - b|^2 / 2`` in Gram form, ``(s_i + s_j) / 2 - g_ij``
     with ``g = V V^T`` and ``s`` its diagonal, the squared row norms. On rows
@@ -170,6 +174,7 @@ def _video_distances(videos: np.ndarray) -> np.ndarray:
     The upper triangle is mirrored, values are clipped to [0, 2], and every
     pair of bit-equal rows, the diagonal included, is exactly 0.
     """
+    videos = np.asarray(videos, dtype=np.float64)
     gram = np.matmul(videos, videos.transpose(0, 2, 1))
     squares = np.diagonal(gram, axis1=1, axis2=2)
     distances = squares[:, :, None] + squares[:, None, :]
@@ -202,6 +207,7 @@ def temporal_consistency(
     Videos of one shape are scored together, a block of them per batched
     Gram product (see :func:`pairwise_distance_matrix`); an (I, F, D) array
     is used in place, and gathered rows are read a block of videos at a time.
+    Float32 videos are kept at that width and widened a block at a time.
     """
     gathered = isinstance(videos, _Take)
     stacked = gathered or (isinstance(videos, np.ndarray) and videos.ndim == 3)
@@ -225,7 +231,7 @@ def temporal_consistency(
     for (n, dim), (members, rows) in groups.items():
         step = max(1, _BLOCK_ELEMENTS // (n * (n + dim)))
         for start in range(0, len(members), step):
-            distances = _video_distances(np.asarray(rows[start : start + step]))
+            distances = _video_distances(rows[start : start + step])
             mean = distances.mean(axis=(1, 2))
             deviation = distances - mean[:, None, None]
             chosen = members[start : start + step]
@@ -237,14 +243,16 @@ def temporal_consistency(
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the bit-distinct rows of a float64 (N, D) array at their
-    first appearance, and per row the position of its copy among them. Copies
-    meet in a stable sort on each row's first two uint64 words and are compared
-    in full, ``_BLOCK_ELEMENTS`` words at a time; a run that mixes rows is sorted."""
+    """The indices of the bit-distinct rows of a float (N, D) array at their
+    first appearance, and per row the position of its copy among them. Rows
+    are compared as unsigned words of their values' width, so widening float32
+    rows to float64, which is injective, changes neither result. Copies meet in
+    a stable sort on each row's first two words and are compared in full,
+    ``_BLOCK_ELEMENTS`` words at a time; a run that mixes rows is sorted."""
     count, dim = rows.shape
     if count < 2:
         return np.arange(count), np.arange(count)
-    words = np.ascontiguousarray(rows).view(np.uint64)
+    words = np.ascontiguousarray(rows).view(f"u{rows.itemsize}")
     order = np.lexsort(words[:, 1::-1].T)
     lead = words[:, :2][order]
     tied = (lead[1:] == lead[:-1]).all(axis=1)
@@ -274,20 +282,22 @@ def _search(
     """Per flag of ``negate``, the nearest entry index and cosine distance of
     each row of a (N, D) array-like or of gathered rows, all from one product
     with the gallery. Each distinct row is searched once, in blocks gathered one
-    at a time; copies get its bits. Gathered rows search the table rows they use."""
+    at a time; copies get its bits. Gathered rows search the table rows they use.
+    A float32 array is folded on its own bits and widened a block at a time."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
     spread = slice(None)
     if isinstance(queries, _Take):
         used, spread = np.unique(queries.index, return_inverse=True)
         queries = queries.table if len(used) == len(queries.table) else queries.table[used]
-    rows = _unit_matrix(queries, "probe", gallery.dim)
+    rows = _unit_table(queries, "probe", gallery.dim)
     first, inverse = _distinct_rows(rows)
     if len(first) == len(rows):  # all distinct: searched in place
         blocks = [slice(None)]
     else:
         blocks = np.array_split(first, -(-len(first) // _BLOCK_ROWS))
-    parts = [_nearest(rows[block], gallery.matrix, -1.0, tuple(negate)) for block in blocks]
+    scratch = _Scratch()
+    parts = [_nearest(rows[block], gallery.matrix, -1.0, tuple(negate), scratch) for block in blocks]
     picks = (map(np.concatenate, zip(*flag)) for flag in zip(*parts))  # per flag, blocks joined
     inverse = inverse[spread]
     return tuple((index[inverse], 1.0 - cosine[inverse]) for index, cosine in picks)

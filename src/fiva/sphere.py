@@ -138,10 +138,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows:
-    """``rows`` as a float64 (N, D) array, D >= 2 (== ``dim`` if given); (0, ·)
+def _as_rows(rows, name: str, dim: int | None = None, dtype=np.float64) -> np.ndarray | _CheckedRows:
+    """``rows`` as a ``dtype`` (N, D) array, D >= 2 (== ``dim`` if given); (0, ·)
     passes. Rows checked when read pass as they are."""
-    arr = rows if isinstance(rows, _CheckedRows) else np.asarray(rows, dtype=np.float64)
+    arr = rows if isinstance(rows, _CheckedRows) else np.asarray(rows, dtype=dtype)
     if len(arr.shape) != 2 or (len(arr) and (arr.shape[1] < 2 or dim not in (None, arr.shape[1]))):
         want = "D >= 2" if dim is None else f"D = {dim}"
         raise DimensionMismatch(
@@ -187,6 +187,27 @@ def _unit_matrix(
     if not isinstance(arr, _CheckedRows):
         _check_norms(arr, name, tol=tol)
     return arr
+
+
+def _unit_table(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows:
+    """:func:`_unit_matrix` that keeps a float32 array at its width: its norms are
+    checked on a block of rows widened at a time, which raises what checking it
+    widened whole raises. Kernels that take it widen the rows they slice."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float32):
+        return _unit_matrix(rows, name, dim)
+    rows = _as_rows(rows, name, dim, np.float32)
+    for part in _row_blocks(rows):
+        _check_norms(rows[part].astype(np.float64), name, first=part.start)
+    return rows
+
+
+def _frozen(matrix) -> np.ndarray:
+    """``matrix`` as a read-only float64 array: a float64 array that owns its data
+    and is read-only already, as the file loaders return, is kept; any other
+    rows, a caller's writable array included, are copied."""
+    kept = isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+    kept = kept and matrix.flags.owndata and not matrix.flags.writeable
+    return matrix if kept else np.array(matrix, dtype=np.float64)
 
 
 def _normalize_rows(rows, name: str = "row") -> np.ndarray:
@@ -274,13 +295,30 @@ def _pick(objective: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.
     return np.argmax(np.less_equal(objective, limit, out=out), axis=1)
 
 
-def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
+class _Scratch:
+    """Buffers kept from one call to the next, each grown to the largest size
+    asked of it. A caller that searches many small batches passes one, so the
+    buffers' pages are mapped once instead of on every call."""
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def __call__(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        if key not in self._flat or self._flat[key].size < size:
+            self._flat.pop(key, None)  # freed before its larger successor is made
+            self._flat[key] = np.empty(size, dtype)
+        return self._flat[key][:size].reshape(shape)
+
+
+def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False, scratch=None):
     """Per query row, the ``matrix`` row minimizing ``|cos + m|``, and that cosine.
 
     Cosines are ``clip(q . row, -1, 1)``, of ``-q`` with ``negate``. Queries
     run in balanced blocks of about ``_BLOCK_ROWS`` rows (see
-    :func:`_block_products`) and ties follow :func:`_pick`. With ``m = -1``,
-    ``|c - 1|`` is exactly the distance ``1 - c``.
+    :func:`_block_products`), each widened to float64 as it is sliced, and
+    ties follow :func:`_pick`. With ``m = -1``, ``|c - 1|`` is exactly the
+    distance ``1 - c``.
 
     ``negate`` may also be a tuple of flags: the result is then one
     ``(index, cosine)`` pair per flag, all picked from the same products.
@@ -288,7 +326,8 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
 
     Products go to one buffer reused by every block. Picks run in row slices of
     ``_BLOCK_ELEMENTS`` cells, in two buffers reused for all: the tie mask and
-    ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``).
+    ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``). The buffers come
+    from ``scratch`` (a :class:`_Scratch`), or a fresh one.
     """
     flags = negate if isinstance(negate, tuple) else (negate,)
     count, dim = queries.shape
@@ -298,11 +337,13 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False):
     blocks = -(-count // _BLOCK_ROWS)
     bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     step = max(1, _BLOCK_ELEMENTS // max(1, len(matrix)))
-    products = np.empty((min(count, _BLOCK_ROWS), len(matrix)))
-    objective = np.empty((min(step, _BLOCK_ROWS), len(matrix)))
-    tied = np.empty(objective.shape, dtype=bool)
+    scratch = scratch or _Scratch()
+    products = scratch("products", (min(count, _BLOCK_ROWS), len(matrix)))
+    objective = scratch("objective", (min(step, _BLOCK_ROWS), len(matrix)))
+    tied = scratch("tied", objective.shape, bool)
     for start, stop in zip(bounds, bounds[1:]):
-        sims = _block_products(queries[start:stop], matrix, products[: stop - start])
+        block = np.asarray(queries[start:stop], dtype=np.float64)
+        sims = _block_products(block, matrix, products[: stop - start])
         for lo in range(0, stop - start, step):
             part = sims[lo : lo + step]
             obj, mask = objective[: len(part)], tied[: len(part)]
@@ -445,7 +486,8 @@ class SkippedPair:
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
     """An ordered collection of unit anchors available for sampling, held as a
-    read-only (K, D) float64 copy of the rows given.
+    read-only (K, D) float64 array: the rows a loader returns, kept without a
+    copy, or a copy of any other rows given (see :func:`_frozen`).
 
     ``provenance`` is populated by :func:`build_anchor_set`; anchor sets
     loaded back from plain embedding files carry ``None`` because the file
@@ -458,7 +500,7 @@ class AnchorSet:
     skipped: tuple[SkippedPair, ...] = ()
 
     def __post_init__(self) -> None:
-        matrix = _unit_matrix(np.array(self.matrix, dtype=np.float64), "anchor")
+        matrix = _unit_matrix(_frozen(self.matrix), "anchor")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         if self.provenance is not None:

@@ -45,6 +45,9 @@ from .sphere import (
     Embedding,
     _block_products,
     _nearest,
+    _row_blocks,
+    _Scratch,
+    _Take,
     _tie,
     _unit_matrix,
 )
@@ -181,44 +184,54 @@ class TrackerState:
             grown[0, :used], grown[1, :used] = self._stored[:used], self._fakes[:used]
         self._stored, self._fakes = grown
 
-    def _sample_anchors(self, rows: np.ndarray) -> np.ndarray:
+    def _sample_anchors(self, rows: np.ndarray) -> _Take:
+        """The anchor rows the sampler picks for ``rows``, gathered when sliced."""
         if self.anchors is None:
             raise EmptyAnchorSet(
                 "tracker has no anchor set attached; cannot mint a fake identity"
             )
-        return self.anchors.matrix[sample_batch(rows, self.anchors, self.margin)[0]]
+        return _Take(self.anchors.matrix, sample_batch(rows, self.anchors, self.margin)[0])
 
     def _mint_fakes(self, start: int, stop: int) -> None:
-        """Fill the fakes of keys ``[start, stop)`` from their stored rows, all or none."""
+        """Fill the fakes of keys ``[start, stop)`` from their stored rows, a block
+        of rows at a time. All or none: rows from ``key_pointer`` on are not in
+        use until the caller moves it past them."""
         if start == stop:
             return
         rows = self._stored[start:stop]
         rows.flags.writeable = False
-        sampler = self._sample_anchors if self.sampler is None else self.sampler
-        fakes = _unit_matrix(sampler(rows), "fake identity", rows.shape[1])
+        if self.sampler is None:  # anchor rows, checked when the anchor set was made
+            fakes = self._sample_anchors(rows)
+        else:
+            fakes = _unit_matrix(self.sampler(rows), "fake identity", rows.shape[1])
         if len(fakes) != len(rows):
             raise ShapeMismatch(f"sampler made {len(fakes)} fakes for {len(rows)} new identities")
-        self._fakes[start:stop] = fakes.astype(np.float32)  # widened exactly in place
+        minted = self._fakes[start:stop]
+        for part in _row_blocks(fakes):
+            minted[part] = fakes[part].astype(np.float32)  # widened exactly in place
 
-    def _score(self, frames: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarray]:
+    def _score(
+        self, frames: np.ndarray, used: int, scratch: _Scratch
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Each frame's key and best distance among ``used`` stored rows (``inf`` if none)."""
         if not used:
             return np.zeros(len(frames), dtype=np.intp), np.full(len(frames), np.inf)
-        index, cosine = _nearest(frames, self._stored[:used], -1.0)
+        index, cosine = _nearest(frames, self._stored[:used], -1.0, scratch=scratch)
         return index, 1.0 - cosine
 
     def _walk(
-        self, block: np.ndarray, used: int, minted: np.ndarray
+        self, block: np.ndarray, used: int, minted: np.ndarray, scratch: _Scratch
     ) -> tuple[int, np.ndarray, np.ndarray]:
         """Decide one block of frames in order against the first ``used`` stored rows.
 
         New identities are written to the store from row ``used`` on and
         flagged in ``minted``. Returns the new row count and each frame's
-        key and best distance (``inf`` when the store was empty).
+        key and best distance (``inf`` when the store was empty). Lookups
+        take their buffers from ``scratch``.
         """
         rows, dim = block.shape
         tie = _tie(dim)
-        key, best = self._score(block, used)
+        key, best = self._score(block, used, scratch)
         pos = 0
         while True:
             ahead = np.flatnonzero(best[pos:] >= self.threshold - tie)
@@ -228,7 +241,7 @@ class TrackerState:
             pos = r + 1
             if abs(best[r] - self.threshold) <= tie:
                 # Too close to call on blocked bits: score as a lone frame.
-                key[r : r + 1], best[r : r + 1] = self._score(block[r : r + 1], used)
+                key[r : r + 1], best[r : r + 1] = self._score(block[r : r + 1], used, scratch)
             if best[r] < self.threshold:
                 continue
             self._reserve(used, dim)
@@ -243,7 +256,7 @@ class TrackerState:
                 won = gap > 2 * tie
                 key[pos:][won], best[pos:][won] = used, column[won]
                 for j in np.flatnonzero(~won & (gap > 0)) + pos:
-                    key[j : j + 1], best[j : j + 1] = self._score(block[j : j + 1], used + 1)
+                    key[j : j + 1], best[j : j + 1] = self._score(block[j : j + 1], used + 1, scratch)
             used += 1
 
     def track_rows(self, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,13 +277,17 @@ class TrackerState:
         distance = np.empty(count, dtype=np.float64)
         used = self.key_pointer
         start = 0
+        # One set of lookup buffers for every block: fresh ones per block would
+        # each be mapped and faulted in anew.
+        scratch = _Scratch()
         while start < count:
             rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (used + _BLOCK_ROWS)))
             stop = min(count, start + rows)
             used, key[start:stop], distance[start:stop] = self._walk(
-                frames[start:stop], used, minted[start:stop]
+                frames[start:stop], used, minted[start:stop], scratch
             )
             start = stop
+        del scratch  # freed before the mint allocates its own
         self._mint_fakes(self.key_pointer, used)
         self.key_pointer = used
         distance[np.isinf(distance)] = np.nan

@@ -1,6 +1,7 @@
-"""Container I/O holds each file once or one block of it, and ``fiva bench``
-holds its frames once and each fake corpus as a table and an index: traced
-peaks.
+"""Container I/O holds each file once or one block of it, ``fiva bench``
+holds its frames once and each fake corpus as a table and an index, the
+scoring commands hold their inputs at file width, and the tracker mints a
+block of fakes at a time: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -11,7 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiva import TrackerState, cli, load_rows, save_state, write_container
+from fiva import (
+    AnchorSet,
+    TrackerState,
+    cli,
+    load_gallery,
+    load_rows,
+    save_state,
+    write_container,
+)
 from fiva.sphere import _BLOCK_ELEMENTS
 
 MiB = 1 << 20
@@ -145,3 +154,71 @@ def test_bench_slerp_blend_holds_one_blended_table(tmp_path):
     assert code == 0
     cells = identities * frames * dim
     assert peak <= 2 * cells * 8 + 16 * MiB
+
+
+def test_load_gallery_and_a_loaded_anchor_set_hold_one_copy(labeled_rows, tmp_path):
+    rows, labels = labeled_rows
+    path = tmp_path / "rows.emb"
+    write_container(path, rows, labels)
+    gallery, peak = traced_peak(lambda: load_gallery(path))
+    assert gallery.labels == labels
+    assert peak <= gallery.matrix.nbytes + MiB
+    anchors, peak = traced_peak(lambda: AnchorSet(load_rows(path)[0]))
+    assert anchors.matrix.tobytes() == gallery.matrix.tobytes()
+    assert peak <= anchors.matrix.nbytes + MiB
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A 512-entry labeled gallery of D = 256, 4096 labeled jittered probes of
+    it, and the same probes as 64 videos of 64 frames, one file each."""
+    folder = tmp_path_factory.mktemp("scored")
+    rng = np.random.default_rng(9)
+    gallery = rng.normal(size=(512, DIM))
+    gallery /= np.linalg.norm(gallery, axis=1, keepdims=True)
+    labels = [f"id_{i:03d}" for i in range(512)]
+    owner = rng.integers(0, 512, size=ROWS)
+    probes = gallery[owner] + rng.normal(0.0, 0.05, size=(ROWS, DIM))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    write_container(folder / "gallery.emb", gallery, labels)
+    write_container(folder / "probes.emb", probes, [labels[i] for i in owner])
+    (folder / "videos").mkdir()
+    for v in range(64):
+        write_container(folder / "videos" / f"v{v:02d}.emb", probes[64 * v : 64 * (v + 1)])
+    return folder
+
+
+def test_eval_retrieval_holds_float32_probes_and_the_gallery_once(scored, tmp_path):
+    # The probes are 4 MiB as float32 and would be 8 MiB as float64; the gallery
+    # is 1 MiB, 2 MiB if copied. One search block holds about 2.2 MiB of products
+    # and picks; the slack covers the labels and the report.
+    peak = command_peak([
+        "eval-retrieval", "--probes", scored / "probes.emb", "--gallery", scored / "gallery.emb",
+        "--report", tmp_path / "report.csv",
+    ])
+    assert peak <= ROWS * DIM * 4 + 512 * DIM * 8 + 3 * MiB + 3 * MiB // 2
+
+
+def test_eval_temporal_holds_float32_videos(scored, tmp_path):
+    # The 64 videos are 4 MiB as float32 and would be 8 MiB as float64; a block
+    # of videos widened, with its Gram products and distances, holds 3 MiB.
+    videos = sorted((scored / "videos").iterdir())
+    peak = command_peak(["eval-temporal", "--frames", *videos, "--report", tmp_path / "report.csv"])
+    assert peak <= ROWS * DIM * 4 + 3 * MiB + MiB
+
+
+def test_tracker_mints_a_block_of_fakes_at_a_time(rng):
+    # 2049 identities grow the store's buffers to 4096 rows, so 2000 more mint
+    # without regrowing them. Gathering those fakes at once as float64 and
+    # rounding them to float32 holds 11.7 MiB at D = 512; one block holds 3 MiB,
+    # under what the blocked lookups against the store hold.
+    dim = 512
+    anchors = rng.normal(size=(512, dim))
+    state = TrackerState(anchors=AnchorSet(anchors / np.linalg.norm(anchors, axis=1, keepdims=True)))
+    first, more = (rng.normal(size=(n, dim)) for n in (2049, 2000))
+    for frames in (first, more):
+        frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+    state.track_rows(first)
+    (matched, _, _), peak = traced_peak(lambda: state.track_rows(more))
+    assert not matched.any() and len(state) == 4049
+    assert peak <= 6 * MiB
