@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,41 @@ __all__ = ["main"]
 
 SEED_ENV_VAR = "FIVA_SEED"
 
+# defend's epsilon in param mode, where the table's default does not apply.
+_PARAM_EPSILON = 0.1
+
+
+class _Opt(NamedTuple):
+    """An option a flag or a config key can set. ``kind`` is bool, int, float,
+    str or a tuple of choices; ``{}`` in ``help`` renders ``default``."""
+
+    kind: object
+    default: object
+    help: str
+
+
+_OPTIONS = {
+    "dim": _Opt(int, 512, "embedding dimension for generators (default {})"),
+    "seed": _Opt(int, 0, f"master RNG seed (default: ${SEED_ENV_VAR} or {{}})"),
+    "threads": _Opt(int, None, "accepted for compatibility; has no effect on output or speed"),
+    "normalize": _Opt(bool, False, "project input rows onto the sphere on read"),
+    "negate": _Opt(bool, False, "negate each probe first (inversion leakage check)"),
+    "threshold": _Opt(float, DEFAULT_MATCH_THRESHOLD, "success distance threshold (default {:g})"),
+    "margin": _Opt(float, 0.0, "sampling margin m; targets cosine -m (default {:g})"),
+    "rounds": _Opt(int, 1, "interpolation generations (default {})"),
+    "t": _Opt(float, 0.5, "interpolation parameter in (0, 1) (default {:g})"),
+    "epsilon": _Opt(float, 0.15, f"perturbation amplitude (default {{:g}}; {_PARAM_EPSILON:g} for param)"),
+    "fraction": _Opt(float, 0.47, "fraction of pixel locations to noise (uniform mode, default {:g})"),
+    "sweep": _Opt(str, None, "comma-separated fractions; writes one output per fraction"),
+    "identities": _Opt(int, 100, "identity count (default {})"),
+    "frames": _Opt(int, 10, "frames per identity (default {})"),
+    "jitter": _Opt(float, 0.01, "frame jitter sigma (default {:g})"),
+    "mode": _Opt(("negation", "anchor_sample", "slerp_blend"), "anchor_sample", "mock anonymizer (default {})"),
+    "blend": _Opt(float, 0.5, "slerp_blend interpolation fraction (default {:g})"),
+    "retrieval_threshold": _Opt(float, DEFAULT_MATCH_THRESHOLD, "retrieval success threshold (default {:g})"),
+    "tracker_threshold": _Opt(float, DEFAULT_MATCH_THRESHOLD, "tracker match threshold (default {:g})"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -65,122 +100,116 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _add_common(parser: argparse.ArgumentParser, default=None) -> None:
-    parser.add_argument("--dim", type=int, default=default, help="embedding dimension for generators (default 512)")
-    parser.add_argument("--seed", type=int, default=default, help=f"master RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--config", default=default, help="JSON file of flat key/value option defaults")
-    parser.add_argument("--threads", type=int, default=default, help="accepted for compatibility; has no effect on output or speed")
+def _option(parser: argparse.ArgumentParser, *names: str, **changes) -> None:
+    """Add the table options ``names`` to ``parser``, with ``changes`` to their
+    default or help for this command. A flag left out sets nothing, so a value
+    given before the command is kept."""
+    for name in names:
+        opt = _OPTIONS[name]._replace(**changes)
+        parser.get_default("defaults")[name] = opt.default
+        kind = {"choices": opt.kind} if isinstance(opt.kind, tuple) else {"type": opt.kind}
+        kind = {"action": "store_true"} if opt.kind is bool else kind
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, default=argparse.SUPPRESS, help=opt.help.format(opt.default), **kind)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fiva", allow_abbrev=False, description=__doc__)
-    _add_common(parser)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-    sub.required = True
+    parser.set_defaults(defaults={})
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser, required=True)
 
-    p = sub.add_parser("build-anchors", allow_abbrev=False, help="interpolate mean embeddings into an anchor set")
+    def command(name: str, func, summary: str) -> _Parser:
+        p = commands.add_parser(name, allow_abbrev=False, help=summary)
+        p.set_defaults(func=func, defaults={})
+        return p
+
+    p = command("build-anchors", _cmd_build_anchors, "interpolate mean embeddings into an anchor set")
     p.add_argument("--means", required=True, help="embedding file of identity means")
-    p.add_argument("--rounds", type=int, default=None, help="interpolation generations (default 1)")
-    p.add_argument("--t", type=float, default=None, help="interpolation parameter in (0, 1) (default 0.5)")
-    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
+    _option(p, "rounds", "t", "normalize")
     p.add_argument("--out", required=True, help="output anchor embedding file")
-    p.add_argument("--provenance", default=None, help="optional CSV of per-anchor source pairs")
-    p.add_argument("--skips", default=None, help="optional CSV of skipped antipodal pairs")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_build_anchors)
+    p.add_argument("--provenance", help="optional CSV of per-anchor source pairs")
+    p.add_argument("--skips", help="optional CSV of skipped antipodal pairs")
 
-    p = sub.add_parser("sample", allow_abbrev=False, help="sample fake identities from an anchor set")
+    p = command("sample", _cmd_sample, "sample fake identities from an anchor set")
     p.add_argument("--anchors", required=True, help="anchor embedding file")
     p.add_argument("--query", required=True, help="embedding file of identities to anonymize")
-    p.add_argument("--margin", type=float, default=None, help="margin m in [-1, 1]: the sampler targets cosine -m, so m=0 picks the most orthogonal anchor and m=0.7 picks one near cosine -0.7 (default 0)")
-    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
+    _option(p, "margin", help="margin m in [-1, 1]: the sampler targets cosine -m, so m=0 picks the most orthogonal anchor and m=0.7 picks one near cosine -0.7 (default {:g})")
+    _option(p, "normalize")
     p.add_argument("--out", required=True, help="output embedding file of sampled fakes")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("track", allow_abbrev=False, help="route frame embeddings through the identity tracker")
+    p = command("track", _cmd_track, "route frame embeddings through the identity tracker")
     p.add_argument("--frames", required=True, help="embedding file of frame embeddings in playback order")
-    p.add_argument("--anchors", default=None, help="anchor embedding file for minting new fakes")
-    p.add_argument("--threshold", type=float, default=None, help="cosine-distance match threshold (default 0.63)")
-    p.add_argument("--margin", type=float, default=None, help="sampling margin m; targets cosine -m (default 0)")
-    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
-    p.add_argument("--state-in", default=None, help="resume from a saved tracker state file")
-    p.add_argument("--state-out", default=None, help="write the final tracker state here")
-    p.add_argument("--out", default=None, help="output embedding file of per-frame fakes")
-    p.add_argument("--log", default=None, help="per-frame match log CSV (default stdout)")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_track)
+    p.add_argument("--anchors", help="anchor embedding file for minting new fakes")
+    _option(p, "threshold", help="cosine-distance match threshold (default {:g}; a resumed tracker keeps its state's)")
+    _option(p, "margin", help="sampling margin m; targets cosine -m (default {:g}; a resumed tracker keeps its state's)")
+    _option(p, "normalize")
+    p.add_argument("--state-in", help="resume from a saved tracker state file")
+    p.add_argument("--state-out", help="write the final tracker state here")
+    p.add_argument("--out", help="output embedding file of per-frame fakes")
+    p.add_argument("--log", help="per-frame match log CSV (default stdout)")
 
-    p = sub.add_parser("eval-retrieval", allow_abbrev=False, help="identity retrieval rate of probes against a gallery")
+    p = command("eval-retrieval", _cmd_eval_retrieval, "identity retrieval rate of probes against a gallery")
     p.add_argument("--probes", required=True, help="labeled embedding file of probes")
     p.add_argument("--gallery", required=True, help="labeled embedding file of gallery identities")
-    p.add_argument("--threshold", type=float, default=None, help="success distance threshold (default 0.63)")
-    p.add_argument("--negate", action="store_true", default=None, help="negate each probe first (inversion leakage check)")
-    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
-    p.add_argument("--report", default=None, help="report CSV path (default stdout)")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_eval_retrieval)
+    _option(p, "threshold", "negate", "normalize")
+    p.add_argument("--report", help="report CSV path (default stdout)")
 
-    p = sub.add_parser("eval-temporal", allow_abbrev=False, help="temporal consistency of per-video embedding files")
+    p = command("eval-temporal", _cmd_eval_temporal, "temporal consistency of per-video embedding files")
     p.add_argument("--frames", required=True, nargs="+", help="one embedding file per video")
-    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
-    p.add_argument("--report", default=None, help="report CSV path (default stdout)")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_eval_temporal)
+    _option(p, "normalize")
+    p.add_argument("--report", help="report CSV path (default stdout)")
 
-    p = sub.add_parser("defend", allow_abbrev=False, help="apply a reconstruction defense to an image or parameter file")
+    p = command("defend", _cmd_defend, "apply a reconstruction defense to an image or parameter file")
     p.add_argument("--mode", required=True, choices=("uniform", "param", "fgsm"), help="uniform pixel noise, parameter noise, or a gradient-sign step")
-    p.add_argument("--epsilon", type=float, default=None, help="perturbation amplitude (default 0.15; 0.1 for param)")
-    p.add_argument("--fraction", type=float, default=None, help="fraction of pixel locations to noise (uniform mode, default 0.47)")
-    p.add_argument("--sweep", default=None, help="comma-separated fractions; writes one output per fraction")
-    p.add_argument("--center", default=None, help="attack-target image for the fgsm toy objective")
+    _option(p, "epsilon", "fraction", "sweep")
+    p.add_argument("--center", help="attack-target image for the fgsm toy objective")
     p.add_argument("--input", required=True, help="input image (PPM/PGM) or parameter container")
     p.add_argument("--output", required=True, help="output path (sweep outputs get an _f<fraction> suffix)")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_defend)
 
-    p = sub.add_parser("detect", allow_abbrev=False, help="score aligned input/output embeddings for identity displacement")
+    p = command("detect", _cmd_detect, "score aligned input/output embeddings for identity displacement")
     p.add_argument("--inputs", required=True, help="embedding file of original identities")
     p.add_argument("--outputs", required=True, help="embedding file of pipeline outputs, row-aligned")
-    p.add_argument("--threshold", type=float, default=None, help="fakeness distance threshold (default 0.6)")
-    p.add_argument("--normalize", action="store_true", default=None, help="project input rows onto the sphere on read")
-    p.add_argument("--report", default=None, help="report CSV path (default stdout)")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_detect)
+    _option(p, "threshold", default=DEFAULT_DETECT_THRESHOLD, help="fakeness distance threshold (default {:g})")
+    _option(p, "normalize")
+    p.add_argument("--report", help="report CSV path (default stdout)")
 
-    p = sub.add_parser("bench", allow_abbrev=False, help="run the synthetic end-to-end benchmark")
-    p.add_argument("--identities", type=int, default=None, help="identity count (default 100)")
-    p.add_argument("--frames", type=int, default=None, help="frames per identity (default 10)")
-    p.add_argument("--jitter", type=float, default=None, help="frame jitter sigma (default 0.01)")
-    p.add_argument("--mode", default=None, choices=("negation", "anchor_sample", "slerp_blend"), help="mock anonymizer (default anchor_sample)")
-    p.add_argument("--margin", type=float, default=None, help="sampling margin m; targets cosine -m (default 0)")
-    p.add_argument("--blend", type=float, default=None, help="slerp_blend interpolation fraction (default 0.5)")
-    p.add_argument("--rounds", type=int, default=None, help="anchor construction rounds (default 2)")
-    p.add_argument("--t", type=float, default=None, help="anchor interpolation parameter (default 0.5)")
-    p.add_argument("--retrieval-threshold", type=float, default=None, help="retrieval success threshold (default 0.63)")
-    p.add_argument("--tracker-threshold", type=float, default=None, help="tracker match threshold (default 0.63)")
+    p = command("bench", _cmd_bench, "run the synthetic end-to-end benchmark")
+    _option(p, "identities", "frames", "jitter", "mode", "margin", "blend")
+    _option(p, "rounds", default=2, help="anchor construction rounds (default {})")
+    _option(p, "t", help="anchor interpolation parameter (default {:g})")
+    _option(p, "retrieval_threshold", "tracker_threshold")
     p.add_argument("--out-dir", required=True, help="directory for generated files and the report")
-    _add_common(p, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_bench)
 
+    # The global options, accepted before or after the command.
+    for p in (parser, *commands.choices.values()):
+        _option(p, "dim", "seed")
+        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file of flat key/value option defaults")
+        _option(p, "threads")
     return parser
 
 
-def _config_number(name: str, value, cast):
-    """A config value of an int or float option, cast: int options take JSON
-    integers, float options finite JSON numbers, and neither takes a boolean."""
-    if cast is int:
-        fits, want = isinstance(value, int), "an integer"
+def _config_value(name: str, value, kind):
+    """Config ``value`` of table option ``name``, checked against its ``kind``
+    (the README's type rules); a value that breaks them is a :class:`ConfigError`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        fits, want = isinstance(value, bool), "true or false"
+    elif isinstance(kind, tuple):
+        fits, want = value in kind, "one of " + ", ".join(kind)
+    elif kind is int:
+        fits, want = number and isinstance(value, int), "an integer"
+    elif kind is float:
+        fits, want = number and abs(value) <= sys.float_info.max, "a finite number"
     else:
-        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        want = "a finite number"
-    if isinstance(value, bool) or not fits:
+        fits, want = number or isinstance(value, str), "a string or a number"
+    if not fits:
         raise ConfigError(f"config key {name!r} must be {want}, got {value!r}")
-    return cast(value)
+    return kind(value) if kind in (int, float, str) else value
 
 
 class _Options:
-    """Flag > config file > environment > default resolution."""
+    """Flag > config file > environment > the command's table default. Every
+    config key that names a table option is checked as the config is read."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
@@ -202,36 +231,25 @@ class _Options:
                         f"config key {key!r} must map to a scalar, got {type(value).__name__}"
                     )
                 key = str(key).replace("-", "_")
-                if key in ("normalize", "negate") and not isinstance(value, bool):
-                    raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
-                self.config[key] = value
+                if key in _OPTIONS:
+                    self.config[key] = _config_value(key, value, _OPTIONS[key].kind)
 
-    def get(self, name: str, default, cast=None):
-        value = getattr(self.args, name, None)
-        if value is None:
-            value = self.config.get(name)
-            if value is not None and cast in (int, float):
-                return _config_number(name, value, cast)
-        if value is None and name == "seed":
-            env = os.environ.get(SEED_ENV_VAR)
-            if env is not None:
-                try:
-                    value = int(env)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-                    ) from exc
-        if value is None:
-            return default
-        return cast(value) if cast else value
+    def given(self, name: str) -> bool:
+        """Whether a flag or the config sets option ``name``."""
+        return hasattr(self.args, name) or name in self.config
 
-    @property
-    def seed(self) -> int:
-        return self.get("seed", 0, int)
-
-    @property
-    def dim(self) -> int:
-        return self.get("dim", 512, int)
+    def get(self, name: str):
+        if hasattr(self.args, name):
+            return getattr(self.args, name)
+        if name in self.config:
+            return self.config[name]
+        env = os.environ.get(SEED_ENV_VAR) if name == "seed" else None
+        if env is not None:
+            try:
+                return int(env)
+            except ValueError as exc:
+                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+        return self.args.defaults[name]
 
 
 @contextlib.contextmanager
@@ -250,12 +268,8 @@ def _info(message: str) -> None:
 
 
 def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
-    means, _ = fio.load_rows(args.means, opts.get("normalize", False))
-    anchors = build_anchor_set(
-        means,
-        rounds=opts.get("rounds", 1, int),
-        t=opts.get("t", 0.5, float),
-    )
+    means, _ = fio.load_rows(args.means, opts.get("normalize"))
+    anchors = build_anchor_set(means, rounds=opts.get("rounds"), t=opts.get("t"))
     fio.write_container(args.out, anchors.matrix)
     if args.provenance is not None:
         with _text_out(args.provenance) as fh:
@@ -274,9 +288,9 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
-    anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize", False))[0])
-    with fio._open_rows(args.query, opts.get("normalize", False)) as (queries, _):
-        margin = _f32_margin(opts.get("margin", 0.0, float))
+    anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize"))[0])
+    with fio._open_rows(args.query, opts.get("normalize")) as (queries, _):
+        margin = _f32_margin(opts.get("margin"))
         index, cosine = sample_batch(queries, anchors, margin)
     fio.write_container(args.out, _Take(anchors.matrix, index))
     print("query_index,anchor_index,achieved_cosine")
@@ -286,17 +300,17 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
-    anchors = None
-    if args.anchors is not None:
-        anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize", False))[0])
-    if args.state_in is not None:
-        state = load_state(args.state_in, anchors=anchors)
+    anchors = None if args.anchors is None else AnchorSet(fio.load_rows(args.anchors, opts.get("normalize"))[0])
+    if args.state_in is None:
+        state = TrackerState(opts.get("threshold"), opts.get("margin"), anchors)
     else:
-        state = TrackerState(anchors=anchors)
-    # The setters range-check and round the overrides as the constructor does.
-    state.threshold = opts.get("threshold", state.threshold, float)
-    state.margin = opts.get("margin", state.margin, float)
-    with fio._open_rows(args.frames, opts.get("normalize", False)) as (frames, _):
+        state = load_state(args.state_in, anchors=anchors)
+        # A resumed tracker keeps its state's threshold and margin unless an
+        # option sets them; the setters range-check and round as the constructor does.
+        for name in ("threshold", "margin"):
+            if opts.given(name):
+                setattr(state, name, opts.get(name))
+    with fio._open_rows(args.frames, opts.get("normalize")) as (frames, _):
         matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
         fio.write_container(args.out, _Take(state.fake_matrix, keys))
@@ -309,18 +323,15 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
         ):
             cell = "" if math.isnan(distance) else _fmt(distance)
             fh.write(f"{i},{int(hit)},{key},{cell}\n")
-    _info(
-        f"tracked {len(keys)} frames: {state.key_pointer} distinct identities"
-    )
+    _info(f"tracked {len(keys)} frames: {state.key_pointer} distinct identities")
     return 0
 
 
 def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
-    normalize = opts.get("normalize", False)
+    normalize = opts.get("normalize")
     probes, labels = fio._labeled(args.probes, fio._load_table(args.probes, normalize))
     gallery = fio.load_gallery(args.gallery, normalize)
-    threshold = opts.get("threshold", DEFAULT_MATCH_THRESHOLD, float)
-    negate = opts.get("negate", False)
+    threshold, negate = opts.get("threshold"), opts.get("negate")
     report = retrieval_report(probes, labels, gallery, threshold, negate)
     with _text_out(args.report) as fh:
         fh.write("probe_index,true_label,retrieved_label,distance,success\n")
@@ -340,7 +351,7 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
-    videos = [fio._load_table(path, opts.get("normalize", False))[0] for path in args.frames]
+    videos = [fio._load_table(path, opts.get("normalize"))[0] for path in args.frames]
     report = temporal_consistency(videos)
     with _text_out(args.report) as fh:
         fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
@@ -367,9 +378,8 @@ def _sweep_path(output: str, fraction: float) -> str:
 
 def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
     mode = args.mode
-    default_epsilon = 0.1 if mode == "param" else 0.15
-    epsilon = opts.get("epsilon", default_epsilon, float)
-    seed = opts.seed
+    epsilon = _PARAM_EPSILON if mode == "param" and not opts.given("epsilon") else opts.get("epsilon")
+    seed = opts.get("seed")
     if mode == "param":
         matrix, labels = fio.read_container(args.input)
         flat = matrix.astype(np.float64).reshape(-1)
@@ -385,10 +395,10 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
         fio.write_image_ppm(args.output, fgsm_defense(image, oracle, epsilon))
         _info(f"applied gradient-sign step of magnitude {epsilon}")
         return 0
-    sweep = opts.get("sweep", None)
+    sweep = opts.get("sweep")
     if sweep is not None:
         try:
-            fractions = [float(f) for f in str(sweep).split(",") if f.strip()]
+            fractions = [float(f) for f in sweep.split(",") if f.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --sweep value {sweep!r}: {exc}") from exc
         outputs = fraction_sweep(image, epsilon, fractions, seed)
@@ -399,22 +409,20 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
             fio.write_image_ppm(path, noised)
             writer.writerow([_fmt(fraction), path])
         return 0
-    fraction = opts.get("fraction", 0.47, float)
+    fraction = opts.get("fraction")
     spec = NoiseSpec(epsilon, fraction, seed)
     fio.write_image_ppm(args.output, uniform_pixel_noise(image, spec))
-    _info(
-        f"noised fraction {fraction} of pixels with amplitude {epsilon} (seed {seed})"
-    )
+    _info(f"noised fraction {fraction} of pixels with amplitude {epsilon} (seed {seed})")
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
-    normalize = opts.get("normalize", False)
+    normalize = opts.get("normalize")
     with (
         fio._open_rows(args.inputs, normalize) as (inputs, _),
         fio._open_rows(args.outputs, normalize) as (outputs, _),
     ):
-        threshold = opts.get("threshold", DEFAULT_DETECT_THRESHOLD, float)
+        threshold = opts.get("threshold")
         if not 0.0 < threshold < 2.0:
             raise ValueError(f"threshold must be in (0, 2), got {threshold}")
         dist = score_rows(inputs, outputs)
@@ -435,30 +443,22 @@ def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
 
 def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     config = SynthConfig(
-        dimension=opts.dim,
-        identity_count=opts.get("identities", 100, int),
-        frames_per_identity=opts.get("frames", 10, int),
-        jitter_sigma=opts.get("jitter", 0.01, float),
-        seed=opts.seed,
+        dimension=opts.get("dim"), identity_count=opts.get("identities"),
+        frames_per_identity=opts.get("frames"), jitter_sigma=opts.get("jitter"), seed=opts.get("seed"),
     )
-    mode = opts.get("mode", "anchor_sample")
-    # Every option is read before anything is written, so a bad value writes nothing.
-    rounds, t = opts.get("rounds", 2, int), opts.get("t", 0.5, float)
-    margin, blend = opts.get("margin", 0.0, float), opts.get("blend", 0.5, float)
-    retrieval_threshold = opts.get("retrieval_threshold", DEFAULT_MATCH_THRESHOLD, float)
-    tracker_threshold = opts.get("tracker_threshold", DEFAULT_MATCH_THRESHOLD, float)
+    mode = opts.get("mode")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gallery = generate_identities(config)
     anchors = None
     if mode in ("anchor_sample", "slerp_blend"):
-        anchors = build_anchor_set(gallery.matrix, rounds=rounds, t=t)
+        anchors = build_anchor_set(gallery.matrix, rounds=opts.get("rounds"), t=opts.get("t"))
         fio.write_container(out_dir / "anchors.emb", anchors.matrix)
     result = end_to_end_benchmark(
         config,
-        MockAnonymizer(mode=mode, margin=margin, blend=blend, anchors=anchors),
-        retrieval_threshold=retrieval_threshold,
-        tracker_threshold=tracker_threshold,
+        MockAnonymizer(mode=mode, margin=opts.get("margin"), blend=opts.get("blend"), anchors=anchors),
+        retrieval_threshold=opts.get("retrieval_threshold"),
+        tracker_threshold=opts.get("tracker_threshold"),
         gallery=gallery,
     )
     fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
@@ -493,8 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        opts = _Options(args)
-        return args.func(args, opts)
+        return args.func(args, _Options(args))
     except (FivaError, OSError, ValueError) as exc:
         print(f"fiva: error: {exc}", file=sys.stderr)
         return 2

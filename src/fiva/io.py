@@ -51,9 +51,11 @@ from .sphere import (
     _as_rows,
     _check_norms,
     _CheckedRows,
+    _normalize_rows,
     _row_blocks,
     _stack,
     _Take,
+    _unit_table,
 )
 
 __all__ = [
@@ -210,11 +212,6 @@ def _header(stream: BinaryIO) -> tuple[int, int, bool]:
     return count, dim, remaining > payload_bytes
 
 
-def _chunk_rows(dim: int) -> int:
-    """Rows of one read chunk: ``_BLOCK_ELEMENTS`` bytes of float32 (or one row)."""
-    return max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
-
-
 def _chunks(
     stream: BinaryIO, count: int, dim: int, start: int = 0, stop: int | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -223,7 +220,7 @@ def _chunks(
     ``_BLOCK_ELEMENTS`` bytes (or one row) read into one reused buffer, each
     with the index of its first row."""
     stop = count if stop is None else stop
-    step = _chunk_rows(dim)
+    step = max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
     chunk = np.empty((min(step, stop - start), dim), "<f4")
     for first in range(start, stop if dim else start, step):  # zero-width rows hold no bytes
         rows = chunk[: min(step, stop - first)]
@@ -379,6 +376,21 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     return matrix, (_check_labels(labels, len(rows)) if labeled else None)
 
 
+def _read_whole(
+    source: str | Path | BinaryIO, stream: BinaryIO, dtype
+) -> tuple[np.ndarray, list[str] | None]:
+    """The embedding file ``source``, open as ``stream``, read whole as a ``dtype``
+    matrix, and its labels (or ``None``). Raises :class:`NonFinite` naming the
+    first row holding a NaN or infinite value."""
+    if _looks_like_csv(source, stream):
+        matrix, labels = _parse_csv(stream.read())
+        matrix = matrix.astype(dtype, copy=False)
+    else:
+        matrix, labels = _read_rows(stream, dtype, allow_labels=True)
+    _check_finite(matrix)
+    return matrix, labels
+
+
 def read_container(
     source: str | Path | BinaryIO,
 ) -> tuple[np.ndarray, list[str] | None]:
@@ -390,12 +402,7 @@ def read_container(
         NonFinite: if any value is NaN or infinite.
     """
     with _binary_stream(source) as stream:
-        if _looks_like_csv(source, stream):
-            matrix, labels = _parse_csv(stream.read())
-        else:
-            matrix, labels = _read_rows(stream, "<f4", allow_labels=True)
-    _check_finite(matrix)
-    return matrix, labels
+        return _read_whole(source, stream, "<f4")
 
 
 def _csv_lines(rows: np.ndarray, labels: list[str] | None, first: int) -> bytes:
@@ -431,43 +438,42 @@ def write_container(
     _write(destination, pieces)
 
 
+def _unit_file(
+    source: str | Path | BinaryIO, stream: BinaryIO, dtype, renormalize: bool
+) -> tuple[np.ndarray, list[str] | None]:
+    """:func:`_read_whole`'s rows, checked from memory: after its NaN check, a
+    bad shape and then the first row off the sphere (with ``renormalize``, the
+    first of norm zero) raise. The rows come back read-only, as ``dtype`` rows,
+    or as float64 projections with ``renormalize``."""
+    matrix, labels = _read_whole(source, stream, dtype)
+    rows = _normalize_rows(matrix, "row") if renormalize else _unit_table(matrix, "row")
+    rows.flags.writeable = False
+    return rows, labels
+
+
 @contextlib.contextmanager
 def _open_rows(
-    source: str | Path | BinaryIO, renormalize: bool = False, table: bool = False
+    source: str | Path | BinaryIO, renormalize: bool = False
 ) -> Iterator[tuple[_CheckedRows | np.ndarray, list[str] | None]]:
     """The rows and labels of an embedding file as :func:`load_rows` gives them,
     the rows served a slice at a time from the file while the block runs.
 
     One chunked pass checks the whole file first and raises what
     :func:`load_rows` raises, in its order, naming rows by their index in the
-    file: the first row holding a NaN or infinite value, then a bad shape, then
-    the first row off the sphere (with ``renormalize``, the first of norm zero).
-    Each slice served is checked again as it is read, so a file changed in the
-    meantime raises the same errors. A CSV file, or a stream that cannot seek,
-    is read whole first and served from memory. With ``table`` every file is
-    read whole as float32 first, and once checked those rows, made read-only,
-    are given in place of the reader.
+    file. Each slice served is checked again as it is read, so a file changed in
+    the meantime raises the same errors. A stream that cannot seek is read whole
+    first; a CSV file is served as :func:`load_rows`'s array.
     """
     with _binary_stream(source) as stream:
-        matrix = None
         if _looks_like_csv(source, stream):
-            matrix, labels = _parse_csv(stream.read())
-        elif table:
-            matrix, labels = _read_rows(stream, "<f4", allow_labels=True)
-        if matrix is not None:
-            (count, dim), more = matrix.shape, False
+            yield _unit_file(source, stream, np.float64, renormalize)
+            return
+        count, dim, more = _header(stream)
+        payload, labels = stream.tell(), None
 
-            def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-                step = _chunk_rows(dim)
-                return ((i, matrix[i : min(i + step, stop)]) for i in range(start, stop, step))
-
-        else:
-            (count, dim, more), labels = _header(stream), None
-            payload = stream.tell()
-
-            def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-                stream.seek(payload + 4 * dim * start)
-                return _chunks(stream, count, dim, start, stop)
+        def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+            stream.seek(payload + 4 * dim * start)
+            return _chunks(stream, count, dim, start, stop)
 
         def check(rows: np.ndarray, first: int) -> np.ndarray:
             _check_finite(rows, first)
@@ -500,9 +506,6 @@ def _open_rows(
         rows = _as_rows(_CheckedRows((count, dim), read), "row")
         if fault:
             raise fault
-        if table:
-            matrix.flags.writeable = False
-            rows = matrix
         yield rows, labels
 
 
@@ -511,26 +514,21 @@ def load_rows(
 ) -> tuple[np.ndarray, list[str] | None]:
     """Read an embedding file as a read-only float64 (count, dim) array of unit rows.
 
-    The file is checked whole, a chunk at a time, then read straight into the
-    float64 result (see :func:`_open_rows`). Returns the rows and the labels
-    (or ``None``). :class:`Gallery` and :class:`AnchorSet` keep these rows
-    without a copy.
+    The file is read whole once into the float64 result and checked from
+    memory (see :func:`_unit_file`). Returns the rows and the labels (or
+    ``None``). :class:`Gallery` and :class:`AnchorSet` keep these rows without
+    a copy.
     """
-    with _open_rows(source, renormalize) as (rows, labels):
-        rows = rows[:]
-    rows.flags.writeable = False
-    return rows, labels
+    with _binary_stream(source) as stream:
+        return _unit_file(source, stream, np.float64, renormalize)
 
 
 def _load_table(source, renormalize: bool = False) -> tuple[np.ndarray, list[str] | None]:
     """:func:`load_rows` at the width the file stores: the rows as a read-only
-    float32 (count, dim) array, read whole once and checked from memory, with
-    :func:`load_rows`'s errors in its order. With ``renormalize`` the rows are
+    float32 (count, dim) array. With ``renormalize`` the rows are
     :func:`load_rows`'s float64 projections."""
-    if renormalize:
-        return load_rows(source, True)
-    with _open_rows(source, table=True) as loaded:
-        return loaded
+    with _binary_stream(source) as stream:
+        return _unit_file(source, stream, np.float64 if renormalize else "<f4", renormalize)
 
 
 def _labeled(source, loaded: tuple) -> tuple[np.ndarray, list[str]]:
