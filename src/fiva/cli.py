@@ -314,8 +314,6 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
         matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
         fio.write_container(args.out, _Take(state.fake_matrix, keys))
-    if args.state_out is not None:
-        save_state(state, args.state_out)
     with _text_out(args.log) as fh:
         fh.write("frame_index,matched,key,distance\n")
         for i, (hit, key, distance) in enumerate(
@@ -323,6 +321,8 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
         ):
             cell = "" if math.isnan(distance) else _fmt(distance)
             fh.write(f"{i},{int(hit)},{key},{cell}\n")
+    if args.state_out is not None:  # last: a run that fails before it leaves the state as it was
+        save_state(state, args.state_out)
     _info(f"tracked {len(keys)} frames: {state.key_pointer} distinct identities")
     return 0
 

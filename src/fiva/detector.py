@@ -67,8 +67,8 @@ def detect(
 def score_rows(inputs, outputs) -> ScoreDistribution:
     """Distance distribution over the aligned rows of two (N, D) unit array-likes.
 
-    Row-wise products, one block of pairs at a time; each score has the bits
-    of :func:`~fiva.sphere.cosine_distance` on its pair.
+    Row-wise products, one block of pairs at a time, each widened to float64;
+    each score has the bits of :func:`~fiva.sphere.cosine_distance` on its pair.
     """
     inputs = _unit_matrix(inputs, "input embedding")
     outputs = _unit_matrix(outputs, "output embedding", inputs.shape[1])
@@ -80,7 +80,7 @@ def score_rows(inputs, outputs) -> ScoreDistribution:
         raise EmptyList("need at least one embedding pair")
     scores = np.empty(len(inputs))
     for part in _row_blocks(inputs):
-        scores[part] = _row_dots(inputs[part], outputs[part])
+        scores[part] = _row_dots(*(np.asarray(x[part], dtype=np.float64) for x in (inputs, outputs)))
     scores = 1.0 - np.clip(scores, -1.0, 1.0)
     counts, _ = np.histogram(scores, bins=HISTOGRAM_BINS, range=(0.0, 2.0))
     return ScoreDistribution(

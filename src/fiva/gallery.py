@@ -45,7 +45,6 @@ class Gallery:
         matrix = _unit_matrix(_frozen(self.matrix), "gallery entry")
         if len(labels) != len(matrix):
             raise LabelCountMismatch(f"{len(labels)} labels for {len(matrix)} gallery entries")
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "labels", labels)
 

@@ -55,7 +55,6 @@ from .sphere import (
     _row_blocks,
     _stack,
     _Take,
-    _unit_table,
 )
 
 __all__ = [
@@ -380,15 +379,11 @@ def _read_whole(
     source: str | Path | BinaryIO, stream: BinaryIO, dtype
 ) -> tuple[np.ndarray, list[str] | None]:
     """The embedding file ``source``, open as ``stream``, read whole as a ``dtype``
-    matrix, and its labels (or ``None``). Raises :class:`NonFinite` naming the
-    first row holding a NaN or infinite value."""
+    matrix, and its labels (or ``None``). Label errors raise; values are not checked."""
     if _looks_like_csv(source, stream):
         matrix, labels = _parse_csv(stream.read())
-        matrix = matrix.astype(dtype, copy=False)
-    else:
-        matrix, labels = _read_rows(stream, dtype, allow_labels=True)
-    _check_finite(matrix)
-    return matrix, labels
+        return matrix.astype(dtype, copy=False), labels
+    return _read_rows(stream, dtype, allow_labels=True)
 
 
 def read_container(
@@ -402,7 +397,9 @@ def read_container(
         NonFinite: if any value is NaN or infinite.
     """
     with _binary_stream(source) as stream:
-        return _read_whole(source, stream, "<f4")
+        matrix, labels = _read_whole(source, stream, "<f4")
+    _check_finite(matrix)
+    return matrix, labels
 
 
 def _csv_lines(rows: np.ndarray, labels: list[str] | None, first: int) -> bytes:
@@ -438,15 +435,35 @@ def write_container(
     _write(destination, pieces)
 
 
+def _checked(rows, chunks: Iterable[tuple[int, np.ndarray]], renormalize: bool):
+    """``rows``, an embedding file's rows as an array or as :class:`_CheckedRows`,
+    once their ``chunks``, each with the index of its first row, pass the checks
+    every reader makes, in the order it raises them. After the file's label
+    errors come the first row holding a NaN or infinite value, a bad shape, then
+    the first row off the sphere (with ``renormalize``, the first of norm zero)."""
+    fault = None
+    for first, chunk in chunks:
+        _check_finite(chunk, first)
+        if fault is None:  # a row off the sphere is known; only a later NaN outranks it
+            try:
+                _check_norms(chunk.astype(np.float64, copy=False), "row", renormalize, first=first)
+            except (NotUnitNorm, ZeroVector) as exc:
+                fault = exc
+    rows = _as_rows(rows, "row")
+    if fault:
+        raise fault
+    return rows
+
+
 def _unit_file(
     source: str | Path | BinaryIO, stream: BinaryIO, dtype, renormalize: bool
 ) -> tuple[np.ndarray, list[str] | None]:
-    """:func:`_read_whole`'s rows, checked from memory: after its NaN check, a
-    bad shape and then the first row off the sphere (with ``renormalize``, the
-    first of norm zero) raise. The rows come back read-only, as ``dtype`` rows,
-    or as float64 projections with ``renormalize``."""
+    """:func:`_read_whole`'s rows, :func:`_checked` a block at a time from memory.
+    The rows come back read-only, as ``dtype`` rows, or as float64 projections
+    with ``renormalize``."""
     matrix, labels = _read_whole(source, stream, dtype)
-    rows = _normalize_rows(matrix, "row") if renormalize else _unit_table(matrix, "row")
+    rows = _checked(matrix, ((part.start, matrix[part]) for part in _row_blocks(matrix)), renormalize)
+    rows = _normalize_rows(rows, "row") if renormalize else rows
     rows.flags.writeable = False
     return rows, labels
 
@@ -459,10 +476,10 @@ def _open_rows(
     the rows served a slice at a time from the file while the block runs.
 
     One chunked pass checks the whole file first and raises what
-    :func:`load_rows` raises, in its order, naming rows by their index in the
-    file. Each slice served is checked again as it is read, so a file changed in
-    the meantime raises the same errors. A stream that cannot seek is read whole
-    first; a CSV file is served as :func:`load_rows`'s array.
+    :func:`load_rows` raises, in its order (:func:`_checked`), naming rows by
+    their index in the file. Each slice served is checked again as it is read, so
+    a file changed in the meantime raises the same errors. A stream that cannot
+    seek is read whole first; a CSV file is served as :func:`load_rows`'s array.
     """
     with _binary_stream(source) as stream:
         if _looks_like_csv(source, stream):
@@ -470,43 +487,20 @@ def _open_rows(
             return
         count, dim, more = _header(stream)
         payload, labels = stream.tell(), None
+        if more:
+            stream.seek(payload + 4 * dim * count)
+            labels = _parse_label_block(stream.read(), count)
 
         def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
             stream.seek(payload + 4 * dim * start)
             return _chunks(stream, count, dim, start, stop)
 
-        def check(rows: np.ndarray, first: int) -> np.ndarray:
-            _check_finite(rows, first)
-            rows = rows.astype(np.float64, copy=False)
-            return _check_norms(rows, "row", renormalize, first=first)
-
-        fault = None
-        for start, chunk in chunks(0, count):
-            try:
-                if fault is None:
-                    check(chunk, start)
-                else:  # a row off the sphere is known; only a later NaN outranks it
-                    _check_finite(chunk, start)
-            except NonFinite as exc:
-                fault = exc
-                break
-            except (NotUnitNorm, ZeroVector) as exc:
-                fault = exc
-        if more:
-            stream.seek(payload + 4 * dim * count)
-            labels = _parse_label_block(stream.read(), count)
-        if isinstance(fault, NonFinite):
-            raise fault
-
         def read(start: int, stop: int) -> np.ndarray:
             rows = _fill(chunks(start, stop), np.empty((stop - start, dim)), start)
-            norms = check(rows, start)
-            return rows / norms[:, None] if renormalize else rows
+            rows = _checked(rows, [(start, rows)], renormalize)
+            return _normalize_rows(rows, "row") if renormalize else rows
 
-        rows = _as_rows(_CheckedRows((count, dim), read), "row")
-        if fault:
-            raise fault
-        yield rows, labels
+        yield _checked(_CheckedRows((count, dim), read), chunks(0, count), renormalize), labels
 
 
 def load_rows(

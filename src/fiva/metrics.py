@@ -27,7 +27,7 @@ from .sphere import (
     _Take,
     _nearest,
     _stack,
-    _unit_table,
+    _unit_matrix,
     cosine,
 )
 
@@ -146,7 +146,7 @@ def _video_rows(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
     """A video's checked (F, D) rows, float32 ones kept at that width."""
     if not isinstance(frames, np.ndarray):
         frames = _stack(list(frames), "frame")
-    rows = _unit_table(frames, "frame")
+    rows = _unit_matrix(frames, "frame")
     if not len(rows):
         raise EmptyList("a video needs at least one frame embedding")
     return rows
@@ -290,7 +290,7 @@ def _search(
     if isinstance(queries, _Take):
         used, spread = np.unique(queries.index, return_inverse=True)
         queries = queries.table if len(used) == len(queries.table) else queries.table[used]
-    rows = _unit_table(queries, "probe", gallery.dim)
+    rows = _unit_matrix(queries, "probe", gallery.dim)
     first, inverse = _distinct_rows(rows)
     if len(first) == len(rows):  # all distinct: searched in place
         blocks = [slice(None)]

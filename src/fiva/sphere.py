@@ -6,8 +6,10 @@ cosine similarity and distance, negation, spherical linear interpolation,
 spherical means, and construction of anchor sets by interpolating a list
 of mean embeddings against a shifted copy of itself.
 
-Values are held as read-only float64 arrays regardless of how the caller
-supplied them, so results do not depend on input dtype.
+Anchor sets, galleries and single embeddings are held as read-only float64
+arrays however the caller supplied them. A batch entry keeps a float32
+array at its width and widens it a block of rows at a time; any other rows
+are used as float64. Either way results do not depend on input dtype.
 """
 
 from __future__ import annotations
@@ -125,10 +127,10 @@ def _stack(embeddings: Sequence[Embedding], name: str = "embedding") -> np.ndarr
 
 
 def _rows_of(items, name: str) -> np.ndarray:
-    """:func:`_unit_matrix` of an (N, D) array, or of a sequence of embeddings stacked."""
-    if not isinstance(items, np.ndarray):
-        items = _stack(list(items), name)
-    return _unit_matrix(items, name)
+    """:func:`_unit_matrix` of an (N, D) array widened to float64, or of a
+    sequence of embeddings stacked: their callers compute on the whole array."""
+    rows = items if isinstance(items, np.ndarray) else _stack(list(items), name)
+    return _unit_matrix(np.asarray(rows, dtype=np.float64), name)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,10 +140,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _as_rows(rows, name: str, dim: int | None = None, dtype=np.float64) -> np.ndarray | _CheckedRows:
-    """``rows`` as a ``dtype`` (N, D) array, D >= 2 (== ``dim`` if given); (0, ·)
-    passes. Rows checked when read pass as they are."""
-    arr = rows if isinstance(rows, _CheckedRows) else np.asarray(rows, dtype=dtype)
+def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows:
+    """``rows`` as an (N, D) array, D >= 2 (== ``dim`` if given); (0, ·) passes. A
+    float32 array and rows checked when read pass as they are; any other rows
+    become float64."""
+    kept = isinstance(rows, _CheckedRows) or getattr(rows, "dtype", None) == np.float32
+    arr = rows if kept else np.asarray(rows, dtype=np.float64)
     if len(arr.shape) != 2 or (len(arr) and (arr.shape[1] < 2 or dim not in (None, arr.shape[1]))):
         want = "D >= 2" if dim is None else f"D = {dim}"
         raise DimensionMismatch(
@@ -181,24 +185,15 @@ def _unit_matrix(
     rows, name: str, dim: int | None = None, tol: float = UNIT_NORM_TOL
 ) -> np.ndarray | _CheckedRows:
     """The entry check of every batch: :func:`_as_rows`, then :class:`NotUnitNorm`
-    naming the first row off the sphere (NaN included). Rows checked when read
-    are not checked again."""
+    naming the first row off the sphere (NaN included). Norms are checked a block
+    of rows at a time, each widened to float64, so a float32 array kept at its
+    width raises what checking it widened whole raises; kernels that take one
+    widen the rows they slice. Rows checked when read are not checked again."""
     arr = _as_rows(rows, name, dim)
     if not isinstance(arr, _CheckedRows):
-        _check_norms(arr, name, tol=tol)
+        for part in _row_blocks(arr):
+            _check_norms(arr[part].astype(np.float64, copy=False), name, tol=tol, first=part.start)
     return arr
-
-
-def _unit_table(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows:
-    """:func:`_unit_matrix` that keeps a float32 array at its width: its norms are
-    checked on a block of rows widened at a time, which raises what checking it
-    widened whole raises. Kernels that take it widen the rows they slice."""
-    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float32):
-        return _unit_matrix(rows, name, dim)
-    rows = _as_rows(rows, name, dim, np.float32)
-    for part in _row_blocks(rows):
-        _check_norms(rows[part].astype(np.float64), name, first=part.start)
-    return rows
 
 
 def _frozen(matrix) -> np.ndarray:
@@ -206,15 +201,17 @@ def _frozen(matrix) -> np.ndarray:
     and is read-only already, as the file loaders return, is kept; any other
     rows, a caller's writable array included, are copied."""
     kept = isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
-    kept = kept and matrix.flags.owndata and not matrix.flags.writeable
-    return matrix if kept else np.array(matrix, dtype=np.float64)
+    if not (kept and matrix.flags.owndata and not matrix.flags.writeable):
+        matrix = np.array(matrix, dtype=np.float64)
+        matrix.flags.writeable = False
+    return matrix
 
 
 def _normalize_rows(rows, name: str = "row") -> np.ndarray:
-    """:func:`_as_rows` projected onto the sphere, each row with the bits of
-    ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs). Raises
+    """:func:`_as_rows` as float64 projected onto the sphere, each row with the bits
+    of ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs). Raises
     :class:`ZeroVector` naming the first row of norm <= 1e-12 or not finite."""
-    arr = _as_rows(rows, name)
+    arr = _as_rows(np.asarray(rows, dtype=np.float64), name)
     return arr / _check_norms(arr, name, renormalize=True)[:, None]
 
 
@@ -501,7 +498,6 @@ class AnchorSet:
 
     def __post_init__(self) -> None:
         matrix = _unit_matrix(_frozen(self.matrix), "anchor")
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         if self.provenance is not None:
             prov = tuple(self.provenance)

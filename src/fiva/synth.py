@@ -147,7 +147,7 @@ def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> _Take:
     batch, as gathered rows: the anchors and each row's pick for ``anchor_sample``,
     the new rows in order for the other modes."""
     if anonymizer.mode == "negation":
-        return _Take(np.negative(_unit_matrix(rows, "frame")), np.arange(len(rows)))
+        return _Take(np.negative(_unit_matrix(rows, "frame"), dtype=np.float64), np.arange(len(rows)))
     anchors = anonymizer.anchors
     picks = sample_batch(rows, anchors, anonymizer.margin)[0]
     if anonymizer.mode == "anchor_sample":

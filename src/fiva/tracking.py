@@ -284,7 +284,7 @@ class TrackerState:
             rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (used + _BLOCK_ROWS)))
             stop = min(count, start + rows)
             used, key[start:stop], distance[start:stop] = self._walk(
-                frames[start:stop], used, minted[start:stop], scratch
+                np.asarray(frames[start:stop], dtype=np.float64), used, minted[start:stop], scratch
             )
             start = stop
         del scratch  # freed before the mint allocates its own

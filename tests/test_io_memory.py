@@ -1,7 +1,7 @@
 """Container I/O holds each file once or one block of it, ``fiva bench``
 holds its frames once and each fake corpus as a table and an index, the
-scoring commands hold their inputs at file width, and the tracker mints a
-block of fakes at a time: traced peaks.
+scoring commands and the library's batch entries hold their inputs at file
+width, and the tracker mints a block of fakes at a time: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -18,7 +18,9 @@ from fiva import (
     cli,
     load_gallery,
     load_rows,
+    sample_batch,
     save_state,
+    score_rows,
     write_container,
 )
 from fiva.sphere import _BLOCK_ELEMENTS
@@ -222,3 +224,15 @@ def test_tracker_mints_a_block_of_fakes_at_a_time(rng):
     (matched, _, _), peak = traced_peak(lambda: state.track_rows(more))
     assert not matched.any() and len(state) == 4049
     assert peak <= 6 * MiB
+
+
+@pytest.mark.parametrize("entry", ["sample_batch", "score_rows"])
+def test_batch_entries_hold_float32_rows_below_one_float64_copy(labeled_rows, entry):
+    # The 4096 x 256 rows are 4 MiB as float32 and would be 8 MiB widened whole.
+    # Checked and widened a block at a time, with the sampler's products against
+    # 512 anchors or the detector's block of pairs, they stay under that copy.
+    rows = labeled_rows[0].astype(np.float32)
+    anchors = AnchorSet(labeled_rows[0][:512])
+    calls = {"sample_batch": lambda: sample_batch(rows, anchors, 0.3), "score_rows": lambda: score_rows(rows, rows)}
+    _, peak = traced_peak(calls[entry])
+    assert peak < rows.size * 8

@@ -1,17 +1,34 @@
 """``eval-retrieval`` and ``eval-temporal`` hold their inputs as the float32
 rows the files store and widen them a block at a time: every report, and
-every error, equals the one of the rows materialized as float64 first."""
+every error, equals the one of the rows materialized as float64 first. So do
+the library's batch entries given float32 arrays."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from fiva import Gallery, NotUnitNorm, pack_container, retrieval_reports, temporal_consistency, write_container
+from fiva import (
+    AnchorSet,
+    FivaError,
+    Gallery,
+    MockAnonymizer,
+    NotUnitNorm,
+    TrackerState,
+    build_anchor_set,
+    mean_embedding,
+    pack_container,
+    retrieval_reports,
+    sample_batch,
+    score_rows,
+    temporal_consistency,
+    write_container,
+)
 from fiva import io as fio
 from fiva.cli import main
 from fiva.metrics import _distinct_rows
 from fiva.sphere import _BLOCK_ROWS, _Scratch, _nearest
+from fiva.synth import _anonymize_rows
 
 
 def unit_rows(rng, count, dim):
@@ -123,6 +140,79 @@ def test_library_float32_rows_off_the_sphere_raise_the_widened_error(rng):
             call(rows.astype(np.float64))
         assert str(table.value) == str(wide.value)
         assert f" {2 * _BLOCK_ROWS + 9} has norm 1.4999" in str(table.value)
+
+
+# D = 512 puts 512 rows in a block of the entry check, so 773 rows span two.
+LIBRARY_DIM = 512
+LIBRARY_ENTRIES = ["sample_batch", "track_rows", "score_rows", "build_anchor_set", "mean_embedding", "negation"]
+
+
+def library_calls(rng):
+    """The batch entries that take rows, each mapped to the values it returns."""
+    anchors = AnchorSet(unit_rows(rng, 40, LIBRARY_DIM))
+
+    def track(rows):
+        state = TrackerState(margin=0.3, anchors=anchors)
+        # The second call against a store; reversed into a contiguous copy, as a
+        # strided float64 array can take other BLAS bits than its copy.
+        runs = [state.track_rows(part) for part in (rows, rows[::-1].copy())]
+        return runs, state.fake_matrix, state._stored[: len(state)]
+
+    def scores(rows):
+        result = score_rows(rows, rows[::-1])
+        return np.array(result.scores), result.histogram, result.mean, result.std
+
+    def anchor_set(means):
+        built = build_anchor_set(means, rounds=2)
+        return built.matrix, built.provenance, built.skipped
+
+    def negation(rows):
+        negated = _anonymize_rows(rows, MockAnonymizer("negation"))
+        return negated.table, negated.index
+
+    return {
+        "sample_batch": lambda rows: sample_batch(rows, anchors, 0.3),
+        "track_rows": track,
+        "score_rows": scores,
+        "build_anchor_set": anchor_set,
+        "mean_embedding": lambda rows: mean_embedding(rows).values,
+        "negation": negation,
+    }
+
+
+def outcome(call, rows):
+    """``call(rows)`` with each array as its dtype, shape and bytes, or the error raised."""
+
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return tuple(map(bits, value)) if isinstance(value, (tuple, list)) else value
+
+    try:
+        return bits(call(rows))
+    except FivaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", LIBRARY_ENTRIES)
+@pytest.mark.parametrize("count", [1, 2, 3 * _BLOCK_ROWS + 5])
+def test_library_batch_entries_give_float32_rows_the_widened_bits(rng, name, count):
+    call = library_calls(rng)[name]
+    for rows in (stored(unit_rows(rng, count, LIBRARY_DIM)), stored(copy_rich(rng, 1, count, LIBRARY_DIM))):
+        assert outcome(call, rows) == outcome(call, rows.astype(np.float64))
+
+
+@pytest.mark.parametrize("name", LIBRARY_ENTRIES)
+def test_library_batch_entries_raise_the_widened_error_for_float32_rows_off_the_sphere(rng, name):
+    call = library_calls(rng)[name]
+    rows = stored(unit_rows(rng, 3 * _BLOCK_ROWS, LIBRARY_DIM))
+    rows[2 * _BLOCK_ROWS + 9] *= 1.5
+    with pytest.raises(NotUnitNorm) as table:
+        call(rows)
+    with pytest.raises(NotUnitNorm) as wide:
+        call(rows.astype(np.float64))
+    assert str(table.value) == str(wide.value)
+    assert f" {2 * _BLOCK_ROWS + 9} has norm 1.5" in str(table.value)
 
 
 def test_library_temporal_consistency_of_float32_videos_has_the_widened_bits(rng):

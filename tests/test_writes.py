@@ -189,3 +189,39 @@ def test_text_output_to_a_directory_names_the_path_as_given(rng, tmp_path, monke
     args = ["eval-retrieval", "--probes", "means.emb", "--gallery", "means.emb"]
     assert cli.main([*args, "--report", "report.csv"]) == 2
     assert capsys.readouterr().err.endswith("Is a directory: 'report.csv'\n")
+
+
+
+@pytest.mark.parametrize("failure", ["missing directory", "midway", "at rename"])
+def test_failed_track_leaves_its_state_and_the_rerun_matches_the_clean_run(
+    rng, tmp_path, monkeypatch, failure
+):
+    # 8 identities tracked into a state, then resumed in place on 4 of them and
+    # 4 new ones: once cleanly, once with the log failing before a rerun.
+    people = unit_matrix(rng, 12, 64)
+    write_container(tmp_path / "anchors.emb", unit_matrix(rng, 20, 64))
+    write_container(tmp_path / "first.emb", people[:8])
+    write_container(tmp_path / "second.emb", people[4:])
+
+    def track(frames, folder, log="log.csv", resume=True):
+        argv = ["track", "--anchors", tmp_path / "anchors.emb", "--frames", tmp_path / frames,
+                "--state-out", folder / "state.bin", "--out", folder / "fakes.emb", "--log", folder / log]
+        return cli.main([str(arg) for arg in argv + ["--state-in", folder / "state.bin"] * resume])
+
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    clean.mkdir()
+    failed.mkdir()
+    assert track("first.emb", clean, resume=False) == 0
+    before = (clean / "state.bin").read_bytes()
+    (failed / "state.bin").write_bytes(before)
+    assert track("second.emb", clean) == 0
+    if failure == "midway":
+        monkeypatch.setattr(fio, "_write_file", only_for(failed / "log.csv", half_write, fio._write_file))
+    elif failure == "at rename":
+        monkeypatch.setattr(os, "replace", only_for(failed / "log.csv", failing_replace, os.replace))
+    assert track("second.emb", failed, "nodir/log.csv" if failure == "missing directory" else "log.csv") == 2
+    monkeypatch.undo()
+    assert (failed / "state.bin").read_bytes() == before
+    assert track("second.emb", failed) == 0
+    for name in ("state.bin", "fakes.emb", "log.csv"):
+        assert (failed / name).read_bytes() == (clean / name).read_bytes(), name
