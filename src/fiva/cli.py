@@ -13,15 +13,12 @@ flag nor the config does.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import io
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,10 +91,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _option(parser: argparse.ArgumentParser, *names: str, **changes) -> None:
@@ -252,15 +245,18 @@ class _Options:
         return self.args.defaults[name]
 
 
-@contextlib.contextmanager
-def _text_out(path: str | None) -> Iterator[IO[str]]:
-    """stdout, or a buffer written to ``path`` atomically when the block ends."""
-    if path is None:
-        yield sys.stdout
+def _report(path: str | None, header: str, rows: Iterable[Sequence]) -> None:
+    """The CSV table of column names ``header`` and ``rows``, cells rendered by
+    :func:`fiva.io._csv_text`: to ``path`` through a temporary file, or to stdout."""
+    if path is not None:
+        fio._write(path, [f"{header}\n{fio._csv_text(rows)}".encode("utf-8")])
         return
-    buffer = io.StringIO()
-    yield buffer
-    fio._write(path, [buffer.getvalue().encode("utf-8")])
+    print(header)
+    drawn: list[Sequence] = []
+    try:
+        drawn.extend(rows)
+    finally:  # rows drawn before one that fails are still printed
+        sys.stdout.write(fio._csv_text(drawn))
 
 
 def _info(message: str) -> None:
@@ -270,16 +266,16 @@ def _info(message: str) -> None:
 def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
     means, _ = fio.load_rows(args.means, opts.get("normalize"))
     anchors = build_anchor_set(means, rounds=opts.get("rounds"), t=opts.get("t"))
-    fio.write_container(args.out, anchors.matrix)
     if args.provenance is not None:
-        with _text_out(args.provenance) as fh:
-            fh.write("anchor_index,round,source_a,source_b,t\n")
-            for i, p in enumerate(anchors.provenance):
-                fh.write(f"{i},{p.round_index},{p.source_a},{p.source_b},{_fmt(p.t)}\n")
+        _report(args.provenance, "anchor_index,round,source_a,source_b,t", (
+            [i, p.round_index, p.source_a, p.source_b, p.t] for i, p in enumerate(anchors.provenance)
+        ))
     if args.skips is not None:
-        with _text_out(args.skips) as fh:
-            fh.write("round,source_a,source_b\n")
-            fh.writelines(f"{s.round_index},{s.source_a},{s.source_b}\n" for s in anchors.skipped)
+        _report(args.skips, "round,source_a,source_b", (
+            [s.round_index, s.source_a, s.source_b] for s in anchors.skipped
+        ))
+    # last: a run that fails before it leaves --out as it was, even when it is --means
+    fio.write_container(args.out, anchors.matrix)
     _info(
         f"built {len(anchors)} anchors from {len(means)} means "
         f"({anchors.rounds} rounds, {len(anchors.skipped)} skipped)"
@@ -293,9 +289,9 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
         margin = _f32_margin(opts.get("margin"))
         index, cosine = sample_batch(queries, anchors, margin)
     fio.write_container(args.out, _Take(anchors.matrix, index))
-    print("query_index,anchor_index,achieved_cosine")
-    for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist())):
-        print(f"{i},{chosen},{_fmt(achieved)}")
+    _report(None, "query_index,anchor_index,achieved_cosine", (
+        [i, chosen, achieved] for i, (chosen, achieved) in enumerate(zip(index.tolist(), cosine.tolist()))
+    ))
     return 0
 
 
@@ -314,13 +310,10 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
         matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
         fio.write_container(args.out, _Take(state.fake_matrix, keys))
-    with _text_out(args.log) as fh:
-        fh.write("frame_index,matched,key,distance\n")
-        for i, (hit, key, distance) in enumerate(
-            zip(matched.tolist(), keys.tolist(), distances.tolist())
-        ):
-            cell = "" if math.isnan(distance) else _fmt(distance)
-            fh.write(f"{i},{int(hit)},{key},{cell}\n")
+    _report(args.log, "frame_index,matched,key,distance", (
+        [i, int(hit), key, "" if math.isnan(distance) else distance]
+        for i, (hit, key, distance) in enumerate(zip(matched.tolist(), keys.tolist(), distances.tolist()))
+    ))
     if args.state_out is not None:  # last: a run that fails before it leaves the state as it was
         save_state(state, args.state_out)
     _info(f"tracked {len(keys)} frames: {state.key_pointer} distinct identities")
@@ -333,16 +326,14 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
     gallery = fio.load_gallery(args.gallery, normalize)
     threshold, negate = opts.get("threshold"), opts.get("negate")
     report = retrieval_report(probes, labels, gallery, threshold, negate)
-    with _text_out(args.report) as fh:
-        fh.write("probe_index,true_label,retrieved_label,distance,success\n")
-        writer = csv.writer(fh, lineterminator="\n")  # quotes labels that need it
-        writer.writerows(
-            [i, true, gallery.labels[k], _fmt(distance), int(success)]
-            for i, (true, k, distance, success) in enumerate(zip(
-                labels, report.index.tolist(), report.distance.tolist(), report.success.tolist()
-            ))
-        )
-        fh.write(f"aggregate,,,,{_fmt(report.success_rate)}\n")
+    rows = [
+        [i, true, gallery.labels[k], distance, int(success)]
+        for i, (true, k, distance, success) in enumerate(zip(
+            labels, report.index.tolist(), report.distance.tolist(), report.success.tolist()
+        ))
+    ]
+    rows.append(["aggregate", "", "", "", report.success_rate])
+    _report(args.report, "probe_index,true_label,retrieved_label,distance,success", rows)
     _info(
         f"{'neg-id' if negate else 'id'} retrieval rate "
         f"{report.success_rate:.6f} at threshold {threshold}"
@@ -353,17 +344,14 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
     videos = [fio._load_table(path, opts.get("normalize"))[0] for path in args.frames]
     report = temporal_consistency(videos)
-    with _text_out(args.report) as fh:
-        fh.write("video_index,video,frame_count,mean_distance,std_distance\n")
-        csv.writer(fh, lineterminator="\n").writerows(
-            [i, Path(path).name, len(video), _fmt(mean), _fmt(std)]
-            for i, (path, video, mean, std) in enumerate(zip(
-                args.frames, videos, report.video_means.tolist(), report.video_stds.tolist()
-            ))
-        )
-        fh.write(
-            f"aggregate,,,{_fmt(report.mean_of_means)},{_fmt(report.mean_of_stds)}\n"
-        )
+    rows = [
+        [i, Path(path).name, len(video), mean, std]
+        for i, (path, video, mean, std) in enumerate(zip(
+            args.frames, videos, report.video_means.tolist(), report.video_stds.tolist()
+        ))
+    ]
+    rows.append(["aggregate", "", "", report.mean_of_means, report.mean_of_stds])
+    _report(args.report, "video_index,video,frame_count,mean_distance,std_distance", rows)
     _info(
         f"temporal consistency over {len(videos)} videos: "
         f"mean {report.mean_of_means:.6f}, std {report.mean_of_stds:.6f}"
@@ -402,12 +390,14 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --sweep value {sweep!r}: {exc}") from exc
         outputs = fraction_sweep(image, epsilon, fractions, seed)
-        print("fraction,path")
-        writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes paths that need it
-        for fraction, noised in outputs:
-            path = _sweep_path(args.output, fraction)
-            fio.write_image_ppm(path, noised)
-            writer.writerow([_fmt(fraction), path])
+
+        def written():  # each row once its image is written
+            for fraction, noised in outputs:
+                path = _sweep_path(args.output, fraction)
+                fio.write_image_ppm(path, noised)
+                yield [fraction, path]
+
+        _report(None, "fraction,path", written())
         return 0
     fraction = opts.get("fraction")
     spec = NoiseSpec(epsilon, fraction, seed)
@@ -427,16 +417,12 @@ def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
             raise ValueError(f"threshold must be in (0, 2), got {threshold}")
         dist = score_rows(inputs, outputs)
     flags = [distance > threshold for distance in dist.scores]
-    with _text_out(args.report) as fh:
-        fh.write("pair_index,distance,is_fake\n")
-        for i, (distance, is_fake) in enumerate(zip(dist.scores, flags)):
-            fh.write(f"{i},{_fmt(distance)},{int(is_fake)}\n")
-        fh.write(f"mean,{_fmt(dist.mean)},\n")
-        fh.write(f"std,{_fmt(dist.std)},\n")
-        fh.write(f"min,{_fmt(dist.score_min)},\n")
-        fh.write(f"max,{_fmt(dist.score_max)},\n")
-        histogram = " ".join(str(c) for c in dist.histogram)
-        fh.write(f"histogram,{histogram},\n")
+    rows = [[i, distance, int(is_fake)] for i, (distance, is_fake) in enumerate(zip(dist.scores, flags))]
+    rows += [
+        ["mean", dist.mean, ""], ["std", dist.std, ""], ["min", dist.score_min, ""],
+        ["max", dist.score_max, ""], ["histogram", " ".join(str(c) for c in dist.histogram), ""],
+    ]
+    _report(args.report, "pair_index,distance,is_fake", rows)
     _info(f"flagged {sum(flags)}/{len(flags)} pairs at threshold {threshold}")
     return 0
 
@@ -453,7 +439,6 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     anchors = None
     if mode in ("anchor_sample", "slerp_blend"):
         anchors = build_anchor_set(gallery.matrix, rounds=opts.get("rounds"), t=opts.get("t"))
-        fio.write_container(out_dir / "anchors.emb", anchors.matrix)
     result = end_to_end_benchmark(
         config,
         MockAnonymizer(mode=mode, margin=opts.get("margin"), blend=opts.get("blend"), anchors=anchors),
@@ -461,6 +446,9 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         tracker_threshold=opts.get("tracker_threshold"),
         gallery=gallery,
     )
+    # Written once the benchmark has run, so a bad value leaves --out-dir as it was.
+    if anchors is not None:
+        fio.write_container(out_dir / "anchors.emb", anchors.matrix)
     fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
     per_video = config.frames_per_identity
     frame_labels = [label for label in gallery.labels for _ in range(per_video)]
@@ -470,15 +458,11 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
         ("fakes_per_frame", result._per_frame_rows),
     ):
         fio.write_container(out_dir / f"{name}.emb", rows, frame_labels)
-    with _text_out(str(out_dir / "report.csv")) as fh:
-        fh.write("variant,id_rate,neg_id_rate,mtc_mean,mtc_std\n")
-        for name, variant in (("tracked", result.tracked), ("per_frame", result.per_frame)):
-            fh.write(
-                f"{name},{_fmt(variant.id_report.success_rate)},"
-                f"{_fmt(variant.neg_id_report.success_rate)},"
-                f"{_fmt(variant.temporal.mean_of_means)},"
-                f"{_fmt(variant.temporal.mean_of_stds)}\n"
-            )
+    _report(str(out_dir / "report.csv"), "variant,id_rate,neg_id_rate,mtc_mean,mtc_std", (
+        [name, variant.id_report.success_rate, variant.neg_id_report.success_rate,
+         variant.temporal.mean_of_means, variant.temporal.mean_of_stds]
+        for name, variant in (("tracked", result.tracked), ("per_frame", result.per_frame))
+    ))
     _info(
         f"benchmark ({mode}) done: tracked id {result.tracked.id_report.success_rate:.3f}, "
         f"neg-id {result.tracked.neg_id_report.success_rate:.3f}"

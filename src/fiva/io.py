@@ -402,14 +402,15 @@ def read_container(
     return matrix, labels
 
 
-def _csv_lines(rows: np.ndarray, labels: list[str] | None, first: int) -> bytes:
-    """CSV lines of ``rows`` as float32, row i labeled ``labels[first + i]``."""
+def _csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV lines of ``rows``: float cells by ``repr`` of their ``float``, other
+    cells as they are, each quoted only where CSV needs it."""
     text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    for i, row in enumerate(np.asarray(rows, dtype="<f4"), first):
-        cells = [repr(float(v)) for v in row]
-        writer.writerow(cells if labels is None else [labels[i], *cells])
-    return text.getvalue().encode("utf-8")
+    csv.writer(text, lineterminator="\n").writerows(
+        [repr(float(cell)) if isinstance(cell, (float, np.floating)) else cell for cell in row]
+        for row in rows
+    )
+    return text.getvalue()
 
 
 def write_container(
@@ -428,8 +429,13 @@ def write_container(
     if str(name).lower().endswith(".csv"):
         arr = _coerce_matrix(matrix)
         labels = _check_labels(labels, len(arr))
-        blocks = _row_blocks(arr)
-        pieces = (_csv_lines(arr[part], labels, part.start) for part in blocks)
+        pieces = (
+            _csv_text(
+                row.tolist() if labels is None else [labels[i], *row.tolist()]
+                for i, row in enumerate(np.asarray(arr[part], dtype="<f4"), part.start)
+            ).encode("utf-8")
+            for part in _row_blocks(arr)
+        )
     else:
         pieces = _packed([_container(matrix, labels)])
     _write(destination, pieces)

@@ -779,3 +779,69 @@ def test_no_stray_files_in_working_directory(capsys, rng, tmp_path, monkeypatch)
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
     assert sorted(p.name for p in work.iterdir()) == ["anchors.emb", "means.emb"]
+
+
+@pytest.mark.parametrize("value", ["--margin 2", "--tracker-threshold 5", "--retrieval-threshold 3"])
+def test_bench_value_error_leaves_out_dir_empty(capsys, tmp_path, value):
+    out_dir = tmp_path / "bench"
+    code, _, err = run(
+        capsys, "bench", "--dim", "16", "--identities", "6", "--frames", "2",
+        "--mode", "anchor_sample", "--out-dir", str(out_dir), *value.split(),
+    )
+    assert code == 2, err
+    assert list(out_dir.iterdir()) == []
+
+
+# Per command table: the arguments, with {inputs} and {out} folders, and the
+# table's file under {out}, or None for the table printed to stdout.
+TABLES = {
+    "provenance": ("build-anchors --means {inputs}/means.emb --rounds 2 --out {out}/anchors.emb"
+                   " --provenance {out}/table.csv", "table.csv"),
+    "skips": ("build-anchors --means {inputs}/means.emb --out {out}/anchors.emb --skips {out}/table.csv",
+              "table.csv"),
+    "sample stdout": ("sample --anchors {inputs}/anchors.emb --query {inputs}/frames.emb"
+                      " --margin 0.3 --out {out}/fakes.emb", None),
+    "track log": ("track --frames {inputs}/frames.emb --anchors {inputs}/anchors.emb", None),
+    "eval-retrieval": ("eval-retrieval --probes {inputs}/probes.emb --gallery {inputs}/means.emb"
+                       " --report {out}/table.csv", "table.csv"),
+    "eval-temporal": ("eval-temporal --frames {inputs}/frames.emb {inputs}/means.emb", None),
+    "detect": ("detect --inputs {inputs}/frames.emb --outputs {inputs}/probes.emb"
+               " --report {out}/table.csv", "table.csv"),
+    "bench report": ("bench --dim 16 --identities 6 --frames 2 --out-dir {out}", "report.csv"),
+    "defend sweep": ("defend --mode uniform --input {inputs}/image.ppm --output {out}/noised.ppm"
+                     " --sweep 0.1,0.35,1", None),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_table_keeps_one_csv_rule(capsys, rng, tmp_path, table):
+    # Means holding an antipodal pair (one skip), jittered frames of them, and
+    # probes labeled with names that need quoting.
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    means = np.array([random_unit(rng, 16).values for _ in range(6)])
+    means[3] = -means[2]
+    labels = ["a,b", 'say "hi"', "id_2", "id 3", "id_4", "ünï"]
+    frames = means[np.arange(12) % 6] + rng.normal(0.0, 0.01, size=(12, 16))
+    write_container(inputs / "means.emb", means, labels)
+    write_container(inputs / "frames.emb", frames / np.linalg.norm(frames, axis=1, keepdims=True))
+    write_container(inputs / "probes.emb", -frames / np.linalg.norm(frames, axis=1, keepdims=True),
+                    [labels[i % 6] for i in range(12)])
+    assert main(["build-anchors", "--means", str(inputs / "means.emb"), "--out", str(inputs / "anchors.emb")]) == 0
+    write_image_ppm(inputs / "image.ppm", rng.random((4, 5, 3)))
+    capsys.readouterr()
+    args, name = TABLES[table]
+    code, stdout, err = run(capsys, *args.format(inputs=inputs, out=out).split())
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(stdout if name is None else (out / name).read_text())))
+    assert len(rows) > 1
+    for row in rows:
+        assert len(row) == len(rows[0]), row
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not cell.lstrip("-").isdigit():
+                assert cell == repr(value), row

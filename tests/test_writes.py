@@ -1,6 +1,7 @@
 """Writers: CSV labels that need quoting, the shared label check, atomic file writes."""
 
 import os
+import shutil
 import stat
 from pathlib import Path
 
@@ -191,37 +192,66 @@ def test_text_output_to_a_directory_names_the_path_as_given(rng, tmp_path, monke
     assert capsys.readouterr().err.endswith("Is a directory: 'report.csv'\n")
 
 
+def prepare_track(inputs, folder):
+    argv = f"track --anchors {inputs}/anchors.emb --frames {inputs}/first.emb --state-out {folder}/state.bin"
+    assert cli.main(argv.split()) == 0
 
+
+# Per command: how a folder is made ready; the arguments of a run in it, with
+# {target} for the file whose write is made to fail; that file; the file the run
+# rewrites in place, which a failed run must leave as it was; and the files the
+# rerun must write as the clean run did.
+IN_PLACE_RUNS = {
+    "track": (
+        prepare_track,
+        "track --anchors {inputs}/anchors.emb --frames {inputs}/second.emb --state-in {folder}/state.bin"
+        " --state-out {folder}/state.bin --out {folder}/fakes.emb --log {folder}/{target}",
+        "log.csv", "state.bin", ("state.bin", "fakes.emb", "log.csv"),
+    ),
+    "build-anchors": (
+        lambda inputs, folder: shutil.copy(inputs / "means.emb", folder),
+        "build-anchors --means {folder}/means.emb --out {folder}/means.emb"
+        " --provenance {folder}/provenance.csv --skips {folder}/{target}",
+        "skips.csv", "means.emb", ("means.emb", "provenance.csv", "skips.csv"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", IN_PLACE_RUNS)
 @pytest.mark.parametrize("failure", ["missing directory", "midway", "at rename"])
-def test_failed_track_leaves_its_state_and_the_rerun_matches_the_clean_run(
-    rng, tmp_path, monkeypatch, failure
+def test_failed_run_leaves_the_file_it_rewrites_and_the_rerun_matches_the_clean_run(
+    rng, tmp_path, monkeypatch, command, failure
 ):
     # 8 identities tracked into a state, then resumed in place on 4 of them and
-    # 4 new ones: once cleanly, once with the log failing before a rerun.
+    # 4 new ones; 12 means holding an antipodal pair built into anchors over
+    # themselves. Each run once cleanly, once with a write failing before a rerun.
+    prepare, args, target, kept, outputs = IN_PLACE_RUNS[command]
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
     people = unit_matrix(rng, 12, 64)
-    write_container(tmp_path / "anchors.emb", unit_matrix(rng, 20, 64))
-    write_container(tmp_path / "first.emb", people[:8])
-    write_container(tmp_path / "second.emb", people[4:])
+    write_container(inputs / "anchors.emb", unit_matrix(rng, 20, 64))
+    write_container(inputs / "first.emb", people[:8])
+    write_container(inputs / "second.emb", people[4:])
+    means = unit_matrix(rng, 12, 16)
+    means[3] = -means[2]
+    write_container(inputs / "means.emb", means)
 
-    def track(frames, folder, log="log.csv", resume=True):
-        argv = ["track", "--anchors", tmp_path / "anchors.emb", "--frames", tmp_path / frames,
-                "--state-out", folder / "state.bin", "--out", folder / "fakes.emb", "--log", folder / log]
-        return cli.main([str(arg) for arg in argv + ["--state-in", folder / "state.bin"] * resume])
+    def run(folder, target=target):
+        return cli.main(args.format(inputs=inputs, folder=folder, target=target).split())
 
     clean, failed = tmp_path / "clean", tmp_path / "failed"
-    clean.mkdir()
-    failed.mkdir()
-    assert track("first.emb", clean, resume=False) == 0
-    before = (clean / "state.bin").read_bytes()
-    (failed / "state.bin").write_bytes(before)
-    assert track("second.emb", clean) == 0
+    for folder in (clean, failed):
+        folder.mkdir()
+        prepare(inputs, folder)
+    before = (failed / kept).read_bytes()
+    assert run(clean) == 0
     if failure == "midway":
-        monkeypatch.setattr(fio, "_write_file", only_for(failed / "log.csv", half_write, fio._write_file))
+        monkeypatch.setattr(fio, "_write_file", only_for(failed / target, half_write, fio._write_file))
     elif failure == "at rename":
-        monkeypatch.setattr(os, "replace", only_for(failed / "log.csv", failing_replace, os.replace))
-    assert track("second.emb", failed, "nodir/log.csv" if failure == "missing directory" else "log.csv") == 2
+        monkeypatch.setattr(os, "replace", only_for(failed / target, failing_replace, os.replace))
+    assert run(failed, f"nodir/{target}" if failure == "missing directory" else target) == 2
     monkeypatch.undo()
-    assert (failed / "state.bin").read_bytes() == before
-    assert track("second.emb", failed) == 0
-    for name in ("state.bin", "fakes.emb", "log.csv"):
+    assert (failed / kept).read_bytes() == before
+    assert run(failed) == 0
+    for name in outputs:
         assert (failed / name).read_bytes() == (clean / name).read_bytes(), name
