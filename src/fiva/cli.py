@@ -13,6 +13,7 @@ flag nor the config does.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -477,7 +478,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, _Options(args))
+        opts = _Options(args)
+        # Outputs lie in existing directories, checked before any input is read.
+        for name in ("out", "log", "state_out", "provenance", "skips", "report", "output"):
+            path = getattr(args, name, None)
+            if path is not None and not Path(path).resolve().parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        return args.func(args, opts)
     except (FivaError, OSError, ValueError) as exc:
         print(f"fiva: error: {exc}", file=sys.stderr)
         return 2

@@ -403,13 +403,11 @@ def read_container(
 
 
 def _csv_text(rows: Iterable[Sequence]) -> str:
-    """CSV lines of ``rows``: float cells by ``repr`` of their ``float``, other
-    cells as they are, each quoted only where CSV needs it."""
+    """CSV lines of ``rows`` of Python scalars (a float64 scalar passes too), each
+    cell quoted only where CSV needs it. ``csv.writer`` writes a float by ``str``,
+    which is its ``repr``, so every float reads back as the value written."""
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(
-        [repr(float(cell)) if isinstance(cell, (float, np.floating)) else cell for cell in row]
-        for row in rows
-    )
+    csv.writer(text, lineterminator="\n").writerows(rows)
     return text.getvalue()
 
 

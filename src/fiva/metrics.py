@@ -21,9 +21,7 @@ from .errors import EmptyGallery, EmptyList, ShapeMismatch
 from .gallery import Gallery, LabeledEmbedding
 from .sphere import (
     _BLOCK_ELEMENTS,
-    _BLOCK_ROWS,
     Embedding,
-    _Scratch,
     _Take,
     _nearest,
     _stack,
@@ -142,39 +140,42 @@ class RetrievalReport(_ValueEq):
         return self.success_rate, self.threshold, self.per_query
 
 
-def _video_rows(frames: Sequence[Embedding] | np.ndarray) -> np.ndarray:
-    """A video's checked (F, D) rows, float32 ones kept at that width."""
-    if not isinstance(frames, np.ndarray):
+def _fold(corpus, name: str, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a corpus once (:func:`_unit_matrix`) and fold it once (:func:`_distinct_rows`):
+    an (N, D) array-like, or gathered rows, whose table is checked and folded. Returns
+    the checked rows, the index of each distinct row at its first appearance, and a
+    copy code per row (per index entry), equal exactly when the rows are bit-equal."""
+    gathered = isinstance(corpus, _Take)
+    rows = _unit_matrix(corpus.table if gathered else corpus, name, dim)
+    first, codes = _distinct_rows(rows)
+    return rows, first, codes[corpus.index] if gathered else codes
+
+
+def _video_rows(frames) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fold` of a video (a frame list or an (F, D) array) or of stacked videos
+    (an (N, D) array or gathered rows): checked rows, float32 kept, and copy codes."""
+    if not isinstance(frames, (np.ndarray, _Take)):
         frames = _stack(list(frames), "frame")
-    rows = _unit_matrix(frames, "frame")
+    rows, _, codes = _fold(frames, "frame")
     if not len(rows):
         raise EmptyList("a video needs at least one frame embedding")
-    return rows
+    return rows, codes
 
 
-def _zero_equal_rows(videos: np.ndarray, distances: np.ndarray) -> None:
-    """Set the distance of every pair of bit-equal rows within a video to exactly 0.
-
-    Rows are equal as they are for retrieval: each row's owner is its copy
-    among the distinct rows of the whole (B * n, D) block (:func:`_distinct_rows`).
-    """
-    count, n, dim = videos.shape
-    owner = _distinct_rows(videos.reshape(count * n, dim))[1].reshape(count, n)
-    distances[owner[:, :, None] == owner[:, None, :]] = 0.0
-
-
-def _video_distances(videos) -> np.ndarray:
+def _video_distances(videos, codes) -> np.ndarray:
     """The (B, n, n) pairwise cosine distances within each video of a (B, n, D)
-    block, widened to float64 (from a float32 array, or a list of videos).
+    block, widened to float64 (from a float32 array, or a list of videos), with
+    the (B, n) copy codes of its rows.
 
     Entry (i, j) is ``|a - b|^2 / 2`` in Gram form, ``(s_i + s_j) / 2 - g_ij``
     with ``g = V V^T`` and ``s`` its diagonal, the squared row norms. On rows
     stored as float32, which lie up to ~1e-7 off the sphere, this keeps the
     difference form's value to ~1e-15 where ``1 - g_ij`` is off by ~1e-8.
     The upper triangle is mirrored, values are clipped to [0, 2], and every
-    pair of bit-equal rows, the diagonal included, is exactly 0.
+    pair of rows with equal codes, the diagonal included, is exactly 0.
     """
     videos = np.asarray(videos, dtype=np.float64)
+    codes = np.asarray(codes)
     gram = np.matmul(videos, videos.transpose(0, 2, 1))
     squares = np.diagonal(gram, axis1=1, axis2=2)
     distances = squares[:, :, None] + squares[:, None, :]
@@ -183,7 +184,7 @@ def _video_distances(videos) -> np.ndarray:
     lower, upper = np.tril_indices(videos.shape[1], -1)
     distances[:, lower, upper] = distances[:, upper, lower]
     np.clip(distances, 0.0, 2.0, out=distances)
-    _zero_equal_rows(videos, distances)
+    distances[codes[:, :, None] == codes[:, None, :]] = 0.0
     return distances
 
 
@@ -195,7 +196,8 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
     exactly zero for bit-identical frames. Each entry is within ``(D + 2) * eps``
     of the difference form computed on the rows as given.
     """
-    return _video_distances(_video_rows(frames)[None])[0]
+    rows, codes = _video_rows(frames)
+    return _video_distances(rows[None], codes[None])[0]
 
 
 def temporal_consistency(
@@ -204,34 +206,35 @@ def temporal_consistency(
     """Consistency statistics for a list of videos (frame lists or (F, D) arrays),
     for an (I, F, D) array of I videos, or for gathered rows with an (I, F) index.
 
-    Videos of one shape are scored together, a block of them per batched
-    Gram product (see :func:`pairwise_distance_matrix`); an (I, F, D) array
-    is used in place, and gathered rows are read a block of videos at a time.
-    Float32 videos are kept at that width and widened a block at a time.
+    Each listed video, or the table of stacked ones, is folded once (:func:`_fold`).
+    Videos of one shape are scored a block per batched Gram product (see
+    :func:`pairwise_distance_matrix`); an (I, F, D) array is used in place, gathered
+    rows and float32 videos are read and widened a block of videos at a time.
     """
     gathered = isinstance(videos, _Take)
     stacked = gathered or (isinstance(videos, np.ndarray) and videos.ndim == 3)
     videos = videos if stacked else list(videos)
     if not len(videos):
         raise EmptyList("need at least one video")
-    # Per (F, D) shape: the indices of its videos and their rows.
-    groups: dict[tuple[int, ...], tuple[list[int], Sequence[np.ndarray]]] = {}
-    if stacked:  # checked as one table of rows, then read a block of videos at a time
+    # Per (F, D) shape: the indices of its videos, their rows and their copy codes.
+    groups: dict[tuple[int, ...], tuple[list[int], Sequence[np.ndarray], Sequence[np.ndarray]]] = {}
+    if stacked:  # folded as one table of rows, then read a block of videos at a time
         count, frames, dim = videos.shape
-        table = _video_rows(videos.table if gathered else videos.reshape(count * frames, dim))
+        table, codes = _video_rows(videos if gathered else videos.reshape(count * frames, dim))
         videos = _Take(table, videos.index) if gathered else table.reshape(videos.shape)
-        groups[(frames, dim)] = list(range(count)), videos
+        groups[(frames, dim)] = list(range(count)), videos, codes.reshape(count, frames)
     else:
-        for i, video in enumerate(map(_video_rows, videos)):
-            members, rows = groups.setdefault(video.shape, ([], []))
+        for i, (video, codes) in enumerate(map(_video_rows, videos)):
+            members, rows, folds = groups.setdefault(video.shape, ([], [], []))
             members.append(i)
             rows.append(video)
+            folds.append(codes)
     means = np.empty(len(videos), dtype=np.float64)
     stds = np.empty(len(videos), dtype=np.float64)
-    for (n, dim), (members, rows) in groups.items():
+    for (n, dim), (members, rows, codes) in groups.items():
         step = max(1, _BLOCK_ELEMENTS // (n * (n + dim)))
         for start in range(0, len(members), step):
-            distances = _video_distances(rows[start : start + step])
+            distances = _video_distances(rows[start : start + step], codes[start : start + step])
             mean = distances.mean(axis=(1, 2))
             deviation = distances - mean[:, None, None]
             chosen = members[start : start + step]
@@ -281,26 +284,15 @@ def _search(
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per flag of ``negate``, the nearest entry index and cosine distance of
     each row of a (N, D) array-like or of gathered rows, all from one product
-    with the gallery. Each distinct row is searched once, in blocks gathered one
-    at a time; copies get its bits. Gathered rows search the table rows they use.
-    A float32 array is folded on its own bits and widened a block at a time."""
+    with the gallery. The rows are folded (:func:`_fold`) and the distinct rows used
+    are searched in one :func:`_nearest` call, which gathers and widens a block at a
+    time; copies get their original's bits. Float32 rows are folded on their own bits."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
-    spread = slice(None)
-    if isinstance(queries, _Take):
-        used, spread = np.unique(queries.index, return_inverse=True)
-        queries = queries.table if len(used) == len(queries.table) else queries.table[used]
-    rows = _unit_matrix(queries, "probe", gallery.dim)
-    first, inverse = _distinct_rows(rows)
-    if len(first) == len(rows):  # all distinct: searched in place
-        blocks = [slice(None)]
-    else:
-        blocks = np.array_split(first, -(-len(first) // _BLOCK_ROWS))
-    scratch = _Scratch()
-    parts = [_nearest(rows[block], gallery.matrix, -1.0, tuple(negate), scratch) for block in blocks]
-    picks = (map(np.concatenate, zip(*flag)) for flag in zip(*parts))  # per flag, blocks joined
-    inverse = inverse[spread]
-    return tuple((index[inverse], 1.0 - cosine[inverse]) for index, cosine in picks)
+    rows, first, codes = _fold(queries, "probe", gallery.dim)
+    used, spread = np.unique(codes, return_inverse=True)
+    picks = _nearest(_Take(rows, first[used]), gallery.matrix, -1.0, tuple(negate))
+    return tuple((index[spread], 1.0 - cosine[spread]) for index, cosine in picks)
 
 
 def retrieve(query: Embedding, gallery: Gallery) -> tuple[str, float]:

@@ -341,6 +341,7 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False, sc
     for start, stop in zip(bounds, bounds[1:]):
         block = np.asarray(queries[start:stop], dtype=np.float64)
         sims = _block_products(block, matrix, products[: stop - start])
+        del block  # released before the next block is gathered
         for lo in range(0, stop - start, step):
             part = sims[lo : lo + step]
             obj, mask = objective[: len(part)], tied[: len(part)]

@@ -113,6 +113,37 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, seed, message", [
+        ("detect --inputs {i}/means.emb --outputs {i}/means.emb --threshold 3", None,
+         "threshold must be in (0, 2), got 3.0"),
+        ("bench --identities 5 --frames 2 --dim 8 --out-dir {o}/bench", "abc",
+         "FIVA_SEED must be an integer, got 'abc'"),
+        ("detect --inputs {i}/means.emb --outputs {i}/means.emb --config {i}/none.json", None,
+         "cannot read config {i}/none.json: [Errno 2] No such file or directory: '{i}/none.json'"),
+        ("detect --inputs {i}/means.emb --outputs {i}/means.emb --config {i}/list.json", None,
+         "config {i}/list.json must hold a flat JSON object"),
+        ("defend --mode uniform --input {i}/input.ppm --output {o}/d.ppm --sweep 0.1,x", None,
+         "bad --sweep value '0.1,x': could not convert string to float: 'x'"),
+        ("defend --mode uniform --input {i}/empty.pgm --output {o}/d.pgm", None,
+         "bad raster size 0x2"),
+        ("defend --mode uniform --input {i}/joined.pgm --output {o}/d.pgm", None,
+         "missing whitespace between header and raster"),
+    ])
+    def test_data_errors_name_their_cause_and_write_nothing(
+        self, capsys, monkeypatch, means_file, image_file, tmp_path, argv, seed, message
+    ):
+        inputs, out = means_file.parent, tmp_path / "out"
+        out.mkdir()
+        (inputs / "list.json").write_text("[1]")
+        (inputs / "empty.pgm").write_bytes(b"P5\n0 2\n255\n")
+        (inputs / "joined.pgm").write_bytes(b"P5\n1 1\n255\x80")
+        if seed is not None:
+            monkeypatch.setenv("FIVA_SEED", seed)
+        code, stdout, err = run(capsys, *argv.format(i=inputs, o=out).split())
+        assert (code, stdout) == (2, "")
+        assert err == f"fiva: error: {message.format(i=inputs)}\n"
+        assert list(out.iterdir()) == []
+
     def test_unlabeled_probes_is_data_error(self, capsys, means_file, tmp_path):
         code, _, err = run(
             capsys,

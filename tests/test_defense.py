@@ -112,6 +112,10 @@ class TestUniformPixelNoise:
             NoiseSpec(epsilon=-0.1, fraction=0.5, seed=0)
         with pytest.raises(ValueError):
             NoiseSpec(epsilon=0.1, fraction=1.5, seed=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            NoiseSpec(epsilon=0.1, fraction=0.5, seed=-1)
+        with pytest.raises(NonFinite):
+            uniform_pixel_noise(np.full((4, 4, 3), np.nan), NoiseSpec(0.1, 0.5, seed=0))
 
     def test_out_of_range_image_rejected(self):
         with pytest.raises(ValueError):

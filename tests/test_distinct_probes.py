@@ -153,14 +153,18 @@ class TestRetrievalOnCopies:
         gallery = Gallery(matrix, [f"g{i}" for i in range(20)])
         rows = unit_rows(rng, distinct, 32)
         probes = rows[np.concatenate([rng.integers(0, distinct, size=900), np.arange(distinct)])]
-        with mock.patch.object(metrics, "_nearest", wraps=metrics._nearest) as spy:
+        with (
+            mock.patch.object(metrics, "_nearest", wraps=metrics._nearest) as spy,
+            mock.patch.object(sphere, "_block_products", wraps=sphere._block_products) as products,
+        ):
             retrieval_reports(probes, ["g0"] * len(probes), gallery, 0.63)
-        searched = [call.args[0] for call in spy.call_args_list]
-        # No gathered copy of more than one kernel block of rows.
-        assert max(map(len, searched)) <= sphere._BLOCK_ROWS
-        assert len(searched) == -(-distinct // sphere._BLOCK_ROWS)
-        searched = np.concatenate(searched)
+        # One search, whose rows are exactly the distinct probes.
+        (call,) = spy.call_args_list
+        searched = call.args[0][:]
         assert len(searched) == len(np.unique(probes, axis=0)) == distinct
+        assert np.unique(searched, axis=0).tobytes() == np.unique(probes, axis=0).tobytes()
+        # No gathered copy of more than one kernel block of rows.
+        assert max(len(c.args[0]) for c in products.call_args_list) <= sphere._BLOCK_ROWS
 
 
 def nearest_before(queries, matrix, m, negate=False):

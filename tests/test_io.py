@@ -221,6 +221,14 @@ class TestLoadHelpers:
         with pytest.raises(MissingLabels):
             load_labeled_embeddings(path)
 
+    def test_load_labeled_embeddings(self, rng, tmp_path):
+        matrix = unit_matrix(rng, 3, 8)
+        path = tmp_path / "labeled.emb"
+        write_container(path, matrix, labels=["x", "y", "z"])
+        loaded = load_labeled_embeddings(path)
+        assert [e.label for e in loaded] == ["x", "y", "z"]
+        assert np.stack([e.embedding.values for e in loaded]).tobytes() == matrix.astype(np.float64).tobytes()
+
     def test_load_gallery(self, rng, tmp_path):
         matrix = unit_matrix(rng, 3, 8)
         path = tmp_path / "gal.emb"

@@ -6,6 +6,7 @@ from fiva import (
     EmptyGallery,
     EmptyList,
     Gallery,
+    LabelCountMismatch,
     LabeledEmbedding,
     ShapeMismatch,
     anti_id_loss,
@@ -145,6 +146,18 @@ class TestRetrieve:
         with pytest.raises(EmptyGallery):
             retrieve(random_unit(rng, 8), Gallery.from_entries(()))
 
+    @pytest.mark.parametrize("labels, error", [
+        (["a", ""], ValueError), (["a", "a"], ValueError), (["a"], LabelCountMismatch),
+    ])
+    def test_gallery_labels_are_checked(self, rng, labels, error):
+        rows = np.stack([random_unit(rng, 8).values for _ in range(2)])
+        with pytest.raises(error):
+            Gallery(rows, labels)
+
+    def test_labeled_embedding_needs_a_label(self, rng):
+        with pytest.raises(ValueError, match="label must be non-empty"):
+            LabeledEmbedding("", random_unit(rng, 8))
+
     def test_dimension_mismatch(self, rng):
         gallery = make_gallery(rng, dim=16)
         with pytest.raises(DimensionMismatch):
@@ -261,3 +274,5 @@ class TestLosses:
     def test_recon_l1_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             recon_l1(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(EmptyList):
+            recon_l1(np.zeros((0, 3)), np.zeros((0, 3)))

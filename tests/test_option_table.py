@@ -106,19 +106,20 @@ def test_config_keys_are_checked_for_a_command_that_does_not_take_them(capsys, r
     assert not report.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "build-anchors --means {i}/in.emb --out {o}/a.emb --provenance {o}/p.csv",
-        "sample --anchors {i}/in.emb --query {i}/in.emb --out {o}/s.emb",
-        "track --frames {i}/in.emb --anchors {i}/in.emb --out {o}/f.emb --log {o}/l.csv --state-out {o}/s",
-        "eval-retrieval --probes {i}/in.emb --gallery {i}/in.emb --report {o}/r.csv",
-        "eval-temporal --frames {i}/in.emb --report {o}/r.csv",
-        "defend --mode uniform --input {i}/in.ppm --output {o}/d.ppm",
-        "detect --inputs {i}/in.emb --outputs {i}/in.emb --report {o}/r.csv",
-        "bench --identities 5 --frames 2 --dim 16 --out-dir {o}/bench",
-    ],
-)
+# One run of each command, with {i} for its inputs and {o} for its outputs.
+EVERY_COMMAND = [
+    "build-anchors --means {i}/in.emb --out {o}/a.emb --provenance {o}/p.csv",
+    "sample --anchors {i}/in.emb --query {i}/in.emb --out {o}/s.emb",
+    "track --frames {i}/in.emb --anchors {i}/in.emb --out {o}/f.emb --log {o}/l.csv --state-out {o}/s",
+    "eval-retrieval --probes {i}/in.emb --gallery {i}/in.emb --report {o}/r.csv",
+    "eval-temporal --frames {i}/in.emb --report {o}/r.csv",
+    "defend --mode uniform --input {i}/in.ppm --output {o}/d.ppm",
+    "detect --inputs {i}/in.emb --outputs {i}/in.emb --report {o}/r.csv",
+    "bench --identities 5 --frames 2 --dim 16 --out-dir {o}/bench",
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_every_command_checks_the_config_before_it_reads_or_writes(capsys, tmp_path, argv):
     # The inputs do not exist: the config error comes first.
     out_dir = tmp_path / "out"
@@ -129,6 +130,16 @@ def test_every_command_checks_the_config_before_it_reads_or_writes(capsys, tmp_p
     assert code == 2 and out == ""
     assert err == "fiva: error: config key 'threads' must be an integer, got 'x'\n"
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv in EVERY_COMMAND if "{o}/" in argv and "--out-dir" not in argv])
+def test_every_command_checks_its_output_paths_before_it_reads(capsys, tmp_path, argv):
+    # Neither the inputs nor the outputs' directory exist: the first output named fails first.
+    argv = argv.format(i=tmp_path / "missing", o=tmp_path / "nodir").split()
+    first = next(arg for arg in argv if "nodir" in arg)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"fiva: error: [Errno 2] No such file or directory: '{first}'\n"
 
 
 def test_help_renders_each_commands_defaults(capsys):

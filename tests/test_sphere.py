@@ -332,6 +332,15 @@ class TestBuildAnchorSet:
         with pytest.raises(NotUnitNorm):
             AnchorSet.from_embeddings((Embedding(np.array([2.0, 0.0])),))
 
+    def test_anchor_set_rejects_bad_shapes(self, rng):
+        with pytest.raises(DimensionMismatch, match="1-D vector"):
+            Embedding(np.eye(2))
+        with pytest.raises(DimensionMismatch, match="anchor 1 has dimension 4, expected 8"):
+            AnchorSet.from_embeddings([random_unit(rng, 8), random_unit(rng, 4)])
+        anchors = build_anchor_set([random_unit(rng, 8) for _ in range(3)])
+        with pytest.raises(DimensionMismatch, match="2 provenance records for 3 anchors"):
+            AnchorSet(anchors.matrix, anchors.provenance[:2])
+
     def test_matrix_matches_anchor_rows(self, rng):
         means = [random_unit(rng, 8) for _ in range(4)]
         anchors = build_anchor_set(means, rounds=2)

@@ -3,6 +3,7 @@ import pytest
 
 from fiva import (
     AnchorSet,
+    AntipodalPair,
     Embedding,
     MockAnonymizer,
     SynthConfig,
@@ -64,6 +65,10 @@ class TestGenerateIdentities:
             SynthConfig(jitter_sigma=-0.1)
         with pytest.raises(ValueError):
             SynthConfig(frames_per_identity=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SynthConfig(seed=-1)
+        with pytest.raises(ValueError, match="seeds and sub-seed keys must be non-negative"):
+            spawn_seed(-1)
 
 
 class TestGenerateFrames:
@@ -91,6 +96,8 @@ class TestGenerateFrames:
     def test_count_validation(self, rng):
         with pytest.raises(ValueError):
             generate_frames(random_unit(rng, 8), count=0, jitter_sigma=0.1, seed=0)
+        with pytest.raises(ValueError, match="jitter_sigma must be >= 0"):
+            generate_frames(random_unit(rng, 8), count=2, jitter_sigma=-0.1, seed=0)
 
 
 class TestMockAnonymizer:
@@ -127,6 +134,16 @@ class TestMockAnonymizer:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             MockAnonymizer(mode="identity")
+        with pytest.raises(ValueError, match="blend must be in"):
+            MockAnonymizer(mode="negation", blend=2)
+
+    def test_slerp_blend_toward_the_antipode_raises(self, rng):
+        # At margin 1 the sampler picks the anchor nearest cosine -1: here -z itself.
+        z = random_unit(rng, 32)
+        anchors = AnchorSet.from_embeddings([random_unit(rng, 32), negate(z)])
+        anonymizer = MockAnonymizer(mode="slerp_blend", margin=1.0, anchors=anchors)
+        with pytest.raises(AntipodalPair):
+            mock_anonymize(z, anonymizer)
 
 
 class TestEndToEndBenchmark:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fiva import (
     IoFailure,
     TrackerState,
     load_state,
+    pack_container,
     sample_fake,
     save_state,
 )
@@ -237,6 +240,13 @@ class TestPersistence:
         bad = tmp_path / "denorm.state"
         bad.write_bytes(bytes(raw))
         with pytest.raises(CorruptState):
+            load_state(bad)
+
+    def test_unequal_stored_and_fake_blocks_rejected(self, rng, tmp_path):
+        rows = np.stack([random_unit(rng, 32).values for _ in range(2)])
+        bad = tmp_path / "unequal.state"
+        bad.write_bytes(pack_container(rows) + pack_container(rows[:1]) + struct.pack("<ffI", 0.5, 0.0, 2))
+        with pytest.raises(CorruptState, match=r"stored block shape \(2, 32\) != fake block shape \(1, 32\)"):
             load_state(bad)
 
     def test_missing_file_is_io_failure(self, tmp_path):

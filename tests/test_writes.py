@@ -252,6 +252,8 @@ def test_failed_run_leaves_the_file_it_rewrites_and_the_rerun_matches_the_clean_
     assert run(failed, f"nodir/{target}" if failure == "missing directory" else target) == 2
     monkeypatch.undo()
     assert (failed / kept).read_bytes() == before
+    if failure == "missing directory":  # checked before any input is read: no output written
+        assert [path.name for path in failed.iterdir()] == [kept]
     assert run(failed) == 0
     for name in outputs:
         assert (failed / name).read_bytes() == (clean / name).read_bytes(), name
