@@ -14,7 +14,8 @@ because payloads pass through untouched single-precision values.
 
 CSV files (suffix ``.csv``) are accepted for interop: one row per
 embedding, optional leading label column, numeric cells parsed as
-single-precision values.
+single-precision values. A CSV file is packed into an in-memory container
+where it is opened, then read like one.
 
 Images travel as binary netpbm rasters with maxval 255: P6 for 3-channel,
 P5 for single-channel. Reading maps byte b to b / 255; writing maps v to
@@ -27,6 +28,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -316,22 +318,6 @@ def _write(destination: str | Path | BinaryIO, pieces: Iterable) -> None:
         raise
 
 
-def _looks_like_csv(source: str | Path | BinaryIO, stream: BinaryIO) -> bool:
-    """Whether ``source`` is named ``*.csv`` and ``stream``, left where it was,
-    does not start with the container magic."""
-    here = stream.tell()
-    head = bytearray(len(MAGIC))
-    del head[_readinto(stream, head) :]
-    stream.seek(here)
-    if head == MAGIC:
-        return False
-    name = getattr(source, "name", source)
-    try:
-        return str(name).lower().endswith(".csv")
-    except Exception:
-        return False
-
-
 def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     try:
         text = data.decode("utf-8")
@@ -375,15 +361,22 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     return matrix, (_check_labels(labels, len(rows)) if labeled else None)
 
 
-def _read_whole(
-    source: str | Path | BinaryIO, stream: BinaryIO, dtype
-) -> tuple[np.ndarray, list[str] | None]:
-    """The embedding file ``source``, open as ``stream``, read whole as a ``dtype``
-    matrix, and its labels (or ``None``). Label errors raise; values are not checked."""
-    if _looks_like_csv(source, stream):
-        matrix, labels = _parse_csv(stream.read())
-        return matrix.astype(dtype, copy=False), labels
-    return _read_rows(stream, dtype, allow_labels=True)
+def _is_csv(target: str | Path | BinaryIO) -> bool:
+    """Whether ``target``, a path or a stream, is named ``*.csv``."""
+    return str(getattr(target, "name", target)).lower().endswith(".csv")
+
+
+@contextlib.contextmanager
+def _embedding_stream(source: str | Path | BinaryIO) -> Iterator[BinaryIO]:
+    """The embedding file ``source`` as :func:`_binary_stream` gives it, except
+    that a file named ``*.csv`` that does not start with the container magic is
+    parsed and packed into an in-memory container, so every reader reads one
+    format."""
+    with _binary_stream(source) as stream:
+        here = stream.tell()
+        text = _is_csv(source) and stream.read(len(MAGIC)) != MAGIC
+        stream.seek(here)
+        yield io.BytesIO(pack_container(*_parse_csv(stream.read()))) if text else stream
 
 
 def read_container(
@@ -396,8 +389,8 @@ def read_container(
     Raises:
         NonFinite: if any value is NaN or infinite.
     """
-    with _binary_stream(source) as stream:
-        matrix, labels = _read_whole(source, stream, "<f4")
+    with _embedding_stream(source) as stream:
+        matrix, labels = _read_rows(stream, "<f4", allow_labels=True)
     _check_finite(matrix)
     return matrix, labels
 
@@ -423,8 +416,7 @@ def write_container(
     the binary container. Either is written a block of rows at a time, after
     the shape and labels are checked. Labels must be non-empty and newline-free.
     """
-    name = getattr(destination, "name", destination)
-    if str(name).lower().endswith(".csv"):
+    if _is_csv(destination):
         arr = _coerce_matrix(matrix)
         labels = _check_labels(labels, len(arr))
         pieces = (
@@ -460,12 +452,13 @@ def _checked(rows, chunks: Iterable[tuple[int, np.ndarray]], renormalize: bool):
 
 
 def _unit_file(
-    source: str | Path | BinaryIO, stream: BinaryIO, dtype, renormalize: bool
+    source: str | Path | BinaryIO, dtype, renormalize: bool
 ) -> tuple[np.ndarray, list[str] | None]:
-    """:func:`_read_whole`'s rows, :func:`_checked` a block at a time from memory.
-    The rows come back read-only, as ``dtype`` rows, or as float64 projections
-    with ``renormalize``."""
-    matrix, labels = _read_whole(source, stream, dtype)
+    """The embedding file ``source`` read whole as a ``dtype`` matrix and
+    :func:`_checked` a block at a time from memory. The rows come back
+    read-only, as ``dtype`` rows, or as float64 projections with ``renormalize``."""
+    with _embedding_stream(source) as stream:
+        matrix, labels = _read_rows(stream, dtype, allow_labels=True)
     rows = _checked(matrix, ((part.start, matrix[part]) for part in _row_blocks(matrix)), renormalize)
     rows = _normalize_rows(rows, "row") if renormalize else rows
     rows.flags.writeable = False
@@ -475,7 +468,7 @@ def _unit_file(
 @contextlib.contextmanager
 def _open_rows(
     source: str | Path | BinaryIO, renormalize: bool = False
-) -> Iterator[tuple[_CheckedRows | np.ndarray, list[str] | None]]:
+) -> Iterator[tuple[_CheckedRows, list[str] | None]]:
     """The rows and labels of an embedding file as :func:`load_rows` gives them,
     the rows served a slice at a time from the file while the block runs.
 
@@ -483,12 +476,10 @@ def _open_rows(
     :func:`load_rows` raises, in its order (:func:`_checked`), naming rows by
     their index in the file. Each slice served is checked again as it is read, so
     a file changed in the meantime raises the same errors. A stream that cannot
-    seek is read whole first; a CSV file is served as :func:`load_rows`'s array.
+    seek is read whole first, and a CSV file is packed into a container
+    (:func:`_embedding_stream`).
     """
-    with _binary_stream(source) as stream:
-        if _looks_like_csv(source, stream):
-            yield _unit_file(source, stream, np.float64, renormalize)
-            return
+    with _embedding_stream(source) as stream:
         count, dim, more = _header(stream)
         payload, labels = stream.tell(), None
         if more:
@@ -517,16 +508,14 @@ def load_rows(
     ``None``). :class:`Gallery` and :class:`AnchorSet` keep these rows without
     a copy.
     """
-    with _binary_stream(source) as stream:
-        return _unit_file(source, stream, np.float64, renormalize)
+    return _unit_file(source, np.float64, renormalize)
 
 
 def _load_table(source, renormalize: bool = False) -> tuple[np.ndarray, list[str] | None]:
     """:func:`load_rows` at the width the file stores: the rows as a read-only
     float32 (count, dim) array. With ``renormalize`` the rows are
     :func:`load_rows`'s float64 projections."""
-    with _binary_stream(source) as stream:
-        return _unit_file(source, stream, np.float64 if renormalize else "<f4", renormalize)
+    return _unit_file(source, np.float64 if renormalize else "<f4", renormalize)
 
 
 def _labeled(source, loaded: tuple) -> tuple[np.ndarray, list[str]]:
@@ -577,6 +566,9 @@ def write_embeddings(
 
 # --- netpbm images ---------------------------------------------------------
 
+# One header token: a whitespace run, a comment to the end of its line, or a number.
+_PNM_TOKEN = re.compile(rb"\s+|#[^\n]*\n?|(\d+)")
+
 
 def read_image_ppm(source: str | Path | BinaryIO) -> np.ndarray:
     """Read a binary netpbm image as an (H, W, C) float array in [0, 1].
@@ -597,29 +589,21 @@ def read_image_ppm(source: str | Path | BinaryIO) -> np.ndarray:
         raise UnsupportedFormat(
             f"unsupported netpbm magic {magic!r}; only binary P5/P6 are readable"
         )
-    pos = 2
-    fields: list[int] = []
+    pos, fields = 2, []
     while len(fields) < 3:
         if pos >= len(data):
             raise Truncated("header ends before width, height, and maxval")
-        byte = data[pos : pos + 1]
-        if byte.isspace():
-            pos += 1
-        elif byte == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-        elif byte.isdigit():
-            start = pos
-            while pos < len(data) and data[pos : pos + 1].isdigit():
-                pos += 1
-            try:
-                fields.append(int(data[start:pos]))
-            except ValueError as exc:  # beyond Python's int-string digit limit
-                raise UnsupportedFormat(f"{pos - start}-digit header number") from exc
-        else:
+        token = _PNM_TOKEN.match(data, pos)
+        if token is None:
             raise UnsupportedFormat(
-                f"unexpected header byte {byte!r} at offset {pos}"
+                f"unexpected header byte {data[pos : pos + 1]!r} at offset {pos}"
             )
+        pos = token.end()
+        if token[1]:
+            try:
+                fields.append(int(token[1]))
+            except ValueError as exc:  # beyond Python's int-string digit limit
+                raise UnsupportedFormat(f"{len(token[1])}-digit header number") from exc
     width, height, maxval = fields
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 is supported, got {maxval}")
