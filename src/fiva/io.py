@@ -327,7 +327,7 @@ def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
     labels: list[str] = []
     labeled: bool | None = None
     try:
-        for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
+        for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
             if not row:
                 continue
             try:
@@ -445,7 +445,7 @@ def _checked(rows, chunks: Iterable[tuple[int, np.ndarray]], renormalize: bool):
                 _check_norms(chunk.astype(np.float64, copy=False), "row", renormalize, first=first)
             except (NotUnitNorm, ZeroVector) as exc:
                 fault = exc
-    rows = _as_rows(rows, "row")
+    rows = _as_rows(rows, "embedding")
     if fault:
         raise fault
     return rows

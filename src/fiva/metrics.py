@@ -249,14 +249,16 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the bit-distinct rows of a float (N, D) array at their
     first appearance, and per row the position of its copy among them. Rows
     are compared as unsigned words of their values' width, so widening float32
-    rows to float64, which is injective, changes neither result. Copies meet in
-    a stable sort on each row's first two words and are compared in full,
-    ``_BLOCK_ELEMENTS`` words at a time; a run that mixes rows is sorted."""
+    rows to float64, which is injective, changes neither result. One stable sort
+    on all of each row's bytes, through a void view of the rows, puts equal rows
+    next to each other in row order. Neighbours that share their first two words
+    are compared in full, ``_BLOCK_ELEMENTS`` words at a time, so the fold holds
+    the sort index and two words per row whatever the rows hold."""
     count, dim = rows.shape
     if count < 2:
         return np.arange(count), np.arange(count)
     words = np.ascontiguousarray(rows).view(f"u{rows.itemsize}")
-    order = np.lexsort(words[:, 1::-1].T)
+    order = np.argsort(words.view(f"V{rows.itemsize * dim}").ravel(), kind="stable")
     lead = words[:, :2][order]
     tied = (lead[1:] == lead[:-1]).all(axis=1)
     if not tied.any():  # no two rows share their leading words: all distinct
@@ -266,15 +268,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in np.array_split(pairs, -(-len(pairs) * dim // _BLOCK_ELEMENTS) or 1):
         same[k] = (words[order[k]] == words[order[k + 1]]).all(axis=1)
     # Per row, the lowest index of a row equal to it: the head of its run.
-    heads = np.concatenate(([True], ~tied))
-    run = np.cumsum(heads) - 1
+    heads = np.concatenate(([True], ~same))
     owner = np.empty_like(order)
-    owner[order] = order[heads][run]
-    mixed = np.isin(run, run[1:][tied & ~same])
-    if mixed.any():
-        rest = np.sort(order[mixed])
-        _, first, back = np.unique(words[rest], axis=0, return_index=True, return_inverse=True)
-        owner[rest] = rest[first][back.reshape(-1)]
+    owner[order] = order[heads][np.cumsum(heads) - 1]
     first = np.flatnonzero(owner == np.arange(count))
     return first, np.searchsorted(first, owner)
 

@@ -20,7 +20,7 @@ CASES = {
     "short_row": (b"0.6,0.8\n1.0\n", (), "line 2: 1 values, expected 2"),
     "mixed_labels": (b"a,0.6,0.8\n0.8,0.6\n", (), "line 2: mixed labeled and unlabeled CSV rows"),
     "label_only": (
-        b"a\nb\n", (), "row rows must form an (N, D) array with D >= 2, got shape (2, 0)"
+        b"a\nb\n", (), "embedding rows must form an (N, D) array with D >= 2, got shape (2, 0)"
     ),
     "blank": (b"\n\n", (), "CSV file contains no embedding rows"),
     "non_utf8": (
@@ -31,6 +31,9 @@ CASES = {
     ),
     "empty_label": (
         b'"",0.6,0.8\nb,0.8,0.6\n', (), "labels must be non-empty and newline-free, got ''"
+    ),
+    "label_line_break": (
+        b'"a\nb",0.6,0.8\nc,0.8,0.6\n', (), "labels must be non-empty and newline-free, got 'a\\nb'"
     ),
     "non_numeric": (
         b"0.6,x\n0.8,0.6\n", (), "line 1: non-numeric cell: could not convert string to float: 'x'"

@@ -77,6 +77,22 @@ class TestDistinctRows:
         assert first.tolist() == [0, 1, 3, 6]
         assert inverse.tolist() == [0, 1, 0, 2, 1, 0, 3]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_all_sharing_their_leading_words(self, rng, dtype):
+        # Zero-padded rows: every row ties on its leading words, so the 999 tied
+        # neighbours are compared over many chunks of 16 rows.
+        base = rng.normal(size=(60, 32)).astype(dtype)
+        base[:, :2] = 0.0
+        base[::7, 0] = -0.0
+        base[1::9, 5:] = base[0, 5:]  # rows equal to row 0 except in values 2 to 4
+        rows = base[rng.integers(0, 60, size=1000)]
+        with mock.patch.object(metrics, "_BLOCK_ELEMENTS", 16 * 32):
+            first, inverse = _distinct_rows(rows)
+        keys, want = byte_fold(rows)
+        assert [row.tobytes() for row in rows[first]] == keys
+        assert np.array_equal(inverse, want)
+        assert np.array_equal(first, [list(want).index(j) for j in range(len(keys))])
+
     def test_all_distinct_rows(self, rng):
         first, inverse = _distinct_rows(unit_rows(rng, 300, 16))
         assert np.array_equal(first, np.arange(300))

@@ -70,6 +70,16 @@ class TestContainer:
         _, out, _ = parse_container(buf)
         assert out == labels
 
+    def test_one_dimensional_vector_is_one_row(self, rng, tmp_path):
+        vector = unit_matrix(rng, 1, 8)[0]
+        parsed, labels, _ = parse_container(pack_container(vector, labels=["solo"]))
+        assert parsed.shape == (1, 8) and labels == ["solo"]
+        assert parsed.tobytes() == vector.tobytes()
+        write_container(tmp_path / "solo.emb", vector)
+        matrix, labels = read_container(tmp_path / "solo.emb")
+        assert matrix.shape == (1, 8) and labels is None
+        assert matrix.tobytes() == vector.tobytes()
+
     def test_empty_container(self):
         buf = pack_container(np.zeros((0, 8), dtype=np.float32), dim=8)
         parsed, labels, _ = parse_container(buf)
@@ -160,6 +170,14 @@ class TestFileRoundTrips:
     def test_csv_hand_written(self, tmp_path):
         path = tmp_path / "hand.csv"
         path.write_text("probe_a,1.0,0.0\nprobe_b,0.0,1.0\n")
+        matrix, labels = read_container(path)
+        assert labels == ["probe_a", "probe_b"]
+        assert np.array_equal(matrix, np.eye(2, dtype=np.float32))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_csv_line_endings(self, tmp_path, end):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(f"probe_a,1.0,0.0{end}probe_b,0.0,1.0{end}".encode())
         matrix, labels = read_container(path)
         assert labels == ["probe_a", "probe_b"]
         assert np.array_equal(matrix, np.eye(2, dtype=np.float32))

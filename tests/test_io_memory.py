@@ -1,7 +1,8 @@
 """Container I/O holds each file once or one block of it, ``fiva bench``
 holds its frames once and each fake corpus as a table and an index, the
 scoring commands and the library's batch entries hold their inputs at file
-width, and the tracker mints a block of fakes at a time: traced peaks.
+width, the exact row fold holds less than its rows, and the tracker mints a
+block of fakes at a time: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -23,6 +24,7 @@ from fiva import (
     score_rows,
     write_container,
 )
+from fiva.metrics import _distinct_rows
 from fiva.sphere import _BLOCK_ELEMENTS
 
 MiB = 1 << 20
@@ -236,3 +238,16 @@ def test_batch_entries_hold_float32_rows_below_one_float64_copy(labeled_rows, en
     calls = {"sample_batch": lambda: sample_batch(rows, anchors, 0.3), "score_rows": lambda: score_rows(rows, rows)}
     _, peak = traced_peak(calls[entry])
     assert peak < rows.size * 8
+
+
+def test_fold_of_rows_sharing_their_leading_values_holds_less_than_one_copy(rng):
+    # 1024 distinct rows whose first two values are 0, each four times: all
+    # 4096 rows tie on their leading words. The fold holds its sort index, two
+    # words per row and a block of compared neighbours, under the 4 MiB the rows
+    # take as float32.
+    distinct = rng.normal(size=(ROWS // 4, DIM)).astype(np.float32)
+    distinct[:, :2] = 0.0
+    rows = distinct[rng.permutation(np.repeat(np.arange(ROWS // 4), 4))]
+    (first, inverse), peak = traced_peak(lambda: _distinct_rows(rows))
+    assert len(first) == ROWS // 4 and rows[first][inverse].tobytes() == rows.tobytes()
+    assert peak < rows.nbytes
