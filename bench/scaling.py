@@ -32,14 +32,16 @@ I identities with F jittered frames each:
   holding its F frames, writing the report;
 - ``bench``: ``end_to_end_benchmark`` of the I identities with F frames each,
   anchor sampling at m = 0 from the anchors above, given the gallery: the
-  frames, both fake corpora and their retrieval and temporal scores.
+  frames, both fake corpora and their retrieval and temporal scores;
+- ``build_anchor_set``: the anchors above, built again from the I-entry
+  gallery (2 rounds).
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
 {250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The container,
-detector and command layers and ``bench`` also get one more run under
-``tracemalloc``, whose peak (the most memory the call held at once, numpy's
-buffers included) is reported in MiB.
+detector and command layers, ``bench`` and ``build_anchor_set`` also get one
+more run under ``tracemalloc``, whose peak (the most memory the call held at
+once, numpy's buffers included) is reported in MiB.
 The JSON printed on stdout holds the raw points (with the count of distinct
 sampled anchors), the log-log slope of each layer's time and of each traced
 peak along each axis, and the Python, numpy and BLAS versions and ``nproc``.
@@ -48,6 +50,7 @@ Only the stdlib and numpy are needed::
     python3 bench/scaling.py                       # the src/ of this checkout
     python3 bench/scaling.py --src OTHER/src       # another tree, same grid
     python3 bench/scaling.py --smallest            # one point per axis, a smoke run
+    python3 bench/scaling.py --layers bench build_anchor_set   # only these layers
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
 # Layers whose tracemalloc peak is reported besides their time.
 TRACED = ("io_write", "io_read", "score_rows", "cli_track", "cli_detect",
-          "cli_eval_retrieval", "cli_eval_temporal", "bench")
+          "cli_eval_retrieval", "cli_eval_temporal", "bench", "build_anchor_set")
 
 
 def corpus(identities: int, frames: int):
@@ -176,6 +179,7 @@ def layers(fiva):
             x["config"], fiva.MockAnonymizer("anchor_sample", anchors=x["anchors"]),
             gallery=x["gallery"],
         ),
+        "build_anchor_set": lambda x: fiva.build_anchor_set(x["gallery"].matrix, rounds=2),
     }
 
 
@@ -190,13 +194,14 @@ def traced_peak(layer, point) -> float:
         tracemalloc.stop()
 
 
-def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], dict[str, float], int]:
-    """Per layer, the median time at one grid point; per traced layer, its peak
-    MiB; and the distinct sampled anchors."""
+def time_point(fiva, identities: int, frames: int, names) -> tuple[dict[str, float], dict[str, float], int]:
+    """Per layer of ``names``, the median time at one grid point; per traced
+    layer, its peak MiB; and the distinct sampled anchors."""
     with tempfile.TemporaryDirectory() as workdir:
         point = inputs(fiva, identities, frames, Path(workdir))
         medians, peaks = {}, {}
-        for name, layer in layers(fiva).items():
+        for name in names:
+            layer = layers(fiva)[name]
             layer(point)  # warm-up, untimed
             runs = []
             for _ in range(REPEATS):
@@ -232,10 +237,16 @@ def main(argv=None) -> int:
                         help="the src directory of the fiva tree to time")
     parser.add_argument("--smallest", action="store_true",
                         help="time only the smallest point of each axis")
+    parser.add_argument("--layers", nargs="+", metavar="LAYER",
+                        help="time only these layers (default: all)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import fiva
 
+    names = args.layers or list(layers(fiva))
+    unknown = sorted(set(names) - set(layers(fiva)))
+    if unknown:
+        parser.error(f"unknown layers {unknown}; expected some of {list(layers(fiva))}")
     identity_axis = IDENTITY_AXIS[:1] if args.smallest else IDENTITY_AXIS
     frame_axis = FRAME_AXIS[:1] if args.smallest else FRAME_AXIS
     axes = {
@@ -248,7 +259,7 @@ def main(argv=None) -> int:
     for axis, grid in axes.items():
         for shape in grid:
             if shape not in cache:
-                cache[shape], peak_cache[shape], distinct = time_point(fiva, *shape)
+                cache[shape], peak_cache[shape], distinct = time_point(fiva, *shape, names)
                 points.append({"identities": shape[0], "frames": shape[1], "dim": DIM,
                                "sampled_distinct": distinct, "median_s": cache[shape],
                                "peak_mib": peak_cache[shape]})

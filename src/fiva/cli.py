@@ -454,7 +454,7 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     per_video = config.frames_per_identity
     frame_labels = [label for label in gallery.labels for _ in range(per_video)]
     for name, rows in (
-        ("frames", result.frames.reshape(-1, config.dimension)),
+        ("frames", result._frame_table),
         ("fakes_tracked", result._tracked_rows),
         ("fakes_per_frame", result._per_frame_rows),
     ):

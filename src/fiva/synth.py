@@ -9,6 +9,7 @@ retrieval, and temporal metrics with known expected outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,10 +23,12 @@ from .metrics import (
 )
 from .sampling import sample_batch
 from .sphere import (
+    _BLOCK_ELEMENTS,
     AnchorSet,
     Embedding,
     _Take,
     _antipodal,
+    _check_norms,
     _normalize_rows,
     _require_unit,
     _row_blocks,
@@ -142,24 +145,69 @@ def mock_anonymize(z_id: Embedding, anonymizer: MockAnonymizer) -> Embedding:
     return Embedding(_anonymize_rows(z_id.values[None, :], anonymizer)[0])
 
 
-def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer) -> _Take:
+def _fake_corpus(count: int, dim: int, anonymizer: MockAnonymizer) -> _Take:
+    """Room for the fakes of ``count`` rows, as gathered rows: the anchors and an
+    index of picks for ``anchor_sample``, a table of new rows in order for the
+    other modes."""
+    if anonymizer.mode == "anchor_sample":
+        return _Take(anonymizer.anchors.matrix, np.empty(count, dtype=np.intp))
+    return _Take(np.empty((count, dim)), np.arange(count))
+
+
+def _anonymize_rows(rows: np.ndarray, anonymizer: MockAnonymizer, out: _Take | None = None,
+                    at: int = 0) -> _Take:
     """:func:`mock_anonymize` for each unit row of an (N, D) array, sampled in one
-    batch, as gathered rows: the anchors and each row's pick for ``anchor_sample``,
-    the new rows in order for the other modes."""
+    batch, as the gathered rows of :func:`_fake_corpus`: a fresh one, or ``out``
+    with the picks or new rows written from its row ``at`` on."""
+    if out is None:
+        out = _fake_corpus(len(rows), rows.shape[1], anonymizer)
+    span = slice(at, at + len(rows))
     if anonymizer.mode == "negation":
-        return _Take(np.negative(_unit_matrix(rows, "frame"), dtype=np.float64), np.arange(len(rows)))
+        np.negative(_unit_matrix(rows, "frame"), out=out.table[span], dtype=np.float64)
+        return out
     anchors = anonymizer.anchors
     picks = sample_batch(rows, anchors, anonymizer.margin)[0]
     if anonymizer.mode == "anchor_sample":
-        return _Take(anchors.matrix, picks)
-    table = np.empty(rows.shape)
+        out.index[span] = picks
+        return out
+    table = out.table[span]
     for part in _row_blocks(rows):  # blended into the table a block at a time
         targets = anchors.matrix[picks[part]]
         keep, blended = _slerp_rows(rows[part], targets, anonymizer.blend)
         if not keep.all():
             raise _antipodal(rows[part][~keep][0], targets[~keep][0])
         table[part] = blended
-    return _Take(table, np.arange(len(rows)))
+    return out
+
+
+def _frame_blocks(gallery: Gallery, config: SynthConfig) -> Iterator[tuple[slice, np.ndarray]]:
+    """The frames of every identity, a block of identities at a time: the slice of
+    identities and their (n * frames, D) float64 rows, each identity's frames
+    those of :func:`generate_frames` seeded ``spawn_seed(config.seed, 1, i)``.
+
+    A block holds about ``_BLOCK_ELEMENTS`` cells, and a one-identity tail joins
+    the block before it, so that at one frame per identity no block is a lone
+    row (which BLAS runs as a GEMV, with other bits). Every block is generated
+    into one buffer, so a block is good only until the next one is taken.
+    """
+    count, per_video, dim = config.identity_count, config.frames_per_identity, config.dimension
+    bounds = [*range(0, count, max(1, _BLOCK_ELEMENTS // (per_video * dim))), count]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    buffer = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), per_video, dim))
+    for start, stop in zip(bounds, bounds[1:]):
+        block = buffer[: stop - start]
+        rows = block.reshape(-1, dim)
+        if config.jitter_sigma == 0.0:  # exact copies of the centers
+            block[...] = gallery.matrix[start:stop, None, :]
+        else:
+            for i in range(start, stop):
+                rng = np.random.default_rng(spawn_seed(config.seed, 1, i))
+                block[i - start] = rng.normal(0.0, config.jitter_sigma, size=(per_video, dim))
+            # The jitter add and each row's norm have the bits of one identity's.
+            block += gallery.matrix[start:stop, None, :]
+            rows /= _check_norms(rows, "row", renormalize=True)[:, None]
+        yield slice(start, stop), rows
 
 
 @dataclass(frozen=True)
@@ -177,26 +225,41 @@ class BenchmarkResult:
 
     The headline retrieval numbers are the tracked variant's; the
     per-frame variant shows what tracking buys, mostly in temporal std.
-    ``frames`` is a float64 (identities, frames, D) array. Each fake set is
-    held as a table of rows and an index, one row per frame in file order;
-    ``tracked_fakes`` and ``per_frame_fakes`` gather it as an array of the
-    frames' shape when read.
+    ``frames`` is the float64 (identities, frames, D) array, generated again
+    from the identities' seeds each time it is read: the result holds the
+    frames only as the float32 rows, one per frame in file order, that
+    ``frames.emb`` holds. Each fake set is held as a table of rows and an
+    index, one row per frame in file order; ``tracked_fakes`` and
+    ``per_frame_fakes`` gather it as an array of the frames' shape when read.
     """
 
     tracked: BenchmarkVariant
     per_frame: BenchmarkVariant
     gallery: Gallery
-    frames: np.ndarray
+    _config: SynthConfig
+    _frame_table: np.ndarray
     _tracked_rows: _Take
     _per_frame_rows: _Take
 
     @property
+    def _shape(self) -> tuple[int, int, int]:
+        config = self._config
+        return config.identity_count, config.frames_per_identity, config.dimension
+
+    @property
+    def frames(self) -> np.ndarray:
+        frames = np.empty(self._shape)
+        for part, rows in _frame_blocks(self.gallery, self._config):
+            frames[part] = rows.reshape(-1, *self._shape[1:])
+        return frames
+
+    @property
     def tracked_fakes(self) -> np.ndarray:
-        return self._tracked_rows[:].reshape(self.frames.shape)
+        return self._tracked_rows[:].reshape(self._shape)
 
     @property
     def per_frame_fakes(self) -> np.ndarray:
-        return self._per_frame_rows[:].reshape(self.frames.shape)
+        return self._per_frame_rows[:].reshape(self._shape)
 
 
 def end_to_end_benchmark(
@@ -214,6 +277,11 @@ def end_to_end_benchmark(
     inverted-identity retrieval, and temporal consistency against the
     gallery: ``generate_identities(config)``, or ``gallery`` when given,
     whose shape must then be ``(identity_count, dimension)``.
+
+    The frames are generated a block of identities at a time, and each block
+    goes to the tracker, to the per-frame anonymizer and into the float32
+    frame rows in turn. The tracker's keys and every pick are those of one
+    call over all the frames.
     """
     if gallery is None:
         gallery = generate_identities(config)
@@ -222,32 +290,34 @@ def end_to_end_benchmark(
             f"gallery of shape {gallery.matrix.shape} for "
             f"{config.identity_count} identities of dimension {config.dimension}"
         )
-    per_video = config.frames_per_identity
-    shape = (config.identity_count, per_video, config.dimension)
-    frames = np.empty(shape)
-    for index, center in enumerate(gallery.matrix):
-        seed = spawn_seed(config.seed, 1, index)
-        frames[index] = _frame_rows(center, per_video, config.jitter_sigma, seed)
-    rows = frames.reshape(-1, config.dimension)
+    per_video, dim = config.frames_per_identity, config.dimension
+    count = config.identity_count * per_video
     tracker = TrackerState(
         tracker_threshold, sampler=lambda new: _anonymize_rows(new, anonymizer)[:]
     )
-    _, keys, _ = tracker.track_rows(rows)
+    keys = np.empty(count, dtype=np.intp)
+    per_frame = _fake_corpus(count, dim, anonymizer)
+    frame_table = np.empty((count, dim), dtype=np.float32)
+    for part, rows in _frame_blocks(gallery, config):
+        at = slice(part.start * per_video, part.stop * per_video)
+        keys[at] = tracker.track_rows(rows)[1]
+        _anonymize_rows(rows, anonymizer, per_frame, at.start)
+        frame_table[at] = rows
     tracked = _Take(tracker.fake_matrix.copy(), keys)
     del tracker  # its (2, capacity, D) buffer is freed before scoring
-    per_frame = _anonymize_rows(rows, anonymizer)
     labels = [label for label in gallery.labels for _ in range(per_video)]
     per_frame_reports = retrieval_reports(per_frame, labels, gallery, retrieval_threshold)
     tracked_reports = retrieval_reports(tracked, labels, gallery, retrieval_threshold)
 
     def temporal(fakes: _Take) -> TemporalReport:
-        return temporal_consistency(_Take(fakes.table, fakes.index.reshape(shape[:2])))
+        return temporal_consistency(_Take(fakes.table, fakes.index.reshape(-1, per_video)))
 
     return BenchmarkResult(
         tracked=BenchmarkVariant(*tracked_reports, temporal(tracked)),
         per_frame=BenchmarkVariant(*per_frame_reports, temporal(per_frame)),
         gallery=gallery,
-        frames=frames,
+        _config=config,
+        _frame_table=frame_table,
         _tracked_rows=tracked,
         _per_frame_rows=per_frame,
     )

@@ -1,5 +1,5 @@
 """Container I/O holds each file once or one block of it, ``fiva bench``
-holds its frames once and each fake corpus as a table and an index, the
+holds its frames as float32 and each fake corpus as a table and an index, the
 scoring commands and the library's batch entries hold their inputs at file
 width, the exact row fold holds less than its rows, and the tracker mints a
 block of fakes at a time: traced peaks.
@@ -78,18 +78,35 @@ def test_save_state_holds_one_block(labeled_rows, tmp_path):
 
 
 def test_bench_holds_the_frames_and_one_float32_corpus(tmp_path):
-    # Anchor sampling at 400 x 10, D = 256: the frames are 7.8 MiB, a float32
-    # corpus 3.9 MiB. A float64 (I, F, D) fake corpus held (+7.8 MiB) or a
-    # float32 gather beside a write's file buffer (+3.9 MiB) breaks the bound;
-    # the slack covers the gallery, the anchors, the fake table and the blocks
-    # of rows scoring and writing gather.
+    # Anchor sampling at 400 x 10, D = 256. The run holds the frames as the
+    # float32 rows frames.emb holds (3.9 MiB), the gallery and its 800 anchors
+    # (2.3 MiB), the tracker's (2, 512, D) store (2 MiB) and one float64 block
+    # of frames (_BLOCK_ELEMENTS cells, 2 MiB). The slack covers the store's
+    # growth and a block's sampling buffers. Float64 (I, F, D) frames
+    # (+3.9 MiB over float32) or a float32 gather beside a write's buffer
+    # break the bound.
     identities, frames, dim = 400, 10, 256
     argv = ["bench", "--identities", str(identities), "--frames", str(frames),
             "--dim", str(dim), "--out-dir", str(tmp_path)]
     code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0
     cells = identities * frames * dim
-    assert peak <= cells * 8 + cells * 4 + 8 * MiB
+    holdings = cells * 4 + 3 * identities * dim * 8 + 2 * 512 * dim * 8 + 8 * _BLOCK_ELEMENTS
+    assert peak <= holdings + 5 * MiB
+
+
+def test_bench_negation_holds_one_negated_table(tmp_path):
+    # Negation at 400 x 10, D = 256: the float32 frames are 3.9 MiB and the
+    # negated table 7.8 MiB, filled a block at a time. Per-block tables joined
+    # by np.concatenate hold the table twice (+7.8 MiB); the slack covers the
+    # gallery, the tracker's store, a block and what scoring gathers.
+    identities, frames, dim = 400, 10, 256
+    argv = ["bench", "--identities", str(identities), "--frames", str(frames), "--dim", str(dim),
+            "--mode", "negation", "--out-dir", str(tmp_path)]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    cells = identities * frames * dim
+    assert peak <= cells * 4 + cells * 8 + 8 * MiB
 
 
 @pytest.fixture(scope="module")
