@@ -50,7 +50,6 @@ Only the stdlib and numpy are needed::
     python3 bench/scaling.py                       # the src/ of this checkout
     python3 bench/scaling.py --src OTHER/src       # another tree, same grid
     python3 bench/scaling.py --smallest            # one point per axis, a smoke run
-    python3 bench/scaling.py --layers bench build_anchor_set   # only these layers
 """
 
 from __future__ import annotations
@@ -194,14 +193,13 @@ def traced_peak(layer, point) -> float:
         tracemalloc.stop()
 
 
-def time_point(fiva, identities: int, frames: int, names) -> tuple[dict[str, float], dict[str, float], int]:
-    """Per layer of ``names``, the median time at one grid point; per traced
-    layer, its peak MiB; and the distinct sampled anchors."""
+def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], dict[str, float], int]:
+    """Per layer, the median time at one grid point; per traced layer, its peak
+    MiB; and the distinct sampled anchors."""
     with tempfile.TemporaryDirectory() as workdir:
         point = inputs(fiva, identities, frames, Path(workdir))
         medians, peaks = {}, {}
-        for name in names:
-            layer = layers(fiva)[name]
+        for name, layer in layers(fiva).items():
             layer(point)  # warm-up, untimed
             runs = []
             for _ in range(REPEATS):
@@ -237,16 +235,10 @@ def main(argv=None) -> int:
                         help="the src directory of the fiva tree to time")
     parser.add_argument("--smallest", action="store_true",
                         help="time only the smallest point of each axis")
-    parser.add_argument("--layers", nargs="+", metavar="LAYER",
-                        help="time only these layers (default: all)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import fiva
 
-    names = args.layers or list(layers(fiva))
-    unknown = sorted(set(names) - set(layers(fiva)))
-    if unknown:
-        parser.error(f"unknown layers {unknown}; expected some of {list(layers(fiva))}")
     identity_axis = IDENTITY_AXIS[:1] if args.smallest else IDENTITY_AXIS
     frame_axis = FRAME_AXIS[:1] if args.smallest else FRAME_AXIS
     axes = {
@@ -259,7 +251,7 @@ def main(argv=None) -> int:
     for axis, grid in axes.items():
         for shape in grid:
             if shape not in cache:
-                cache[shape], peak_cache[shape], distinct = time_point(fiva, *shape, names)
+                cache[shape], peak_cache[shape], distinct = time_point(fiva, *shape)
                 points.append({"identities": shape[0], "frames": shape[1], "dim": DIM,
                                "sampled_distinct": distinct, "median_s": cache[shape],
                                "peak_mib": peak_cache[shape]})

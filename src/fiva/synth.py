@@ -28,7 +28,6 @@ from .sphere import (
     Embedding,
     _Take,
     _antipodal,
-    _check_norms,
     _normalize_rows,
     _require_unit,
     _row_blocks,
@@ -185,29 +184,21 @@ def _frame_blocks(gallery: Gallery, config: SynthConfig) -> Iterator[tuple[slice
     identities and their (n * frames, D) float64 rows, each identity's frames
     those of :func:`generate_frames` seeded ``spawn_seed(config.seed, 1, i)``.
 
-    A block holds about ``_BLOCK_ELEMENTS`` cells, and a one-identity tail joins
-    the block before it, so that at one frame per identity no block is a lone
-    row (which BLAS runs as a GEMV, with other bits). Every block is generated
-    into one buffer, so a block is good only until the next one is taken.
+    A block holds about ``_BLOCK_ELEMENTS`` cells (or one identity). Every block
+    is generated into one buffer, so a block is good only until the next one is
+    taken.
     """
     count, per_video, dim = config.identity_count, config.frames_per_identity, config.dimension
-    bounds = [*range(0, count, max(1, _BLOCK_ELEMENTS // (per_video * dim))), count]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    buffer = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), per_video, dim))
-    for start, stop in zip(bounds, bounds[1:]):
+    step = max(1, _BLOCK_ELEMENTS // (per_video * dim))
+    buffer = np.empty((min(step, count), per_video, dim))
+    for start in range(0, count, step):
+        stop = min(count, start + step)
         block = buffer[: stop - start]
-        rows = block.reshape(-1, dim)
-        if config.jitter_sigma == 0.0:  # exact copies of the centers
-            block[...] = gallery.matrix[start:stop, None, :]
-        else:
-            for i in range(start, stop):
-                rng = np.random.default_rng(spawn_seed(config.seed, 1, i))
-                block[i - start] = rng.normal(0.0, config.jitter_sigma, size=(per_video, dim))
-            # The jitter add and each row's norm have the bits of one identity's.
-            block += gallery.matrix[start:stop, None, :]
-            rows /= _check_norms(rows, "row", renormalize=True)[:, None]
-        yield slice(start, stop), rows
+        for i in range(start, stop):
+            block[i - start] = _frame_rows(
+                gallery.matrix[i], per_video, config.jitter_sigma, spawn_seed(config.seed, 1, i)
+            )
+        yield slice(start, stop), block.reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -225,12 +216,13 @@ class BenchmarkResult:
 
     The headline retrieval numbers are the tracked variant's; the
     per-frame variant shows what tracking buys, mostly in temporal std.
-    ``frames`` is the float64 (identities, frames, D) array, generated again
-    from the identities' seeds each time it is read: the result holds the
-    frames only as the float32 rows, one per frame in file order, that
-    ``frames.emb`` holds. Each fake set is held as a table of rows and an
-    index, one row per frame in file order; ``tracked_fakes`` and
-    ``per_frame_fakes`` gather it as an array of the frames' shape when read.
+    ``frames`` is the float64 (identities, frames, D) array, every identity's
+    frames generated again from its seed each time it is read, so a caller
+    binds it once: the result holds the frames only as the float32 rows, one
+    per frame in file order, that ``frames.emb`` holds. Each fake set is held
+    as a table of rows and an index, one row per frame in file order;
+    ``tracked_fakes`` and ``per_frame_fakes`` gather it as an array of the
+    frames' shape when read.
     """
 
     tracked: BenchmarkVariant

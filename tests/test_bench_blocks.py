@@ -1,8 +1,8 @@
 """``fiva bench`` generates its frames a block of identities at a time and hands
 each block to the tracker, the per-frame anonymizer and the float32 frame
 rows. Where the blocks end changes no byte it writes: runs cut into many
-small blocks, the last holding a one-identity tail, write the files of a run
-whose one block holds every identity."""
+small blocks, the last holding a one-identity tail, and runs of one identity
+per block write the files of a run whose one block holds every identity."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from fiva import AnchorSet, cli, synth
 DIM = 16
 WHOLE = 1 << 40  # cells: one block holds every identity
 
-# (identities, frames): four identities per block, and one identity left over
-# that joins the last block, so the runs cross three and four blocks.
+# (identities, frames): four identities per block and one identity left over,
+# so the runs cross four and five blocks, the last a lone identity. At one
+# frame that block is a lone row.
 SIZES = [(13, 3), (17, 1)]
 
 
@@ -33,21 +34,26 @@ def bench(tmp_path, monkeypatch, cells, name, identities, frames, *flags):
 
 
 @pytest.mark.parametrize("identities, frames", SIZES)
-def test_small_blocks_end_in_a_joined_one_identity_tail(monkeypatch, identities, frames):
+def test_small_blocks_end_in_a_one_identity_tail(monkeypatch, identities, frames):
     monkeypatch.setattr(synth, "_BLOCK_ELEMENTS", 4 * frames * DIM)
     parts = blocks(identities, frames)
-    assert len(parts) >= 3 and parts[-1].stop - parts[-1].start == 5
+    assert len(parts) >= 4 and parts[-1].stop - parts[-1].start == 1
     assert [p.start for p in parts[1:]] == [p.stop for p in parts[:-1]] and parts[-1].stop == identities
     monkeypatch.setattr(synth, "_BLOCK_ELEMENTS", WHOLE)
     assert blocks(identities, frames) == [slice(0, identities)]
 
 
 @pytest.mark.parametrize("identities, frames", SIZES)
+@pytest.mark.parametrize("per_block", [4, 1])
 @pytest.mark.parametrize("mode", synth.ANONYMIZER_MODES)
 @pytest.mark.parametrize("margin", ["0", "0.3"])
-def test_blocked_runs_write_the_bytes_of_one_block(tmp_path, monkeypatch, identities, frames, mode, margin):
+def test_blocked_runs_write_the_bytes_of_one_block(tmp_path, monkeypatch, identities, frames, per_block,
+                                                   mode, margin):
+    # One identity per block: a block smaller than one identity's frames still
+    # holds them all, and the tracker mints each block's one new identity alone.
     flags = ("--mode", mode, "--margin", margin)
-    blocked = bench(tmp_path, monkeypatch, 4 * frames * DIM, "blocked", identities, frames, *flags)
+    cells = 4 * frames * DIM if per_block == 4 else frames * DIM - 1
+    blocked = bench(tmp_path, monkeypatch, cells, "blocked", identities, frames, *flags)
     whole = bench(tmp_path, monkeypatch, WHOLE, "whole", identities, frames, *flags)
     names = {"gallery.emb", "frames.emb", "fakes_tracked.emb", "fakes_per_frame.emb", "report.csv"}
     assert blocked[0] == whole[0] == 0
@@ -56,8 +62,8 @@ def test_blocked_runs_write_the_bytes_of_one_block(tmp_path, monkeypatch, identi
 
 
 def test_antipodal_pair_in_the_last_block_leaves_the_out_dir_empty(tmp_path, monkeypatch, capsys):
-    # The anchor set gains the antipode of the last identity, the tail that
-    # joins the last block. At margin 1 and no jitter both the tracker's mint
+    # The anchor set gains the antipode of the last identity, the one-identity
+    # tail that is the last block. At margin 1 and no jitter both the tracker's mint
     # and the per-frame sampler pick it for that identity's frames.
     build = cli.build_anchor_set
 
