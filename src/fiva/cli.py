@@ -440,24 +440,24 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     anchors = None
     if mode in ("anchor_sample", "slerp_blend"):
         anchors = build_anchor_set(gallery.matrix, rounds=opts.get("rounds"), t=opts.get("t"))
-    result = end_to_end_benchmark(
-        config,
-        MockAnonymizer(mode=mode, margin=opts.get("margin"), blend=opts.get("blend"), anchors=anchors),
-        retrieval_threshold=opts.get("retrieval_threshold"),
-        tracker_threshold=opts.get("tracker_threshold"),
-        gallery=gallery,
-    )
-    # Written once the benchmark has run, so a bad value leaves --out-dir as it was.
-    if anchors is not None:
-        fio.write_container(out_dir / "anchors.emb", anchors.matrix)
-    fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
+    anonymizer = MockAnonymizer(mode=mode, margin=opts.get("margin"), blend=opts.get("blend"), anchors=anchors)
     per_video = config.frames_per_identity
     frame_labels = [label for label in gallery.labels for _ in range(per_video)]
-    for name, rows in (
-        ("frames", result._frame_table),
-        ("fakes_tracked", result._tracked_rows),
-        ("fakes_per_frame", result._per_frame_rows),
-    ):
+    # The frames stream into a temporary as the run makes them; every file
+    # replaces its old copy once the benchmark has run, in the order below, so
+    # a failed or bad run leaves --out-dir as it was.
+    with fio._container_writer(out_dir / "frames.emb", len(frame_labels), config.dimension,
+                               frame_labels) as frames:
+        result = end_to_end_benchmark(
+            config, anonymizer,
+            retrieval_threshold=opts.get("retrieval_threshold"),
+            tracker_threshold=opts.get("tracker_threshold"),
+            gallery=gallery, sink=frames,
+        )
+        if anchors is not None:
+            fio.write_container(out_dir / "anchors.emb", anchors.matrix)
+        fio.write_container(out_dir / "gallery.emb", gallery.matrix, gallery.labels)
+    for name, rows in (("fakes_tracked", result._tracked_rows), ("fakes_per_frame", result._per_frame_rows)):
         fio.write_container(out_dir / f"{name}.emb", rows, frame_labels)
     _report(str(out_dir / "report.csv"), "variant,id_rate,neg_id_rate,mtc_mean,mtc_std", (
         [name, variant.id_report.success_rate, variant.neg_id_report.success_rate,

@@ -31,7 +31,7 @@ import os
 import re
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .errors import (
     MissingLabels,
     NonFinite,
     NotUnitNorm,
+    ShapeMismatch,
     Truncated,
     UnsupportedFormat,
     ZeroVector,
@@ -117,31 +118,45 @@ def _check_labels(labels: Sequence[str] | None, count: int) -> list[str] | None:
     return labels
 
 
+def _label_block(labels: Sequence[str] | None, count: int) -> bytes:
+    """The encoded label block of ``count`` rows: empty without labels."""
+    labels = _check_labels(labels, count)
+    return ("\n".join(labels) + "\n" if labels else "").encode("utf-8")
+
+
 def _container(
     matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
 ) -> tuple[np.ndarray, bytes]:
     """One container's checked 2-D rows and encoded label block."""
     arr = _coerce_matrix(matrix, dim)
-    labels = _check_labels(labels, len(arr))
-    return arr, ("\n".join(labels) + "\n" if labels else "").encode("utf-8")
+    return arr, _label_block(labels, len(arr))
+
+
+def _block_buffer(count: int, dim: int, cells: int = _BLOCK_ELEMENTS) -> np.ndarray:
+    """A float32 buffer of at most ``cells`` cells (or one row) for ``count`` rows
+    of width ``dim``: the buffer :func:`_float32_blocks` converts through."""
+    return np.empty((max(1, min(count, cells // max(1, dim))), dim), "<f4")
+
+
+def _float32_blocks(rows, buffer: np.ndarray) -> Iterator[np.ndarray]:
+    """``rows`` (an array or gathered rows) as float32, converted into ``buffer``
+    (:func:`_block_buffer`) as many rows at a time as it holds, so a block is
+    good only until the next one is taken."""
+    step = len(buffer)
+    for start in range(0, len(rows), step):
+        chunk = buffer[: min(step, len(rows) - start)]
+        chunk[...] = rows[start : start + step]  # gathered rows are held only while converted
+        yield chunk
 
 
 def _packed(containers: Sequence[tuple[np.ndarray, bytes]], tail: bytes = b"") -> Iterator:
     """The file's bytes in order: each :func:`_container`'s header, its rows as
-    float32 a block of at most ``_BLOCK_ELEMENTS`` cells at a time, and its label
-    block; then ``tail``. Row blocks share one buffer, so a piece is good only
-    until the next one is taken."""
-    buffer = np.empty(0, "<f4")
+    :func:`_float32_blocks`, and its label block; then ``tail``. A piece is good
+    only until the next one is taken."""
     for arr, block in containers:
         count, dim = arr.shape
         yield _HEADER.pack(MAGIC, count, dim)
-        for part in _row_blocks(arr):
-            rows = min(part.stop, count) - part.start
-            if buffer.size < rows * dim:
-                buffer = np.empty(rows * dim, "<f4")
-            chunk = buffer[: rows * dim].reshape(rows, dim)
-            chunk[...] = arr[part]  # gathered rows are held only while converted
-            yield chunk
+        yield from _float32_blocks(arr, _block_buffer(count, dim))
         yield block
     yield tail
 
@@ -294,28 +309,72 @@ def _write_file(path: str | Path, pieces: Iterable) -> None:
         fh.writelines(pieces)
 
 
-def _write(destination: str | Path | BinaryIO, pieces: Iterable) -> None:
-    """Write ``pieces`` (bytes-like, each written before the next is taken) to a
-    file object, or to a path through a temporary file in its directory and
-    ``os.replace``, so a failed write leaves the old file whole. Devices and
-    pipes are written in place; a symlink's target is replaced."""
-    if hasattr(destination, "write"):
-        for piece in pieces:
-            destination.write(piece)
-        return
+@contextlib.contextmanager
+def _staged(destination: str | Path) -> Iterator[str | Path]:
+    """The path to write the file ``destination`` through: the temporary
+    ``.NAME.PID.tmp`` in its directory, which replaces ``destination`` by
+    ``os.replace`` when the block exits cleanly, so a failed write leaves the old
+    file whole. On any exception the temporary is removed, and an error naming
+    it names ``destination`` instead. Devices and pipes are written in place
+    (their path is given back as it came); a symlink's target is replaced."""
     path = Path(destination).resolve()
     if path.exists() and not path.is_file():
-        _write_file(destination, pieces)  # errors name the path as given
+        yield destination  # errors name the path as given
         return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        _write_file(temporary, pieces)
+        yield temporary
         os.replace(temporary, path)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
         if getattr(exc, "filename", None) == str(temporary) and exc.filename2 is None:
             exc.filename = os.fspath(destination)  # name the file the caller asked for
         raise
+
+
+def _write(destination: str | Path | BinaryIO, pieces: Iterable) -> None:
+    """Write ``pieces`` (bytes-like, each written before the next is taken) to a
+    file object, or to a path through :func:`_staged`."""
+    if hasattr(destination, "write"):
+        for piece in pieces:
+            destination.write(piece)
+        return
+    with _staged(destination) as path:
+        _write_file(path, pieces)
+
+
+@contextlib.contextmanager
+def _container_writer(
+    destination: str | Path, count: int, dim: int, labels: Sequence[str] | None = None
+) -> Iterator[Callable[[np.ndarray], None]]:
+    """A container of ``count`` rows of width ``dim`` and optional ``labels``,
+    written to ``destination`` through :func:`_staged` as its rows arrive.
+
+    The block is given a function that writes the next rows, an (n, dim) array,
+    converted through one reused float32 buffer. The buffer lives as long as
+    the block, beside whatever makes the rows, so it holds a quarter of a
+    block's cells. At a clean exit the rows written must number ``count``; the
+    label block is then written and the file replaces ``destination``.
+    """
+    block = _label_block(labels, count)
+    buffer = _block_buffer(count, dim, _BLOCK_ELEMENTS // 4)
+    written = 0
+    with _staged(destination) as path, open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, count, dim))
+
+        def write(rows: np.ndarray) -> None:
+            nonlocal written
+            if rows.shape[1:] != (dim,) or written + len(rows) > count:
+                raise ShapeMismatch(
+                    f"rows of shape {rows.shape} after {written} of {count} rows of width {dim}"
+                )
+            fh.writelines(_float32_blocks(rows, buffer))
+            written += len(rows)
+
+        yield write
+        if written != count:
+            raise ShapeMismatch(f"{written} rows written to a container of {count}")
+        fh.write(block)
 
 
 def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:

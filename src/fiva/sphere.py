@@ -558,4 +558,6 @@ def build_anchor_set(means, rounds: int = 1, t: float = 0.5) -> AnchorSet:
             else:
                 skipped.append(SkippedPair(round_index, i, j))
         produced.append(current)
-    return AnchorSet(np.concatenate(produced), provenance, rounds, skipped)
+    anchors = np.concatenate(produced)
+    anchors.flags.writeable = False  # the anchor set keeps these rows without a copy
+    return AnchorSet(anchors, provenance, rounds, skipped)

@@ -9,7 +9,7 @@ retrieval, and temporal metrics with known expected outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -112,6 +112,7 @@ def generate_identities(config: SynthConfig) -> Gallery:
     """
     rng = np.random.default_rng(config.seed)
     rows = _normalize_rows(rng.normal(size=(config.identity_count, config.dimension)))
+    rows.flags.writeable = False  # the gallery keeps these rows without a copy
     return Gallery(rows, [f"id_{i:04d}" for i in range(config.identity_count)])
 
 
@@ -218,8 +219,7 @@ class BenchmarkResult:
     per-frame variant shows what tracking buys, mostly in temporal std.
     ``frames`` is the float64 (identities, frames, D) array, every identity's
     frames generated again from its seed each time it is read, so a caller
-    binds it once: the result holds the frames only as the float32 rows, one
-    per frame in file order, that ``frames.emb`` holds. Each fake set is held
+    binds it once: the result does not hold the frames. Each fake set is held
     as a table of rows and an index, one row per frame in file order;
     ``tracked_fakes`` and ``per_frame_fakes`` gather it as an array of the
     frames' shape when read.
@@ -229,7 +229,6 @@ class BenchmarkResult:
     per_frame: BenchmarkVariant
     gallery: Gallery
     _config: SynthConfig
-    _frame_table: np.ndarray
     _tracked_rows: _Take
     _per_frame_rows: _Take
 
@@ -260,6 +259,7 @@ def end_to_end_benchmark(
     retrieval_threshold: float = DEFAULT_MATCH_THRESHOLD,
     tracker_threshold: float = DEFAULT_MATCH_THRESHOLD,
     gallery: Gallery | None = None,
+    sink: Callable[[np.ndarray], None] | None = None,
 ) -> BenchmarkResult:
     """Generate a corpus, anonymize it two ways, and score both ways.
 
@@ -271,9 +271,10 @@ def end_to_end_benchmark(
     whose shape must then be ``(identity_count, dimension)``.
 
     The frames are generated a block of identities at a time, and each block
-    goes to the tracker, to the per-frame anonymizer and into the float32
-    frame rows in turn. The tracker's keys and every pick are those of one
-    call over all the frames.
+    goes to the tracker, to the per-frame anonymizer and, when given, to
+    ``sink`` in turn: its (n, D) float64 frame rows in file order, good only
+    until the call returns. No frame is kept beyond its block. The tracker's
+    keys and every pick are those of one call over all the frames.
     """
     if gallery is None:
         gallery = generate_identities(config)
@@ -289,12 +290,12 @@ def end_to_end_benchmark(
     )
     keys = np.empty(count, dtype=np.intp)
     per_frame = _fake_corpus(count, dim, anonymizer)
-    frame_table = np.empty((count, dim), dtype=np.float32)
     for part, rows in _frame_blocks(gallery, config):
         at = slice(part.start * per_video, part.stop * per_video)
         keys[at] = tracker.track_rows(rows)[1]
         _anonymize_rows(rows, anonymizer, per_frame, at.start)
-        frame_table[at] = rows
+        if sink is not None:
+            sink(rows)
     tracked = _Take(tracker.fake_matrix.copy(), keys)
     del tracker  # its (2, capacity, D) buffer is freed before scoring
     labels = [label for label in gallery.labels for _ in range(per_video)]
@@ -309,7 +310,6 @@ def end_to_end_benchmark(
         per_frame=BenchmarkVariant(*per_frame_reports, temporal(per_frame)),
         gallery=gallery,
         _config=config,
-        _frame_table=frame_table,
         _tracked_rows=tracked,
         _per_frame_rows=per_frame,
     )

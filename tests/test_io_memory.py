@@ -1,5 +1,6 @@
 """Container I/O holds each file once or one block of it, ``fiva bench``
-holds its frames as float32 and each fake corpus as a table and an index, the
+streams its frames to disk and holds each fake corpus as a table and an index,
+the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
 width, the exact row fold holds less than its rows, and the tracker mints a
 block of fakes at a time: traced peaks.
@@ -15,8 +16,11 @@ import pytest
 
 from fiva import (
     AnchorSet,
+    SynthConfig,
     TrackerState,
+    build_anchor_set,
     cli,
+    generate_identities,
     load_gallery,
     load_rows,
     sample_batch,
@@ -24,6 +28,8 @@ from fiva import (
     score_rows,
     write_container,
 )
+from fiva import gallery as gallery_module
+from fiva import sphere
 from fiva.metrics import _distinct_rows
 from fiva.sphere import _BLOCK_ELEMENTS
 
@@ -92,6 +98,20 @@ def test_bench_holds_the_frames_and_one_float32_corpus(tmp_path):
     assert code == 0
     cells = identities * frames * dim
     holdings = cells * 4 + 3 * identities * dim * 8 + 2 * 512 * dim * 8 + 8 * _BLOCK_ELEMENTS
+    assert peak <= holdings + 5 * MiB
+
+
+def test_bench_streams_its_frames_into_frames_emb(tmp_path):
+    # Anchor sampling at 400 x 10, D = 256, as above, less the float32 frames:
+    # each block of frames is written to frames.emb's temporary as it is made,
+    # so the run holds the gallery and its anchors, the store and one block.
+    # A float32 (I * F, D) frame table (3.9 MiB) breaks the bound.
+    identities, frames, dim = 400, 10, 256
+    argv = ["bench", "--identities", str(identities), "--frames", str(frames),
+            "--dim", str(dim), "--out-dir", str(tmp_path)]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    holdings = 3 * identities * dim * 8 + 2 * 512 * dim * 8 + 8 * _BLOCK_ELEMENTS
     assert peak <= holdings + 5 * MiB
 
 
@@ -187,6 +207,31 @@ def test_load_gallery_and_a_loaded_anchor_set_hold_one_copy(labeled_rows, tmp_pa
     anchors, peak = traced_peak(lambda: AnchorSet(load_rows(path)[0]))
     assert anchors.matrix.tobytes() == gallery.matrix.tobytes()
     assert peak <= anchors.matrix.nbytes + MiB
+
+
+def test_build_anchor_set_holds_its_rounds_and_the_anchors_once(monkeypatch):
+    # 1000 means of D = 512, two rounds: the rounds are 3.9 MiB each and the
+    # anchors joined from them 7.8 MiB. The anchor set keeps the joined rows;
+    # a copy of them (+7.8 MiB) breaks the bound, which leaves room for one
+    # round's slerp temporaries.
+    means = np.random.default_rng(4).normal(size=(1000, 512))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    given = []
+    frozen = sphere._frozen
+    monkeypatch.setattr(sphere, "_frozen", lambda rows: frozen(given.append(rows) or rows))
+    anchors, peak = traced_peak(lambda: build_anchor_set(means, rounds=2))
+    assert np.shares_memory(anchors.matrix, given[0])
+    assert peak <= 2 * anchors.matrix.nbytes + means.nbytes + MiB
+
+
+def test_generated_identities_are_kept_without_a_copy(monkeypatch):
+    # The copy would come after the draws are freed, so it shows in the rows
+    # the gallery holds, not in the peak.
+    given = []
+    frozen = gallery_module._frozen
+    monkeypatch.setattr(gallery_module, "_frozen", lambda rows: frozen(given.append(rows) or rows))
+    gallery = generate_identities(SynthConfig(dimension=64, identity_count=100))
+    assert np.shares_memory(gallery.matrix, given[0])
 
 
 @pytest.fixture(scope="module")

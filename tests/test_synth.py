@@ -219,7 +219,9 @@ class TestArraysMatchSingleRowPaths:
         result = end_to_end_benchmark(config, anonymizer)
         per_video = config.frames_per_identity
         shape = (config.identity_count, per_video, config.dimension)
-        for array in (result.frames, result.tracked_fakes, result.per_frame_fakes):
+        # Each property builds its whole array when read, so each is read once.
+        all_frames, per_frame_fakes, tracked_fakes = result.frames, result.per_frame_fakes, result.tracked_fakes
+        for array in (all_frames, tracked_fakes, per_frame_fakes):
             assert array.shape == shape and array.dtype == np.float64
         tracker = TrackerState(sampler=lambda rows: np.stack([
             mock_anonymize(Embedding(row), anonymizer).values for row in rows
@@ -228,7 +230,7 @@ class TestArraysMatchSingleRowPaths:
             frames = generate_frames(
                 entry.embedding, per_video, config.jitter_sigma, spawn_seed(config.seed, 1, i)
             )
-            assert result.frames[i].tobytes() == np.stack([f.values for f in frames]).tobytes()
-            for frame, fake, tracked in zip(frames, result.per_frame_fakes[i], result.tracked_fakes[i]):
+            assert all_frames[i].tobytes() == np.stack([f.values for f in frames]).tobytes()
+            for frame, fake, tracked in zip(frames, per_frame_fakes[i], tracked_fakes[i]):
                 assert fake.tobytes() == mock_anonymize(frame, anonymizer).values.tobytes()
                 assert tracked.tobytes() == tracker.track(frame).fake_identity.values.tobytes()
