@@ -38,10 +38,10 @@ I identities with F jittered frames each:
 
 Each grid point is the median of 5 ``perf_counter`` runs, after one untimed
 warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
-{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The container,
-detector and command layers, ``bench`` and ``build_anchor_set`` also get one
-more run under ``tracemalloc``, whose peak (the most memory the call held at
-once, numpy's buffers included) is reported in MiB.
+{250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The tracker,
+container, detector and command layers, ``bench`` and ``build_anchor_set``
+also get one more run under ``tracemalloc``, whose peak (the most memory the
+call held at once, numpy's buffers included) is reported in MiB.
 The JSON printed on stdout holds the raw points (with the count of distinct
 sampled anchors), the log-log slope of each layer's time and of each traced
 peak along each axis, and the Python, numpy and BLAS versions and ``nproc``.
@@ -77,8 +77,8 @@ IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
 # Layers whose tracemalloc peak is reported besides their time.
-TRACED = ("io_write", "io_read", "score_rows", "cli_track", "cli_detect",
-          "cli_eval_retrieval", "cli_eval_temporal", "bench", "build_anchor_set")
+TRACED = ("track_mint", "track_match", "io_write", "io_read", "score_rows", "cli_track",
+          "cli_detect", "cli_eval_retrieval", "cli_eval_temporal", "bench", "build_anchor_set")
 
 
 def corpus(identities: int, frames: int):

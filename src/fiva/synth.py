@@ -220,9 +220,10 @@ class BenchmarkResult:
     ``frames`` is the float64 (identities, frames, D) array, every identity's
     frames generated again from its seed each time it is read, so a caller
     binds it once: the result does not hold the frames. Each fake set is held
-    as a table of rows and an index, one row per frame in file order;
-    ``tracked_fakes`` and ``per_frame_fakes`` gather it as an array of the
-    frames' shape when read.
+    as a table of rows and an index, one row per frame in file order (the
+    tracked table is the tracker's float32 fakes); ``tracked_fakes`` and
+    ``per_frame_fakes`` gather it as a float64 array of the frames' shape
+    when read.
     """
 
     tracked: BenchmarkVariant
@@ -246,7 +247,7 @@ class BenchmarkResult:
 
     @property
     def tracked_fakes(self) -> np.ndarray:
-        return self._tracked_rows[:].reshape(self._shape)
+        return self._tracked_rows[:].astype(np.float64).reshape(self._shape)
 
     @property
     def per_frame_fakes(self) -> np.ndarray:
@@ -297,7 +298,7 @@ def end_to_end_benchmark(
         if sink is not None:
             sink(rows)
     tracked = _Take(tracker.fake_matrix.copy(), keys)
-    del tracker  # its (2, capacity, D) buffer is freed before scoring
+    del tracker  # its stored and fake buffers are freed before scoring
     labels = [label for label in gallery.labels for _ in range(per_video)]
     per_frame_reports = retrieval_reports(per_frame, labels, gallery, retrieval_threshold)
     tracked_reports = retrieval_reports(tracked, labels, gallery, retrieval_threshold)

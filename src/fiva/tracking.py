@@ -14,9 +14,10 @@ decisions of tracking one frame at a time. Keys are assigned by an
 increasing pointer, so key k always means "the k-th distinct identity this
 tracker has seen".
 
-Embeddings are quantized to single precision when they enter the store.
-The persisted state file stores single-precision payloads, so quantizing
-at insertion makes a save/load cycle reproduce the live state bit for bit.
+Embeddings are quantized to single precision when they enter the store,
+and fakes are held at that precision. The persisted state file stores
+single-precision payloads, so quantizing at insertion makes a save/load
+cycle reproduce the live state bit for bit.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ class TrackResult:
     match_distance: Optional[float]
 
 
+def _grown(rows: np.ndarray, used: int, capacity: int, dim: int) -> np.ndarray:
+    """A (capacity, dim) buffer of ``rows``' dtype holding its first ``used`` rows."""
+    grown = np.empty((capacity, dim), dtype=rows.dtype)
+    if used:
+        grown[:used] = rows[:used]
+    return grown
+
+
 class TrackerState:
     """Mutable store mapping seen identities to their fake identities.
 
@@ -124,9 +133,11 @@ class TrackerState:
         self.sampler = sampler
         self.key_pointer = 0
         # Capacity-doubling (capacity, D) buffers indexed by key; rows at and
-        # past key_pointer are unused.
+        # past key_pointer are unused. The stored rows are float64, the operand
+        # every lookup product takes at its width; the fakes are float32, the
+        # width every mint rounds them to, and are only gathered and written.
         self._stored = np.empty((0, 0), dtype=np.float64)
-        self._fakes = np.empty((0, 0), dtype=np.float64)
+        self._fakes = np.empty((0, 0), dtype=np.float32)
 
     def __len__(self) -> int:
         return self.key_pointer
@@ -162,7 +173,7 @@ class TrackerState:
 
     @property
     def fake_matrix(self) -> np.ndarray:
-        """Fake identities in key order as a read-only (key_pointer, D) array."""
+        """Fake identities in key order as a read-only float32 (key_pointer, D) array."""
         view = self._fakes[: self.key_pointer]
         view.flags.writeable = False
         return view
@@ -176,13 +187,13 @@ class TrackerState:
         return None
 
     def _reserve(self, used: int, dim: int) -> None:
-        """Make room for row ``used``, keeping rows ``[0, used)`` of both buffers."""
+        """Make room for row ``used``, keeping rows ``[0, used)`` of both buffers.
+        The buffers grow one after the other, so a growth copies one at a time."""
         if used < len(self._stored):
             return
-        grown = np.empty((2, max(16, 2 * used), dim), dtype=np.float64)
-        if used:
-            grown[0, :used], grown[1, :used] = self._stored[:used], self._fakes[:used]
-        self._stored, self._fakes = grown
+        capacity = max(16, 2 * used)
+        self._stored = _grown(self._stored, used, capacity, dim)
+        self._fakes = _grown(self._fakes, used, capacity, dim)
 
     def _sample_anchors(self, rows: np.ndarray) -> _Take:
         """The anchor rows the sampler picks for ``rows``, gathered when sliced."""
@@ -208,7 +219,7 @@ class TrackerState:
             raise ShapeMismatch(f"sampler made {len(fakes)} fakes for {len(rows)} new identities")
         minted = self._fakes[start:stop]
         for part in _row_blocks(fakes):
-            minted[part] = fakes[part].astype(np.float32)  # widened exactly in place
+            minted[part] = fakes[part]  # rounded to float32 as it is written
 
     def _score(
         self, frames: np.ndarray, used: int, scratch: _Scratch
@@ -344,7 +355,7 @@ def load_state(
     try:
         with fio._binary_stream(source) as stream:
             stored, _ = fio._read_rows(stream, np.float64, allow_labels=False)
-            fakes, _ = fio._read_rows(stream, np.float64, allow_labels=False)
+            fakes, _ = fio._read_rows(stream, np.float32, allow_labels=False)
             left, trailer = fio._remaining(stream), bytearray(_TRAILER.size)
             if left != _TRAILER.size or fio._readinto(stream, trailer) != left:
                 raise CorruptState(

@@ -2,8 +2,8 @@
 streams its frames to disk and holds each fake corpus as a table and an index,
 the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
-width, the exact row fold holds less than its rows, and the tracker mints a
-block of fakes at a time: traced peaks.
+width, the exact row fold holds less than its rows, the tracker mints a block
+of fakes at a time and loads its fakes at file width: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -23,6 +23,7 @@ from fiva import (
     generate_identities,
     load_gallery,
     load_rows,
+    load_state,
     sample_batch,
     save_state,
     score_rows,
@@ -48,6 +49,16 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warmed_up(tmp_path_factory):
+    """One tiny ``fiva bench`` before any trace, so what a first ``cli.main``
+    call allocates and keeps lands outside every test: a peak then reads the
+    same alone and in module order."""
+    argv = ["bench", "--identities", "4", "--frames", "2", "--dim", "8",
+            "--out-dir", str(tmp_path_factory.mktemp("warm_up"))]
+    assert cli.main(argv) == 0
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +97,18 @@ def test_save_state_holds_one_block(labeled_rows, tmp_path):
 def test_bench_holds_the_frames_and_one_float32_corpus(tmp_path):
     # Anchor sampling at 400 x 10, D = 256. The run holds the frames as the
     # float32 rows frames.emb holds (3.9 MiB), the gallery and its 800 anchors
-    # (2.3 MiB), the tracker's (2, 512, D) store (2 MiB) and one float64 block
-    # of frames (_BLOCK_ELEMENTS cells, 2 MiB). The slack covers the store's
-    # growth and a block's sampling buffers. Float64 (I, F, D) frames
-    # (+3.9 MiB over float32) or a float32 gather beside a write's buffer
-    # break the bound.
+    # (2.3 MiB), the tracker's 512-row store (1.5 MiB: float64 stored rows,
+    # float32 fakes) and one float64 block of frames (_BLOCK_ELEMENTS cells,
+    # 2 MiB). The slack covers the store's growth and a block's sampling
+    # buffers. Float64 (I, F, D) frames (+3.9 MiB over float32) or a float32
+    # gather beside a write's buffer break the bound.
     identities, frames, dim = 400, 10, 256
     argv = ["bench", "--identities", str(identities), "--frames", str(frames),
             "--dim", str(dim), "--out-dir", str(tmp_path)]
     code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0
     cells = identities * frames * dim
-    holdings = cells * 4 + 3 * identities * dim * 8 + 2 * 512 * dim * 8 + 8 * _BLOCK_ELEMENTS
+    holdings = cells * 4 + 3 * identities * dim * 8 + 512 * dim * (8 + 4) + 8 * _BLOCK_ELEMENTS
     assert peak <= holdings + 5 * MiB
 
 
@@ -111,7 +122,7 @@ def test_bench_streams_its_frames_into_frames_emb(tmp_path):
             "--dim", str(dim), "--out-dir", str(tmp_path)]
     code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0
-    holdings = 3 * identities * dim * 8 + 2 * 512 * dim * 8 + 8 * _BLOCK_ELEMENTS
+    holdings = 3 * identities * dim * 8 + 512 * dim * (8 + 4) + 8 * _BLOCK_ELEMENTS
     assert peak <= holdings + 5 * MiB
 
 
@@ -154,9 +165,10 @@ def command_peak(argv):
 
 def test_track_holds_the_anchors_and_the_store_not_the_frames(scenes, tmp_path, capsys):
     # The anchors are 1 MiB (held twice while the anchor set copies them), the
-    # store's (2, 256, D) buffer 1 MiB. Float64 frames would add 2 MiB at 4
-    # frames per identity and 8 MiB at 16; a block of rows read, products and
-    # gathered for the write stays under 3 MiB whatever the frame count.
+    # store's 256 float64 stored rows and float32 fakes 0.75 MiB. Float64
+    # frames would add 2 MiB at 4 frames per identity and 8 MiB at 16; a block
+    # of rows read, products and gathered for the write stays under 3 MiB
+    # whatever the frame count.
     peaks = {}
     for per in (4, 16):
         out = tmp_path / f"out{per}"
@@ -276,8 +288,9 @@ def test_eval_temporal_holds_float32_videos(scored, tmp_path):
 def test_tracker_mints_a_block_of_fakes_at_a_time(rng):
     # 2049 identities grow the store's buffers to 4096 rows, so 2000 more mint
     # without regrowing them. Gathering those fakes at once as float64 and
-    # rounding them to float32 holds 11.7 MiB at D = 512; one block holds 3 MiB,
-    # under what the blocked lookups against the store hold.
+    # rounding them to float32 holds 11.7 MiB at D = 512; one gathered block,
+    # rounded as it is written, holds 2 MiB, under what the blocked lookups
+    # against the store hold.
     dim = 512
     anchors = rng.normal(size=(512, dim))
     state = TrackerState(anchors=AnchorSet(anchors / np.linalg.norm(anchors, axis=1, keepdims=True)))
@@ -288,6 +301,22 @@ def test_tracker_mints_a_block_of_fakes_at_a_time(rng):
     (matched, _, _), peak = traced_peak(lambda: state.track_rows(more))
     assert not matched.any() and len(state) == 4049
     assert peak <= 6 * MiB
+
+
+def test_load_state_holds_the_float32_fakes_beside_the_float64_stored_rows(labeled_rows, tmp_path):
+    # 4096 identities of D = 256: the stored rows are 8 MiB as float64 and the
+    # fakes 4 MiB as float32, the width the file stores. The fakes' norms are
+    # checked a float64 block of _BLOCK_ELEMENTS cells (2 MiB) at a time, and
+    # the file is read in 256 KiB chunks. Fakes read as float64 (+4 MiB)
+    # break the bound.
+    rows, _ = labeled_rows
+    state = TrackerState(sampler=lambda stored: stored)
+    state.track_rows(rows)
+    path = tmp_path / "tracker.state"
+    save_state(state, path)
+    loaded, peak = traced_peak(lambda: load_state(path))
+    assert loaded.fake_matrix.tobytes() == state.fake_matrix.tobytes()
+    assert peak <= rows.nbytes + rows.nbytes // 2 + 8 * _BLOCK_ELEMENTS + MiB // 2
 
 
 @pytest.mark.parametrize("entry", ["sample_batch", "score_rows"])

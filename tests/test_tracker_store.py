@@ -73,3 +73,31 @@ def test_fakes_are_copies(rng):
     fake = tracker.track(z).fake_identity
     assert not fake.values.flags.writeable
     assert tracker.track(z).fake_identity == fake
+
+
+def test_fakes_are_held_as_float32_and_widen_to_the_rounded_sampled_rows(rng):
+    # A rotation's rows are unit but not float32-exact: each mint rounds them
+    # to float32, the width the store holds its fakes at, and reads widen them
+    # back to float64 exactly.
+    dim = 48
+    rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    sampled = []
+
+    def sampler(rows):
+        sampled.append(rows @ rotation)
+        return sampled[-1]
+
+    tracker = TrackerState(sampler=sampler)
+    people = np.stack([z.values for z in orthonormal(rng, 40, dim)])
+    tracker.track_rows(people[:25])
+    tracker.track_rows(people)
+    want = np.concatenate(sampled).astype(np.float32).astype(np.float64)
+    assert tracker.fake_matrix.dtype == np.float32
+    assert tracker.fake_matrix.astype(np.float64).tobytes() == want.tobytes()
+    assert np.stack([fake.values for fake in tracker.fakes]).tobytes() == want.tobytes()
+    assert tracker.track(Embedding(people[30])).fake_identity.values.tobytes() == want[30].tobytes()
+    buf = io.BytesIO()
+    save_state(tracker, buf)
+    loaded = load_state(io.BytesIO(buf.getvalue()))
+    assert loaded.fake_matrix.dtype == np.float32
+    assert loaded.fake_matrix.tobytes() == tracker.fake_matrix.tobytes()
