@@ -28,6 +28,8 @@ I identities with F jittered frames each:
   fakes' file, writing the report;
 - ``cli_eval_retrieval``: ``fiva eval-retrieval`` of the labeled frames file
   (all distinct probes) against the I-entry gallery's file, writing the report;
+- ``cli_eval_retrieval_sampled``: the same of the sampled fakes' file, labeled
+  as the frames: few distinct probes, which the reader folds as it reads;
 - ``cli_eval_temporal``: ``fiva eval-temporal`` of one file per identity
   holding its F frames, writing the report;
 - ``bench``: ``end_to_end_benchmark`` of the I identities with F frames each,
@@ -77,8 +79,8 @@ IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
 # Layers whose tracemalloc peak is reported besides their time.
-TRACED = ("track_mint", "track_match", "io_write", "io_read", "score_rows", "cli_track",
-          "cli_detect", "cli_eval_retrieval", "cli_eval_temporal", "bench", "build_anchor_set")
+TRACED = ("track_mint", "track_match", "io_write", "io_read", "score_rows", "cli_track", "cli_detect",
+          "cli_eval_retrieval", "cli_eval_retrieval_sampled", "cli_eval_temporal", "bench", "build_anchor_set")
 
 
 def corpus(identities: int, frames: int):
@@ -95,8 +97,8 @@ def corpus(identities: int, frames: int):
 def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     """The gallery, labels, frames, anchors and sampled fakes of one grid point,
     how many distinct anchors the frames sampled, and the files of the frames,
-    the anchors, the fakes, the gallery and each identity's video, with a
-    folder for command outputs."""
+    the anchors, the fakes (labeled as their frames), the gallery and each
+    identity's video, with a folder for command outputs."""
     matrix, videos = corpus(identities, frames)
     names = [f"id_{i:04d}" for i in range(identities)]
     probes = videos.reshape(-1, DIM)
@@ -107,7 +109,7 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     labels = [name for name in names for _ in range(frames)]
     fiva.write_container(workdir / "frames.emb", probes, labels)
     fiva.write_container(workdir / "anchors.emb", anchors.matrix)
-    fiva.write_container(workdir / "sampled.emb", anchors.matrix[picked])
+    fiva.write_container(workdir / "sampled.emb", anchors.matrix[picked], labels)
     fiva.write_container(workdir / "gallery.emb", matrix, names)
     (workdir / "videos").mkdir()
     video_files = [workdir / "videos" / f"{name}.emb" for name in names]
@@ -169,6 +171,10 @@ def layers(fiva):
         "cli_eval_retrieval": lambda x: command(
             fiva, "eval-retrieval", "--probes", x["file"], "--gallery", x["workdir"] / "gallery.emb",
             "--report", x["workdir"] / "retrieval.csv",
+        ),
+        "cli_eval_retrieval_sampled": lambda x: command(
+            fiva, "eval-retrieval", "--probes", x["workdir"] / "sampled.emb",
+            "--gallery", x["workdir"] / "gallery.emb", "--report", x["workdir"] / "sampled.csv",
         ),
         "cli_eval_temporal": lambda x: command(
             fiva, "eval-temporal", "--frames", *x["video_files"],

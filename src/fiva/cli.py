@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import math
 import os
@@ -323,18 +324,16 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
 
 def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
     normalize = opts.get("normalize")
-    probes, labels = fio._labeled(args.probes, fio._load_table(args.probes, normalize))
+    probes, labels = fio._labeled(args.probes, fio._distinct_table(args.probes, normalize))
     gallery = fio.load_gallery(args.gallery, normalize)
     threshold, negate = opts.get("threshold"), opts.get("negate")
     report = retrieval_report(probes, labels, gallery, threshold, negate)
-    rows = [
+    _report(args.report, "probe_index,true_label,retrieved_label,distance,success", itertools.chain((
         [i, true, gallery.labels[k], distance, int(success)]
         for i, (true, k, distance, success) in enumerate(zip(
             labels, report.index.tolist(), report.distance.tolist(), report.success.tolist()
         ))
-    ]
-    rows.append(["aggregate", "", "", "", report.success_rate])
-    _report(args.report, "probe_index,true_label,retrieved_label,distance,success", rows)
+    ), [["aggregate", "", "", "", report.success_rate]]))
     _info(
         f"{'neg-id' if negate else 'id'} retrieval rate "
         f"{report.success_rate:.6f} at threshold {threshold}"

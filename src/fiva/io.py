@@ -48,6 +48,7 @@ from .errors import (
     ZeroVector,
 )
 from .gallery import Gallery, LabeledEmbedding
+from .metrics import _distinct_rows
 from .sphere import (
     _BLOCK_ELEMENTS,
     Embedding,
@@ -490,12 +491,19 @@ def write_container(
     _write(destination, pieces)
 
 
-def _checked(rows, chunks: Iterable[tuple[int, np.ndarray]], renormalize: bool):
-    """``rows``, an embedding file's rows as an array or as :class:`_CheckedRows`,
-    once their ``chunks``, each with the index of its first row, pass the checks
-    every reader makes, in the order it raises them. After the file's label
-    errors come the first row holding a NaN or infinite value, a bad shape, then
-    the first row off the sphere (with ``renormalize``, the first of norm zero)."""
+def _checked(
+    rows,
+    chunks: Iterable[tuple[int, np.ndarray]],
+    renormalize: bool,
+    keep: Callable[[int, np.ndarray], None] = lambda first, chunk: None,
+):
+    """``rows``, an embedding file's rows as an array, :class:`_CheckedRows` or
+    gathered rows, once their ``chunks``, each with the index of its first row,
+    pass the checks every reader makes, in the order it raises them. After the
+    file's label errors come the first row holding a NaN or infinite value, a bad
+    shape, then the first row off the sphere (with ``renormalize``, the first of
+    norm zero). Each chunk that passes, while every row before it has, goes to
+    ``keep`` with the index of its first row."""
     fault = None
     for first, chunk in chunks:
         _check_finite(chunk, first)
@@ -504,6 +512,8 @@ def _checked(rows, chunks: Iterable[tuple[int, np.ndarray]], renormalize: bool):
                 _check_norms(chunk.astype(np.float64, copy=False), "row", renormalize, first=first)
             except (NotUnitNorm, ZeroVector) as exc:
                 fault = exc
+            else:
+                keep(first, chunk)
     rows = _as_rows(rows, "embedding")
     if fault:
         raise fault
@@ -525,19 +535,13 @@ def _unit_file(
 
 
 @contextlib.contextmanager
-def _open_rows(
-    source: str | Path | BinaryIO, renormalize: bool = False
-) -> Iterator[tuple[_CheckedRows, list[str] | None]]:
-    """The rows and labels of an embedding file as :func:`load_rows` gives them,
-    the rows served a slice at a time from the file while the block runs.
-
-    One chunked pass checks the whole file first and raises what
-    :func:`load_rows` raises, in its order (:func:`_checked`), naming rows by
-    their index in the file. Each slice served is checked again as it is read, so
-    a file changed in the meantime raises the same errors. A stream that cannot
-    seek is read whole first, and a CSV file is packed into a container
-    (:func:`_embedding_stream`).
-    """
+def _payload(
+    source: str | Path | BinaryIO,
+) -> Iterator[tuple[tuple[int, int], list[str] | None, Callable[[int, int], Iterator]]]:
+    """An embedding file's (count, dim) shape and labels, read first, and a function
+    giving its rows ``start`` to ``stop`` as :func:`_chunks` while the block runs. A
+    stream that cannot seek is read whole first, and a CSV file is packed into a
+    container (:func:`_embedding_stream`)."""
     with _embedding_stream(source) as stream:
         count, dim, more = _header(stream)
         payload, labels = stream.tell(), None
@@ -549,12 +553,101 @@ def _open_rows(
             stream.seek(payload + 4 * dim * start)
             return _chunks(stream, count, dim, start, stop)
 
+        yield (count, dim), labels, chunks
+
+
+@contextlib.contextmanager
+def _open_rows(
+    source: str | Path | BinaryIO, renormalize: bool = False
+) -> Iterator[tuple[_CheckedRows, list[str] | None]]:
+    """The rows and labels of an embedding file as :func:`load_rows` gives them,
+    the rows served a slice at a time from the file while the block runs.
+
+    One chunked pass (:func:`_payload`) checks the whole file first and raises
+    what :func:`load_rows` raises, in its order (:func:`_checked`), naming rows by
+    their index in the file. Each slice served is checked again as it is read, so
+    a file changed in the meantime raises the same errors.
+    """
+    with _payload(source) as ((count, dim), labels, chunks):
+
         def read(start: int, stop: int) -> np.ndarray:
             rows = _fill(chunks(start, stop), np.empty((stop - start, dim)), start)
             rows = _checked(rows, [(start, rows)], renormalize)
             return _normalize_rows(rows, "row") if renormalize else rows
 
         yield _checked(_CheckedRows((count, dim), read), chunks(0, count), renormalize), labels
+
+
+def _row_slots(words: np.ndarray, weights: np.ndarray, bits: int) -> np.ndarray:
+    """The home slot, among ``2 ** bits``, of each row of a (N, W) uint32 array: the
+    sum of its words times ``weights``, mixed by Fibonacci hashing into its top
+    ``bits`` bits. Bit-equal rows share their slot."""
+    sums = (words * weights).sum(axis=1, dtype=np.uint64)
+    return ((sums * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - bits)).astype(np.intp)
+
+
+def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str] | None]:
+    """:func:`_load_table`'s rows and labels with each distinct row held once: folded
+    gathered rows whose table holds the file's bit-distinct rows in order of first
+    appearance, and whose index gives each row's copy among them.
+
+    The rows are folded in the one chunked pass that checks them (:func:`_checked`
+    over :func:`_payload`), so the errors and their order are :func:`_load_table`'s.
+    Each chunk's distinct rows (:func:`_distinct_rows`, at the width the file stores
+    or, with ``renormalize``, as float64 projections) are looked up among the rows
+    kept so far in an open-addressing table of their codes: from a row's hash slot
+    (:func:`_row_slots`) on, each code met is checked for a bit-equal row until a
+    free slot ends the search, so a lookup is exact whatever the hashes. New rows are
+    appended and take the first free slot from theirs; at most half the slots are
+    taken, 4 bytes each below 2 ** 31 rows. The table of rows is sized for every
+    row and filled from the front, so the pages of rows a repeating file never
+    keeps are never written."""
+    with _payload(source) as ((count, dim), labels, chunks):
+        table = np.empty((count, dim), np.float64 if renormalize else "<f4")
+        held = table.view(np.uint32)
+        index = np.empty(count, np.intp)
+        bits = max(1, (2 * count - 1).bit_length())
+        slots, mask = np.full(1 << bits, -1, np.intp if count >> 31 else np.int32), (1 << bits) - 1
+        # Odd weights, one per 32-bit word of a row: golden-ratio multiples.
+        weights = ((2 * np.arange(held.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B9)).astype(np.uint32)
+        kept = 0
+
+        def fold(start: int, chunk: np.ndarray) -> None:
+            nonlocal kept
+            if dim < 2:  # no rows to fold: the shape error comes once every chunk is checked
+                return
+            rows = _normalize_rows(chunk, "row") if renormalize else chunk
+            first, inverse = _distinct_rows(rows)
+            fresh = rows[first]
+            words = fresh.view(np.uint32)
+            codes, ends = np.full(len(fresh), -1, np.intp), np.empty(len(fresh), np.intp)
+            todo, at = np.arange(len(fresh)), _row_slots(words, weights, bits)
+            while todo.size:  # look each row up among the kept rows, up to a free slot
+                code = slots[at]
+                taken = code >= 0
+                same = taken.copy()
+                same[taken] = (held[code[taken]] == words[todo[taken]]).all(axis=1)
+                codes[todo[same]] = code[same]
+                ends[todo[~taken]] = at[~taken]
+                on = taken & ~same
+                todo, at = todo[on], (at[on] + 1) & mask
+            new = np.flatnonzero(codes < 0)
+            codes[new] = np.arange(kept, kept + len(new))
+            table[kept : kept + len(new)] = fresh[new]
+            kept += len(new)
+            todo, at = new, ends[new]
+            while todo.size:  # the first new row to reach a free slot takes it
+                free = np.flatnonzero(slots[at] < 0)
+                won = free[np.unique(at[free], return_index=True)[1]]
+                slots[at[won]] = codes[todo[won]]
+                on = np.ones(len(todo), bool)
+                on[won] = False
+                todo, at = todo[on], (at[on] + 1) & mask
+            index[start : start + len(rows)] = codes[inverse]
+
+        _checked(_Take(table, index), chunks(0, count), renormalize, fold)
+    table.flags.writeable = False
+    return _Take(table[:kept], index, folded=True), labels
 
 
 def load_rows(

@@ -23,6 +23,7 @@ from .sphere import (
     _BLOCK_ELEMENTS,
     Embedding,
     _Take,
+    _as_rows,
     _nearest,
     _stack,
     _unit_matrix,
@@ -142,10 +143,16 @@ class RetrievalReport(_ValueEq):
 
 def _fold(corpus, name: str, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check a corpus once (:func:`_unit_matrix`) and fold it once (:func:`_distinct_rows`):
-    an (N, D) array-like, or gathered rows, whose table is checked and folded. Returns
-    the checked rows, the index of each distinct row at its first appearance, and a
-    copy code per row (per index entry), equal exactly when the rows are bit-equal."""
+    an (N, D) array-like, or gathered rows, whose table is checked and folded once their
+    (N, D) shape is (so a shape error names N, not the table's length). Returns the
+    checked rows, the index of each distinct row at its first appearance, and a copy
+    code per row (per index entry), equal exactly when the rows are bit-equal. Folded
+    gathered rows are their own fold."""
     gathered = isinstance(corpus, _Take)
+    if gathered:
+        _as_rows(corpus, name, dim)
+        if corpus.folded:
+            return corpus.table, np.arange(len(corpus.table)), corpus.index
     rows = _unit_matrix(corpus.table if gathered else corpus, name, dim)
     first, codes = _distinct_rows(rows)
     return rows, first, codes[corpus.index] if gathered else codes
@@ -220,7 +227,8 @@ def temporal_consistency(
     groups: dict[tuple[int, ...], tuple[list[int], Sequence[np.ndarray], Sequence[np.ndarray]]] = {}
     if stacked:  # folded as one table of rows, then read a block of videos at a time
         count, frames, dim = videos.shape
-        table, codes = _video_rows(videos if gathered else videos.reshape(count * frames, dim))
+        rows = _Take(videos.table, videos.index.ravel()) if gathered else videos.reshape(count * frames, dim)
+        table, codes = _video_rows(rows)
         videos = _Take(table, videos.index) if gathered else table.reshape(videos.shape)
         groups[(frames, dim)] = list(range(count)), videos, codes.reshape(count, frames)
     else:
@@ -281,13 +289,16 @@ def _search(
     """Per flag of ``negate``, the nearest entry index and cosine distance of
     each row of a (N, D) array-like or of gathered rows, all from one product
     with the gallery. The rows are folded (:func:`_fold`) and the distinct rows used
-    are searched in one :func:`_nearest` call, which gathers and widens a block at a
-    time; copies get their original's bits. Float32 rows are folded on their own bits."""
+    are searched in one :func:`_nearest` call, which gathers (unless every row is
+    used) and widens a block at a time; copies get their original's bits. Float32
+    rows are folded on their own bits."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
     rows, first, codes = _fold(queries, "probe", gallery.dim)
     used, spread = np.unique(codes, return_inverse=True)
-    picks = _nearest(_Take(rows, first[used]), gallery.matrix, -1.0, tuple(negate))
+    if len(used) < len(rows):  # else every row is used, in order: sliced, not gathered
+        rows = _Take(rows, first[used])
+    picks = _nearest(rows, gallery.matrix, -1.0, tuple(negate))
     return tuple((index[spread], 1.0 - cosine[spread]) for index, cosine in picks)
 
 

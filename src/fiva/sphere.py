@@ -140,11 +140,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows:
+def _as_rows(rows, name: str, dim: int | None = None) -> np.ndarray | _CheckedRows | _Take:
     """``rows`` as an (N, D) array, D >= 2 (== ``dim`` if given); (0, ·) passes. A
-    float32 array and rows checked when read pass as they are; any other rows
-    become float64."""
-    kept = isinstance(rows, _CheckedRows) or getattr(rows, "dtype", None) == np.float32
+    float32 array, gathered rows and rows checked when read pass as they are; any
+    other rows become float64."""
+    kept = isinstance(rows, (_CheckedRows, _Take)) or getattr(rows, "dtype", None) == np.float32
     arr = rows if kept else np.asarray(rows, dtype=np.float64)
     if len(arr.shape) != 2 or (len(arr) and (arr.shape[1] < 2 or dim not in (None, arr.shape[1]))):
         want = "D >= 2" if dim is None else f"D = {dim}"
@@ -233,10 +233,13 @@ def _tie(dim: int) -> float:
 @dataclass(frozen=True, eq=False)
 class _Take:
     """The rows ``table[index]``, gathered only a slice of ``index`` at a time:
-    a corpus that repeats a few rows many times, held as the rows and an index."""
+    a corpus that repeats a few rows many times, held as the rows and an index.
+    ``folded`` marks a table of unit rows checked when read, bit-distinct and in
+    the order of their first appearance in the index: rows that are their own fold."""
 
     table: np.ndarray
     index: np.ndarray
+    folded: bool = False
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -1,6 +1,12 @@
 """Retrieval scores each distinct probe once: the exact row fold in front of the
-search, and the in-place pick of the nearest-row kernel."""
+search, the in-place pick of the nearest-row kernel, and ``eval-retrieval``'s
+reader, which folds the probes file a read chunk at a time as it checks it."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,9 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiva import Gallery, retrieval_reports
+import fiva
+from fiva import (
+    DimensionMismatch,
+    Gallery,
+    load_gallery,
+    load_rows,
+    retrieval_report,
+    retrieval_reports,
+    write_container,
+)
+from fiva import io as fio
 from fiva import metrics, sphere
+from fiva.cli import main
 from fiva.metrics import _distinct_rows
+from fiva.sphere import _Take
 
 EPS = np.finfo(np.float64).eps
 
@@ -253,3 +271,265 @@ class TestInPlacePick:
         want_index, want_cosine = nearest_before(queries, matrix, 0.3, True)
         assert np.array_equal(index, want_index)
         assert cosine.tobytes() == want_cosine.tobytes()
+
+
+# At D = 512 a 256 KiB read chunk holds 128 rows.
+DIM = 512
+CHUNK = 128
+
+
+def probe_file(path, rows, labels):
+    write_container(path, rows, labels)
+    return path
+
+
+def rendered(report):
+    """The bytes ``eval-retrieval`` writes for ``report``."""
+    rows = [[i, o.true_label, o.retrieved_label, o.distance, int(o.success)]
+            for i, o in enumerate(report.per_query)]
+    rows.append(["aggregate", "", "", "", report.success_rate])
+    return ("probe_index,true_label,retrieved_label,distance,success\n" + fio._csv_text(rows)).encode()
+
+
+def chunk_spanning(rng):
+    """600 rows over 5 read chunks, their labels and a 40-row gallery: copies of
+    one row on both sides of the chunk boundaries at 128 and 256, a row first seen
+    in chunk 3 and repeated after it, and rows equal to other rows but for the
+    sign of a zero, in one chunk and across chunks."""
+    gallery = unit_rows(rng, 40, DIM)
+    owner = rng.integers(0, 40, size=60)
+    base = gallery[owner] + rng.normal(0.0, 0.03, size=(60, DIM))
+    base[:, 7] = 0.0
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    rows = base[rng.integers(0, 50, size=600)]  # rows 50 to 59 only where placed below
+    rows[CHUNK - 2 : CHUNK + 3] = base[50]  # across the first boundary
+    rows[2 * CHUNK - 1 : 2 * CHUNK + 1] = base[51]  # one on each side of the second
+    rows[3 * CHUNK + 5] = rows[3 * CHUNK + 70] = rows[599] = base[52]  # first seen in chunk 3
+    signed = base[53].copy()
+    signed[7] = -0.0
+    rows[10] = base[53]
+    rows[11] = rows[4 * CHUNK + 1] = signed  # apart from rows[10] and its copies
+    rows[4 * CHUNK + 2] = base[53]
+    labels = [f"g{owner[i % 60]}" for i in range(600)]
+    return rows, labels, gallery
+
+
+def assert_same_fold(path, renormalize=False):
+    """The reader's table and index equal the whole-file fold of the rows
+    :func:`load_rows` gives: the same distinct rows, in the same order."""
+    got, labels = fio._distinct_table(path, renormalize)
+    whole, want_labels = load_rows(path, renormalize)
+    if not renormalize:
+        whole = whole.astype(np.float32)
+    first, codes = _distinct_rows(whole)
+    assert got.folded and got.table.dtype == whole.dtype
+    assert got.table.tobytes() == whole[first].tobytes()
+    assert np.array_equal(got.index, codes)
+    assert labels == want_labels
+    return got
+
+
+class TestReaderFold:
+    def test_copies_across_read_chunks(self, rng, tmp_path):
+        rows, labels, _ = chunk_spanning(rng)
+        path = probe_file(tmp_path / "probes.emb", rows, labels)
+        got = assert_same_fold(path)
+        assert len(got.table) == len(np.unique(rows.astype(np.float32).view("V2048")))
+        index = got.index
+        assert len(set(index[CHUNK - 2 : CHUNK + 3])) == 1
+        assert index[2 * CHUNK - 1] == index[2 * CHUNK]
+        assert index[3 * CHUNK + 5] == index[3 * CHUNK + 70] == index[599] > index[: 3 * CHUNK].max()
+        assert index[10] == index[4 * CHUNK + 2] != index[11] == index[4 * CHUNK + 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_whole_file_fold_at_any_chunk_size(self, tmp_path_factory, data):
+        # Rows of a few values, so many rows tie on their leading words; zeros of both signs.
+        dim = data.draw(st.integers(2, 6))
+        pool = data.draw(st.lists(st.lists(VALUES, min_size=dim, max_size=dim), min_size=1, max_size=8))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=60))
+        rows = np.array([pool[i] for i in picks], dtype=np.float64).reshape(len(picks), dim)
+        path = tmp_path_factory.mktemp("fold") / "rows.emb"
+        write_container(path, rows)
+        cells = data.draw(st.sampled_from([4 * dim, 12 * dim, 4 * 7 * dim, fio._BLOCK_ELEMENTS]))
+        # Every row hashed to the first or the last slot: lookups and inserts walk
+        # long chains, wrapping round the end, and still match only bit-equal rows.
+        home = data.draw(st.sampled_from([None, 0, -1]))
+        collide = lambda words, weights, bits: np.full(len(words), home % (1 << bits), np.intp)
+        with mock.patch.object(fio, "_BLOCK_ELEMENTS", cells), mock.patch.object(fio, "_check_norms"), \
+                mock.patch.object(fio, "_row_slots", fio._row_slots if home is None else collide):
+            got, _ = fio._distinct_table(path)
+        first, codes = _distinct_rows(rows.astype(np.float32))
+        assert got.table.tobytes() == rows.astype(np.float32)[first].tobytes()
+        assert np.array_equal(got.index, codes)
+
+    def test_normalize_folds_the_projections(self, rng, tmp_path):
+        # x and 2x are different bytes that project to the same bits.
+        raw = rng.normal(size=(200, DIM)).astype(np.float32).astype(np.float64)
+        rows = np.concatenate([raw, 2.0 * raw[::-1], 0.5 * raw[:150]])
+        path = probe_file(tmp_path / "raw.emb", rows, [f"g{i % 40}" for i in range(len(rows))])
+        got = assert_same_fold(path, renormalize=True)
+        assert len(got.table) == 200
+        assert np.array_equal(got.index[200:400], got.index[:200][::-1])
+
+    def test_all_distinct_rows_are_the_whole_table(self, rng, tmp_path):
+        rows = unit_rows(rng, 3 * CHUNK + 7, DIM)
+        path = probe_file(tmp_path / "rows.emb", rows, None)
+        got = assert_same_fold(path)
+        table, _ = fio._load_table(path)
+        assert not got.table.flags.writeable and np.array_equal(got.index, np.arange(len(rows)))
+        assert got.table.dtype == table.dtype and got.table.tobytes() == table.tobytes()
+
+    def test_folded_rows_are_searched_without_a_second_check_or_fold(self, rng, tmp_path):
+        rows, labels, gallery = chunk_spanning(rng)
+        got, _ = fio._distinct_table(probe_file(tmp_path / "probes.emb", rows, labels))
+        with mock.patch.object(metrics, "_distinct_rows") as fold, mock.patch.object(metrics, "_unit_matrix") as check:
+            table, first, codes = metrics._fold(got, "probe", DIM)
+        assert not fold.called and not check.called
+        assert table is got.table and codes is got.index and np.array_equal(first, np.arange(len(table)))
+
+
+def fill_fifo(fifo, data):
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return writer
+
+
+def load_rows_report(probes, labels, gallery, flags):
+    """The report bytes of :func:`retrieval_report` run on the float64 rows
+    :func:`load_rows` gives, with the command's ``flags``."""
+    normalize = "--normalize" in flags
+    threshold = float(flags[flags.index("--threshold") + 1]) if "--threshold" in flags else 0.63
+    return rendered(retrieval_report(
+        load_rows(probes, normalize)[0], labels, load_gallery(gallery, normalize), threshold, "--negate" in flags,
+    ))
+
+
+def command_report(capsys, probes, gallery, flags):
+    """The report bytes ``eval-retrieval`` writes for ``probes``."""
+    report = Path(f"{probes}.report.csv")
+    argv = ["eval-retrieval", "--probes", probes, "--gallery", gallery, *flags, "--report", report]
+    assert main([str(arg) for arg in argv]) == 0, capsys.readouterr().err
+    return report.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--negate"], ["--normalize"], ["--normalize", "--negate"]])
+def test_reports_equal_those_of_the_load_rows_array(rng, tmp_path, capsys, flags):
+    rows, labels, gallery = chunk_spanning(rng)
+    if "--normalize" in flags:  # copies that differ in their bytes but not once projected
+        rows = rows * np.where(np.arange(600) % 3, 1.0, 2.0)[:, None]
+    write_container(tmp_path / "gallery.emb", gallery, [f"g{i}" for i in range(40)])
+    emb = probe_file(tmp_path / "probes.emb", rows, labels)
+    write_container(tmp_path / "probes.csv", rows, labels)
+    want = load_rows_report(emb, labels, tmp_path / "gallery.emb", flags)
+    for source in ("probes.emb", "probes.csv", "probes.fifo"):
+        writer = fill_fifo(tmp_path / source, emb.read_bytes()) if source == "probes.fifo" else None
+        got = command_report(capsys, tmp_path / source, tmp_path / "gallery.emb", flags)
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert got == want, source
+
+
+@pytest.mark.parametrize("dim", [3, 5, 32])
+@pytest.mark.parametrize("distinct", [1, 40, 300])
+@pytest.mark.parametrize("chunk", [50, None])
+def test_copy_rich_reports_equal_those_of_the_load_rows_array(rng, tmp_path, capsys, dim, distinct, chunk):
+    # 600 probes repeating ``distinct`` rows, read in one chunk or in chunks of 50 rows.
+    names = [f"id_{i:03d}" for i in range(30)]
+    write_container(tmp_path / "gallery.emb", unit_rows(rng, 30, dim), names)
+    source = np.concatenate([np.arange(distinct), rng.integers(0, distinct, 600 - distinct)])
+    rows, labels = unit_rows(rng, distinct, dim)[rng.permutation(source)], list(rng.choice(names, 600))
+    for suffix in ("emb", "csv"):
+        write_container(tmp_path / f"probes.{suffix}", rows, labels)
+    with mock.patch.object(fio, "_BLOCK_ELEMENTS", 4 * dim * chunk if chunk else fio._BLOCK_ELEMENTS):
+        for flags in ([], ["--negate"], ["--threshold", "1.5"]):
+            want = load_rows_report(tmp_path / "probes.emb", labels, tmp_path / "gallery.emb", flags)
+            for suffix in ("emb", "csv"):
+                assert command_report(capsys, tmp_path / f"probes.{suffix}", tmp_path / "gallery.emb", flags) == want
+
+
+def test_normalize_reports_equal_those_of_the_load_rows_array(rng, tmp_path, capsys):
+    names = [f"id_{i:03d}" for i in range(30)]
+    write_container(tmp_path / "gallery.emb", unit_rows(rng, 30, 16), names)
+    raw = rng.normal(size=(40, 16)).astype(np.float32).astype(np.float64)
+    tags = list(rng.choice(names, 40))
+    cases = {  # x, 2x and x / 2 project to one row; one_row is a lone distinct row
+        "mixed": (np.concatenate([raw, 2.0 * raw, 0.5 * raw[::3]]), tags * 2 + tags[::3]),
+        "one_row": (np.concatenate([raw[:1], 2.0 * raw[:1], 4.0 * raw[:1]]), tags[:1] * 3),
+    }
+    for name, (rows, labels) in cases.items():
+        for suffix in ("emb", "csv"):
+            write_container(tmp_path / f"{name}.{suffix}", rows, labels)
+        for flags in (["--normalize"], ["--normalize", "--negate"]):
+            want = load_rows_report(tmp_path / f"{name}.emb", labels, tmp_path / "gallery.emb", flags)
+            for suffix in ("emb", "csv"):
+                assert command_report(capsys, tmp_path / f"{name}.{suffix}", tmp_path / "gallery.emb", flags) == want
+
+
+def test_a_one_wide_file_fails_on_its_shape_once_every_chunk_is_checked(rng, tmp_path, capsys):
+    # 300 rows of D = 1 read 100 at a time: with or without --normalize the shape
+    # error names the whole file, and a NaN in the last chunk outranks it.
+    write_container(tmp_path / "gallery.emb", unit_rows(rng, 5, 16), [f"g{i}" for i in range(5)])
+    rows = 3.0 * rng.normal(size=(300, 1))
+    probe_file(tmp_path / "one.emb", rows, ["g0"] * 300)
+    rows[250, 0] = np.nan
+    probe_file(tmp_path / "nan.emb", rows, ["g0"] * 300)
+    errors = {"one.emb": "embedding rows must form an (N, D) array with D >= 2, got shape (300, 1)",
+              "nan.emb": "row 250 contains a NaN or infinite value"}
+    with mock.patch.object(fio, "_BLOCK_ELEMENTS", 4 * 100):
+        for name, message in errors.items():
+            for flags in ([], ["--normalize"]):
+                argv = ["eval-retrieval", "--probes", tmp_path / name, "--gallery", tmp_path / "gallery.emb", *flags]
+                assert main([str(arg) for arg in argv]) == 2
+                assert capsys.readouterr().err == f"fiva: error: {message}\n", (name, flags)
+
+
+def test_a_wrong_width_file_whose_rows_repeat_names_its_row_count(rng, tmp_path, capsys):
+    write_container(tmp_path / "gallery.emb", unit_rows(rng, 5, 16), [f"g{i}" for i in range(5)])
+    rows = unit_rows(rng, 3, 17)[rng.integers(0, 3, size=300)]
+    probe_file(tmp_path / "probes.emb", rows, ["g0"] * 300)
+    assert main(["eval-retrieval", "--probes", str(tmp_path / "probes.emb"),
+                 "--gallery", str(tmp_path / "gallery.emb")]) == 2
+    assert capsys.readouterr().err == (
+        "fiva: error: probe rows must form an (N, D) array with D = 16, got shape (300, 17)\n"
+    )
+    gathered = _Take(unit_rows(rng, 3, 17), rng.integers(0, 3, size=300))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(300, 17\)"):
+        retrieval_report(gathered, ["g0"] * 300, load_gallery(tmp_path / "gallery.emb"), 0.63)
+
+
+# Linux starts a child's ru_maxrss from the resident size of the process that
+# forked it, so the child is started from a small interpreter of its own.
+LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_peak_mib(*argv):
+    """``ru_maxrss`` of a Python child run on ``argv``, in MiB, as ``os.wait4`` reports it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fiva.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    code, peak = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_repeating_probes_are_held_once_in_resident_memory(rng, tmp_path):
+    # 20000 probes over 50 distinct rows are 39 MiB as float32. tracemalloc counts
+    # the whole table the reader reserves, so the child's peak RSS is measured.
+    count = 20000
+    gallery = unit_rows(rng, 50, DIM)
+    write_container(tmp_path / "gallery.emb", gallery, [f"g{i:02d}" for i in range(50)])
+    picks = rng.integers(0, 50, size=count)
+    write_container(tmp_path / "probes.emb", _Take(gallery, picks), [f"g{i:02d}" for i in picks])
+    imported = child_peak_mib("-c", "import fiva.cli")
+    peak = child_peak_mib("-m", "fiva.cli", "eval-retrieval", "--probes", tmp_path / "probes.emb",
+                          "--gallery", tmp_path / "gallery.emb", "--report", tmp_path / "report.csv")
+    assert peak - imported < count * DIM * 4 / 2 / (1 << 20), (peak, imported)
