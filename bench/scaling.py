@@ -44,9 +44,18 @@ warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
 container, detector and command layers, ``bench`` and ``build_anchor_set``
 also get one more run under ``tracemalloc``, whose peak (the most memory the
 call held at once, numpy's buffers included) is reported in MiB.
+
+A third axis moves the reference rows K alone: ``sample_batch`` and
+``retrieval`` of the I * F = 1000 * 10 frames against K in {1000, 4000, 16000}
+rows, the I-entry gallery followed by K - I seeded random distractors, used
+both as the anchor set and as a K-entry gallery. Both layers are traced at
+each K, so the points show how the nearest-row kernel's time and memory grow
+with the reference count at a fixed query count.
+
 The JSON printed on stdout holds the raw points (with the count of distinct
-sampled anchors), the log-log slope of each layer's time and of each traced
-peak along each axis, and the Python, numpy and BLAS versions and ``nproc``.
+sampled anchors, or the reference row count on the K axis), the log-log
+slope of each layer's time and of each traced peak along each axis, and the
+Python, numpy and BLAS versions and ``nproc``.
 Only the stdlib and numpy are needed::
 
     python3 bench/scaling.py                       # the src/ of this checkout
@@ -78,6 +87,9 @@ SEED = 7
 IDENTITY_AXIS = (250, 1000, 4000)
 FRAME_AXIS = (5, 10, 20)
 BASE_IDENTITIES, BASE_FRAMES = 1000, 10
+REFERENCE_AXIS = (1000, 4000, 16000)
+# Layers timed and traced along the reference axis.
+REFERENCE_LAYERS = ("sample_batch", "retrieval")
 # Layers whose tracemalloc peak is reported besides their time.
 TRACED = ("track_mint", "track_match", "io_write", "io_read", "score_rows", "cli_track", "cli_detect",
           "cli_eval_retrieval", "cli_eval_retrieval_sampled", "cli_eval_temporal", "bench", "build_anchor_set")
@@ -129,6 +141,24 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
         "file": workdir / "frames.emb",
         "video_files": video_files,
         "workdir": workdir,
+    }
+
+
+def reference_inputs(fiva, rows: int) -> dict:
+    """The BASE_IDENTITIES x BASE_FRAMES frames and their labels, and ``rows``
+    reference rows, the identities' gallery then seeded random distractors, as
+    an anchor set and as a labeled gallery."""
+    matrix, videos = corpus(BASE_IDENTITIES, BASE_FRAMES)
+    distractors = np.random.default_rng(SEED + 1).normal(size=(rows - BASE_IDENTITIES, DIM))
+    distractors /= np.linalg.norm(distractors, axis=1, keepdims=True)
+    reference = np.concatenate([matrix, distractors])
+    names = [f"id_{i:04d}" for i in range(BASE_IDENTITIES)]
+    names += [f"distractor_{i:05d}" for i in range(len(distractors))]
+    return {
+        "probes": videos.reshape(-1, DIM),
+        "labels": [name for name in names[:BASE_IDENTITIES] for _ in range(BASE_FRAMES)],
+        "anchors": fiva.AnchorSet(reference),
+        "gallery": fiva.Gallery(reference, names),
     }
 
 
@@ -199,23 +229,35 @@ def traced_peak(layer, point) -> float:
         tracemalloc.stop()
 
 
+def time_layers(table, point, traced) -> tuple[dict[str, float], dict[str, float]]:
+    """Per layer of ``table``, the median time on ``point``; per layer named in
+    ``traced``, its peak MiB."""
+    medians, peaks = {}, {}
+    for name, layer in table.items():
+        layer(point)  # warm-up, untimed
+        runs = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            layer(point)
+            runs.append(time.perf_counter() - start)
+        medians[name] = statistics.median(runs)
+        if name in traced:
+            peaks[name] = traced_peak(layer, point)
+    return medians, peaks
+
+
 def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], dict[str, float], int]:
     """Per layer, the median time at one grid point; per traced layer, its peak
     MiB; and the distinct sampled anchors."""
     with tempfile.TemporaryDirectory() as workdir:
         point = inputs(fiva, identities, frames, Path(workdir))
-        medians, peaks = {}, {}
-        for name, layer in layers(fiva).items():
-            layer(point)  # warm-up, untimed
-            runs = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                layer(point)
-                runs.append(time.perf_counter() - start)
-            medians[name] = statistics.median(runs)
-            if name in TRACED:
-                peaks[name] = traced_peak(layer, point)
-    return medians, peaks, point["sampled_distinct"]
+        return (*time_layers(layers(fiva), point, TRACED), point["sampled_distinct"])
+
+
+def time_reference_point(fiva, rows: int) -> tuple[dict[str, float], dict[str, float]]:
+    """The median time and peak MiB of each reference-axis layer against ``rows`` reference rows."""
+    table = {name: layer for name, layer in layers(fiva).items() if name in REFERENCE_LAYERS}
+    return time_layers(table, reference_inputs(fiva, rows), REFERENCE_LAYERS)
 
 
 def slope(sizes, seconds) -> float:
@@ -247,6 +289,7 @@ def main(argv=None) -> int:
 
     identity_axis = IDENTITY_AXIS[:1] if args.smallest else IDENTITY_AXIS
     frame_axis = FRAME_AXIS[:1] if args.smallest else FRAME_AXIS
+    reference_axis = REFERENCE_AXIS[:1] if args.smallest else REFERENCE_AXIS
     axes = {
         "identities": [(i, BASE_FRAMES) for i in identity_axis],
         "frames": [(BASE_IDENTITIES, f) for f in frame_axis],
@@ -268,6 +311,16 @@ def main(argv=None) -> int:
                     name: slope(sizes, [table[shape][name] for shape in grid])
                     for name in table[grid[0]]
                 }
+    reference = {rows: time_reference_point(fiva, rows) for rows in reference_axis}
+    for rows, (medians, peaks) in reference.items():
+        points.append({"identities": BASE_IDENTITIES, "frames": BASE_FRAMES, "dim": DIM,
+                       "reference_rows": rows, "median_s": medians, "peak_mib": peaks})
+    if len(reference_axis) > 1:
+        for into, part in ((slopes, 0), (peak_slopes, 1)):
+            into["reference_rows"] = {
+                name: slope(reference_axis, [reference[rows][part][name] for rows in reference_axis])
+                for name in REFERENCE_LAYERS
+            }
     print(json.dumps({
         "src": str(Path(args.src).resolve()),
         "repeats": REPEATS,

@@ -215,13 +215,15 @@ def _normalize_rows(rows, name: str = "row") -> np.ndarray:
     return arr / _check_norms(arr, name, renormalize=True)[:, None]
 
 
-# Query rows per block of the nearest-row kernel: large enough for GEMM
-# throughput, small enough that a block's (rows, K) temporaries stay a few MiB.
+# Most query rows per block of the nearest-row kernel. Half of it is the
+# GEMM-throughput floor: the kernel's cap on a block's rows shrinks with the
+# reference count K but not below it, as fewer rows would not amortize packing
+# the (K, D) reference operand.
 _BLOCK_ROWS = 256
 
 # Cells of one block's temporaries in the kernels whose blocks grow with a
-# second size (stored identities, frames per video): bounds a block's memory
-# whatever that size.
+# second size (stored identities, frames per video, reference rows down to the
+# nearest-row kernel's floor): bounds a block's memory whatever that size.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -315,16 +317,19 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False, sc
     """Per query row, the ``matrix`` row minimizing ``|cos + m|``, and that cosine.
 
     Cosines are ``clip(q . row, -1, 1)``, of ``-q`` with ``negate``. Queries
-    run in balanced blocks of about ``_BLOCK_ROWS`` rows (see
+    run in the fewest balanced blocks of at most ``_BLOCK_ELEMENTS // K``
+    rows, that cap clamped to ``[_BLOCK_ROWS // 2, _BLOCK_ROWS]`` (see
     :func:`_block_products`), each widened to float64 as it is sliced, and
-    ties follow :func:`_pick`. With ``m = -1``, ``|c - 1|`` is exactly the
-    distance ``1 - c``.
+    ties follow :func:`_pick`. With OpenBLAS a GEMM row's bits do not depend
+    on its block's row count past one row, so the blocking leaves them alone.
+    With ``m = -1``, ``|c - 1|`` is exactly the distance ``1 - c``.
 
     ``negate`` may also be a tuple of flags: the result is then one
     ``(index, cosine)`` pair per flag, all picked from the same products.
     Negation is exact, so each pair has the bits of a one-flag call.
 
-    Products go to one buffer reused by every block. Picks run in row slices of
+    Products go to one buffer reused by every block, at most
+    ``max(_BLOCK_ELEMENTS, _BLOCK_ROWS // 2 * K)`` cells. Picks run in row slices of
     ``_BLOCK_ELEMENTS`` cells, in two buffers reused for all: the tie mask and
     ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``). The buffers come
     from ``scratch`` (a :class:`_Scratch`), or a fresh one.
@@ -334,12 +339,13 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False, sc
     picks = tuple(
         (np.empty(count, dtype=np.intp), np.empty(count, dtype=np.float64)) for _ in flags
     )
-    blocks = -(-count // _BLOCK_ROWS)
-    bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     step = max(1, _BLOCK_ELEMENTS // max(1, len(matrix)))
+    rows = min(_BLOCK_ROWS, max(_BLOCK_ROWS // 2, step))
+    blocks = -(-count // rows)
+    bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     scratch = scratch or _Scratch()
-    products = scratch("products", (min(count, _BLOCK_ROWS), len(matrix)))
-    objective = scratch("objective", (min(step, _BLOCK_ROWS), len(matrix)))
+    products = scratch("products", (min(count, rows), len(matrix)))
+    objective = scratch("objective", (min(step, rows), len(matrix)))
     tied = scratch("tied", objective.shape, bool)
     for start, stop in zip(bounds, bounds[1:]):
         block = np.asarray(queries[start:stop], dtype=np.float64)

@@ -236,6 +236,20 @@ def tie_rich(rng, count, size, dim):
 FLAG_SETS = [(False,), (True,), (False, True)]
 
 
+def assert_blocked(spy, count, size, budget):
+    """The GEMM blocks ``spy`` saw in one ``_nearest`` call of ``count`` queries
+    against ``size`` rows: balanced, of at most ``budget // size`` rows clamped to
+    ``[_BLOCK_ROWS // 2, _BLOCK_ROWS]`` (so a block's products stay within
+    ``budget`` cells down to that floor), at least half that many unless the call
+    is one block, and of one row only when the call has one query."""
+    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    rows = min(sphere._BLOCK_ROWS, max(sphere._BLOCK_ROWS // 2, budget // size))
+    assert sum(sizes) == count and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= rows and max(sizes) * size <= max(budget, sphere._BLOCK_ROWS // 2 * size)
+    assert len(sizes) == 1 or min(sizes) >= rows // 2
+    assert (min(sizes) == 1) == (count == 1)
+
+
 class TestInPlacePick:
     @pytest.mark.parametrize("m", [-1.0, 0.0, 0.3])
     @pytest.mark.parametrize("flags", FLAG_SETS)
@@ -243,9 +257,12 @@ class TestInPlacePick:
         (1, 1023), (255, 1024), (257, 1025), (300, 3000), (600, 5),
     ])
     def test_bit_identical_at_the_real_budget(self, m, flags, count, size):
-        # K = 1024 gives slices of exactly one 256-row block; 1025 and 3000 split blocks.
+        # K = 1024 gives slices of exactly one 256-row block; 1025 and 3000 split
+        # blocks, and K = 3000 takes 128-row blocks, the floor.
         queries, matrix = tie_rich(np.random.default_rng(count + size), count, size, 16)
-        got = sphere._nearest(queries, matrix, m, flags)
+        with mock.patch.object(sphere, "_block_products", wraps=sphere._block_products) as spy:
+            got = sphere._nearest(queries, matrix, m, flags)
+        assert_blocked(spy, count, size, sphere._BLOCK_ELEMENTS)
         want = nearest_before(queries, matrix, m, flags)
         for (gi, gc), (wi, wc) in zip(got, want):
             assert np.array_equal(gi, wi)
@@ -256,10 +273,15 @@ class TestInPlacePick:
     @pytest.mark.parametrize("budget", [1, 40, 64, 65, 1000])
     def test_bit_identical_across_slice_boundaries(self, m, flags, budget):
         rng = np.random.default_rng(budget)
-        for count, size in [(1, 13), (7, 8), (31, 13), (257, 9), (520, 64)]:
+        # At these K every budget caps blocks below 128 rows, so they stop at the
+        # floor; K = 3000 does so at the real budget too.
+        for count, size in [(1, 13), (7, 8), (31, 13), (257, 9), (520, 64), (300, 3000)]:
             queries, matrix = tie_rich(rng, count, size, 8)
-            with mock.patch.object(sphere, "_BLOCK_ELEMENTS", budget):
+            with mock.patch.object(sphere, "_BLOCK_ELEMENTS", budget), mock.patch.object(
+                sphere, "_block_products", wraps=sphere._block_products
+            ) as spy:
                 got = sphere._nearest(queries, matrix, m, flags)
+            assert_blocked(spy, count, size, budget)
             want = nearest_before(queries, matrix, m, flags)
             for (gi, gc), (wi, wc) in zip(got, want):
                 assert np.array_equal(gi, wi)

@@ -2,8 +2,9 @@
 streams its frames to disk and holds each fake corpus as a table and an index,
 the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
-width, the exact row fold holds less than its rows, the tracker mints a block
-of fakes at a time and loads its fakes at file width: traced peaks.
+width, sampling against many anchors holds a 128-row block of products, the
+exact row fold holds less than its rows, the tracker mints a block of fakes at
+a time and loads its fakes at file width: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -329,6 +330,21 @@ def test_batch_entries_hold_float32_rows_below_one_float64_copy(labeled_rows, en
     calls = {"sample_batch": lambda: sample_batch(rows, anchors, 0.3), "score_rows": lambda: score_rows(rows, rows)}
     _, peak = traced_peak(calls[entry])
     assert peak < rows.size * 8
+
+
+def test_sample_batch_holds_128_rows_of_products_against_many_anchors(rng):
+    # Past 2048 anchors the nearest-row kernel's blocks stop at 128 query rows:
+    # at K = 8192 and D = 64 the anchors are 4 MiB, a block's products 8 MiB
+    # and a pick slice of step = _BLOCK_ELEMENTS // K rows 2 MiB, its tie mask
+    # a quarter of that. A 256-row block of products (16 MiB) breaks the bound.
+    count, dim = 8192, 64
+    anchors, queries = (rng.normal(size=(n, dim)) for n in (count, 512))
+    for rows in (anchors, queries):
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    (index, _), peak = traced_peak(lambda: sample_batch(queries, AnchorSet(anchors), 0.3))
+    assert len(index) == len(queries)
+    step = _BLOCK_ELEMENTS // count
+    assert peak <= anchors.nbytes + (128 + step) * count * 8 + step * count + MiB // 2
 
 
 def test_fold_of_rows_sharing_their_leading_values_holds_less_than_one_copy(rng):
