@@ -19,6 +19,11 @@ I identities with F jittered frames each:
 - ``io_write``: ``write_container`` of the I * F labeled frames to a file in a
   temporary directory;
 - ``io_read``: ``load_rows`` of that file, as float64 unit rows;
+- ``io_fold``: the probes reader's fold (``io._distinct_table``) of that file,
+  all distinct, and of the sampled fakes' file, few distinct rows;
+- ``io_state``: a ``save_state`` and ``load_state`` round trip, through a file
+  in the temporary directory, of the tracker the scene-order run filled (the
+  ``track_mint`` tracker);
 - ``score_rows``: the detector's distance distribution of each frame against
   the anchor it samples;
 - ``cli_track``: ``fiva track`` (``cli.main``, in process) of the frames file
@@ -91,7 +96,8 @@ REFERENCE_AXIS = (1000, 4000, 16000)
 # Layers timed and traced along the reference axis.
 REFERENCE_LAYERS = ("sample_batch", "retrieval")
 # Layers whose tracemalloc peak is reported besides their time.
-TRACED = ("track_mint", "track_match", "io_write", "io_read", "score_rows", "cli_track", "cli_detect",
+TRACED = ("track_mint", "track_match", "io_write", "io_read", "io_fold", "io_state", "score_rows",
+          "cli_track", "cli_detect",
           "cli_eval_retrieval", "cli_eval_retrieval_sampled", "cli_eval_temporal", "bench", "build_anchor_set")
 
 
@@ -173,6 +179,7 @@ def command(fiva, *argv):
 
 def layers(fiva):
     """name -> callable(inputs) for the tree under test."""
+    fold = fiva.io._distinct_table  # the probes reader: private, taken from the tree under test
     both = getattr(fiva, "retrieval_reports", None)
     if both is None:
         def both(probes, labels, gallery, threshold):
@@ -189,6 +196,11 @@ def layers(fiva):
         "track_match": lambda x: x["filled"].track_rows(x["shuffled"]),
         "io_write": lambda x: fiva.write_container(x["file"], x["probes"], x["labels"]),
         "io_read": lambda x: fiva.load_rows(x["file"]),
+        "io_fold": lambda x: (fold(x["file"]), fold(x["workdir"] / "sampled.emb")),
+        "io_state": lambda x: (
+            fiva.save_state(x["filled"], x["workdir"] / "tracker.state"),
+            fiva.load_state(x["workdir"] / "tracker.state", x["anchors"]),
+        ),
         "score_rows": lambda x: fiva.score_rows(x["probes"], x["sampled"]),
         "cli_track": lambda x: command(
             fiva, "track", "--frames", x["file"], "--anchors", x["workdir"] / "anchors.emb",

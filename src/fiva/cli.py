@@ -18,7 +18,9 @@ import itertools
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -251,7 +253,9 @@ def _report(path: str | None, header: str, rows: Iterable[Sequence]) -> None:
     """The CSV table of column names ``header`` and ``rows``, cells rendered by
     :func:`fiva.io._csv_text`: to ``path`` through a temporary file, or to stdout."""
     if path is not None:
-        fio._write(path, [f"{header}\n{fio._csv_text(rows)}".encode("utf-8")])
+        data = f"{header}\n{fio._csv_text(rows)}".encode("utf-8")
+        with fio._opened(path) as fh:
+            fh.write(data)
         return
     print(header)
     drawn: list[Sequence] = []
@@ -445,8 +449,9 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     # The frames stream into a temporary as the run makes them; every file
     # replaces its old copy once the benchmark has run, in the order below, so
     # a failed or bad run leaves --out-dir as it was.
-    with fio._container_writer(out_dir / "frames.emb", len(frame_labels), config.dimension,
-                               frame_labels) as frames:
+    with fio._opened(out_dir / "frames.emb") as fh, fio._container_writer(
+        fh, len(frame_labels), config.dimension, frame_labels
+    ) as frames:
         result = end_to_end_benchmark(
             config, anonymizer,
             retrieval_threshold=opts.get("retrieval_threshold"),
@@ -470,13 +475,21 @@ def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
     return 0
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    # While a command runs, SIGTERM stops it as Ctrl-C does: the command unwinds,
+    # its temporaries are removed, and it exits 2 like any failure.
+    handles = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if handles else None
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         opts = _Options(args)
         # Outputs lie in existing directories, checked before any input is read.
         for name in ("out", "log", "state_out", "provenance", "skips", "report", "output"):
@@ -487,6 +500,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FivaError, OSError, ValueError) as exc:
         print(f"fiva: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("fiva: interrupted", file=sys.stderr)
+        return 2
+    finally:
+        if handles:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

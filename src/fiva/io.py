@@ -17,6 +17,14 @@ embedding, optional leading label column, numeric cells parsed as
 single-precision values. A CSV file is packed into an in-memory container
 where it is opened, then read like one.
 
+Each job has one path. Every reader walks a container the same way
+(:func:`_walk`): the header, the labels, then the rows in chunks read into
+one reused buffer. Every container write, tracker states and ``fiva bench``'s
+streamed frames included, goes through one writer (:func:`_container_writer`)
+into a file that :func:`_opened` gives: a stream as it is, or a path through
+its staged temporary. A file whose repeated rows are held once is folded as
+it is read, a chunk at a time, by one exact hash table (:func:`_distinct_table`).
+
 Images travel as binary netpbm rasters with maxval 255: P6 for 3-channel,
 P5 for single-channel. Reading maps byte b to b / 255; writing maps v to
 round(v * 255) with ties to even.
@@ -48,7 +56,6 @@ from .errors import (
     ZeroVector,
 )
 from .gallery import Gallery, LabeledEmbedding
-from .metrics import _distinct_rows
 from .sphere import (
     _BLOCK_ELEMENTS,
     Embedding,
@@ -125,48 +132,13 @@ def _label_block(labels: Sequence[str] | None, count: int) -> bytes:
     return ("\n".join(labels) + "\n" if labels else "").encode("utf-8")
 
 
-def _container(
-    matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
-) -> tuple[np.ndarray, bytes]:
-    """One container's checked 2-D rows and encoded label block."""
-    arr = _coerce_matrix(matrix, dim)
-    return arr, _label_block(labels, len(arr))
-
-
-def _block_buffer(count: int, dim: int, cells: int = _BLOCK_ELEMENTS) -> np.ndarray:
-    """A float32 buffer of at most ``cells`` cells (or one row) for ``count`` rows
-    of width ``dim``: the buffer :func:`_float32_blocks` converts through."""
-    return np.empty((max(1, min(count, cells // max(1, dim))), dim), "<f4")
-
-
-def _float32_blocks(rows, buffer: np.ndarray) -> Iterator[np.ndarray]:
-    """``rows`` (an array or gathered rows) as float32, converted into ``buffer``
-    (:func:`_block_buffer`) as many rows at a time as it holds, so a block is
-    good only until the next one is taken."""
-    step = len(buffer)
-    for start in range(0, len(rows), step):
-        chunk = buffer[: min(step, len(rows) - start)]
-        chunk[...] = rows[start : start + step]  # gathered rows are held only while converted
-        yield chunk
-
-
-def _packed(containers: Sequence[tuple[np.ndarray, bytes]], tail: bytes = b"") -> Iterator:
-    """The file's bytes in order: each :func:`_container`'s header, its rows as
-    :func:`_float32_blocks`, and its label block; then ``tail``. A piece is good
-    only until the next one is taken."""
-    for arr, block in containers:
-        count, dim = arr.shape
-        yield _HEADER.pack(MAGIC, count, dim)
-        yield from _float32_blocks(arr, _block_buffer(count, dim))
-        yield block
-    yield tail
-
-
 def pack_container(
     matrix: np.ndarray, labels: Sequence[str] | None = None, dim: int | None = None
 ) -> bytes:
     """Serialize a (count, dim) matrix and optional labels to bytes."""
-    return b"".join(map(bytes, _packed([_container(matrix, labels, dim)])))
+    stream = io.BytesIO()
+    write_container(stream, _coerce_matrix(matrix, dim), labels)
+    return stream.getvalue()
 
 
 @contextlib.contextmanager
@@ -229,29 +201,41 @@ def _header(stream: BinaryIO) -> tuple[int, int, bool]:
     return count, dim, remaining > payload_bytes
 
 
-def _chunks(
-    stream: BinaryIO, count: int, dim: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Rows ``start`` to ``stop`` (default ``count``) of a payload of ``count``
-    float32 rows, the stream at row ``start``, in chunks of at most
-    ``_BLOCK_ELEMENTS`` bytes (or one row) read into one reused buffer, each
-    with the index of its first row."""
+def _walk(
+    stream: BinaryIO, labeled: bool = True
+) -> tuple[tuple[int, int], list[str] | None, Callable[[int, int], Iterator[tuple[int, np.ndarray]]]]:
+    """The container at ``stream``'s position: its (count, dim) shape and its labels,
+    read first, and a function giving its rows ``start`` to ``stop`` in chunks of
+    at most ``_BLOCK_ELEMENTS`` bytes (or one row) read into one reused buffer, each
+    with the index of its first row. With ``labeled`` a label block runs to the end
+    of the stream; without it the container is one embedded in a larger file, and
+    reading its rows to the last leaves the stream one past its payload."""
+    count, dim, more = _header(stream)
+    payload, labels = stream.tell(), None
+    if labeled and more:
+        stream.seek(payload + 4 * dim * count)
+        labels = _parse_label_block(stream.read(), count)
+
+    def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        stream.seek(payload + 4 * dim * start)
+        step = max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
+        chunk = np.empty((min(step, stop - start), dim), "<f4")
+        for first in range(start, stop if dim else start, step):  # zero-width rows hold no bytes
+            rows = chunk[: min(step, stop - first)]
+            if _readinto(stream, rows) < rows.nbytes:
+                raise Truncated(f"payload ends before row {first + len(rows)} of {count}")
+            yield first, rows
+
+    return (count, dim), labels, chunks
+
+
+def _fill(walk, dtype, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows ``start`` to ``stop`` (default all) of a :func:`_walk` read into a new
+    ``dtype`` matrix, converted a chunk at a time."""
+    (count, dim), _, chunks = walk
     stop = count if stop is None else stop
-    step = max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
-    chunk = np.empty((min(step, stop - start), dim), "<f4")
-    for first in range(start, stop if dim else start, step):  # zero-width rows hold no bytes
-        rows = chunk[: min(step, stop - first)]
-        if _readinto(stream, rows) < rows.nbytes:
-            raise Truncated(f"payload ends before row {first + len(rows)} of {count}")
-        yield first, rows
-
-
-def _fill(
-    chunks: Iterable[tuple[int, np.ndarray]], matrix: np.ndarray, start: int = 0
-) -> np.ndarray:
-    """``matrix`` filled from ``chunks`` of rows counted from ``start``, converted
-    a chunk at a time."""
-    for first, rows in chunks:
+    matrix = np.empty((stop - start, dim), dtype)
+    for first, rows in chunks(start, stop):
         matrix[first - start : first - start + len(rows)] = rows
     return matrix
 
@@ -263,19 +247,6 @@ def _check_finite(rows: np.ndarray, first: int = 0) -> None:
     if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         raise NonFinite(f"row {first + bad[0]} contains a NaN or infinite value")
-
-
-def _read_rows(
-    stream: BinaryIO, dtype, allow_labels: bool
-) -> tuple[np.ndarray, list[str] | None]:
-    """Read one container from ``stream``'s position as a ``dtype`` matrix,
-    holding the result and one chunk. With ``allow_labels`` the label block
-    runs to the end of the stream; otherwise the stream is left one past the
-    payload."""
-    count, dim, more = _header(stream)
-    matrix = _fill(_chunks(stream, count, dim), np.empty((count, dim), dtype))
-    labels = _parse_label_block(stream.read(), count) if allow_labels and more else None
-    return matrix, labels
 
 
 def parse_container(
@@ -290,8 +261,9 @@ def parse_container(
     """
     stream = io.BytesIO(buf)
     stream.seek(offset)
-    matrix, labels = _read_rows(stream, "<f4", allow_labels)
-    return matrix, labels, stream.tell()
+    walk = _walk(stream, allow_labels)
+    matrix = _fill(walk, "<f4")
+    return matrix, walk[1], len(buf) if allow_labels else stream.tell()
 
 
 def _parse_label_block(block: bytes, count: int) -> list[str]:
@@ -302,12 +274,6 @@ def _parse_label_block(block: bytes, count: int) -> list[str]:
     if not text.endswith("\n"):
         raise LabelCountMismatch("label block must end with a newline")
     return _check_labels(text.split("\n")[:-1], count)
-
-
-def _write_file(path: str | Path, pieces: Iterable) -> None:
-    """Create or truncate the file at ``path`` and write ``pieces`` to it in order."""
-    with open(path, "wb") as fh:
-        fh.writelines(pieces)
 
 
 @contextlib.contextmanager
@@ -333,49 +299,51 @@ def _staged(destination: str | Path) -> Iterator[str | Path]:
         raise
 
 
-def _write(destination: str | Path | BinaryIO, pieces: Iterable) -> None:
-    """Write ``pieces`` (bytes-like, each written before the next is taken) to a
-    file object, or to a path through :func:`_staged`."""
+@contextlib.contextmanager
+def _opened(destination: str | Path | BinaryIO) -> Iterator[BinaryIO]:
+    """``destination`` as a binary file to write: a file object as it is given,
+    or a path created or truncated through :func:`_staged`."""
     if hasattr(destination, "write"):
-        for piece in pieces:
-            destination.write(piece)
+        yield destination
         return
-    with _staged(destination) as path:
-        _write_file(path, pieces)
+    with _staged(destination) as path, open(path, "wb") as fh:
+        yield fh
 
 
 @contextlib.contextmanager
 def _container_writer(
-    destination: str | Path, count: int, dim: int, labels: Sequence[str] | None = None
+    fh: BinaryIO, count: int, dim: int, labels: Sequence[str] | None = None
 ) -> Iterator[Callable[[np.ndarray], None]]:
     """A container of ``count`` rows of width ``dim`` and optional ``labels``,
-    written to ``destination`` through :func:`_staged` as its rows arrive.
+    written to the open binary file ``fh`` as its rows arrive.
 
-    The block is given a function that writes the next rows, an (n, dim) array,
-    converted through one reused float32 buffer. The buffer lives as long as
-    the block, beside whatever makes the rows, so it holds a quarter of a
-    block's cells. At a clean exit the rows written must number ``count``; the
-    label block is then written and the file replaces ``destination``.
+    The labels are checked, then the header is written, and the block is given a
+    function that writes the next rows, an (n, dim) array or gathered rows,
+    converted through one reused float32 buffer of a quarter of a block's cells.
+    At a clean exit the rows written must number ``count``; the label block is
+    then written.
     """
     block = _label_block(labels, count)
-    buffer = _block_buffer(count, dim, _BLOCK_ELEMENTS // 4)
+    buffer = np.empty((max(1, min(count, _BLOCK_ELEMENTS // 4 // max(1, dim))), dim), "<f4")
+    fh.write(_HEADER.pack(MAGIC, count, dim))
     written = 0
-    with _staged(destination) as path, open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, count, dim))
 
-        def write(rows: np.ndarray) -> None:
-            nonlocal written
-            if rows.shape[1:] != (dim,) or written + len(rows) > count:
-                raise ShapeMismatch(
-                    f"rows of shape {rows.shape} after {written} of {count} rows of width {dim}"
-                )
-            fh.writelines(_float32_blocks(rows, buffer))
-            written += len(rows)
+    def write(rows) -> None:
+        nonlocal written
+        if rows.shape[1:] != (dim,) or written + len(rows) > count:
+            raise ShapeMismatch(
+                f"rows of shape {rows.shape} after {written} of {count} rows of width {dim}"
+            )
+        for start in range(0, len(rows), len(buffer)):
+            chunk = buffer[: min(len(buffer), len(rows) - start)]
+            chunk[...] = rows[start : start + len(buffer)]  # gathered rows are held only while converted
+            fh.write(chunk)
+        written += len(rows)
 
-        yield write
-        if written != count:
-            raise ShapeMismatch(f"{written} rows written to a container of {count}")
-        fh.write(block)
+    yield write
+    if written != count:
+        raise ShapeMismatch(f"{written} rows written to a container of {count}")
+    fh.write(block)
 
 
 def _parse_csv(data: bytes) -> tuple[np.ndarray, list[str] | None]:
@@ -427,16 +395,18 @@ def _is_csv(target: str | Path | BinaryIO) -> bool:
 
 
 @contextlib.contextmanager
-def _embedding_stream(source: str | Path | BinaryIO) -> Iterator[BinaryIO]:
-    """The embedding file ``source`` as :func:`_binary_stream` gives it, except
-    that a file named ``*.csv`` that does not start with the container magic is
-    parsed and packed into an in-memory container, so every reader reads one
-    format."""
+def _payload(
+    source: str | Path | BinaryIO,
+) -> Iterator[tuple[tuple[int, int], list[str] | None, Callable[[int, int], Iterator]]]:
+    """The :func:`_walk` of the embedding file ``source`` while the block runs. A
+    stream that cannot seek is read whole first (:func:`_binary_stream`), and a file
+    named ``*.csv`` that does not start with the container magic is parsed and
+    packed into an in-memory container, so every reader reads one format."""
     with _binary_stream(source) as stream:
         here = stream.tell()
         text = _is_csv(source) and stream.read(len(MAGIC)) != MAGIC
         stream.seek(here)
-        yield io.BytesIO(pack_container(*_parse_csv(stream.read()))) if text else stream
+        yield _walk(io.BytesIO(pack_container(*_parse_csv(stream.read()))) if text else stream)
 
 
 def read_container(
@@ -449,10 +419,10 @@ def read_container(
     Raises:
         NonFinite: if any value is NaN or infinite.
     """
-    with _embedding_stream(source) as stream:
-        matrix, labels = _read_rows(stream, "<f4", allow_labels=True)
+    with _payload(source) as walk:
+        matrix = _fill(walk, "<f4")
     _check_finite(matrix)
-    return matrix, labels
+    return matrix, walk[1]
 
 
 def _csv_text(rows: Iterable[Sequence]) -> str:
@@ -473,22 +443,22 @@ def write_container(
 
     A ``.csv`` destination gets interop CSV (single-precision values
     rendered exactly, labels quoted where CSV needs it); anything else gets
-    the binary container. Either is written a block of rows at a time, after
-    the shape and labels are checked. Labels must be non-empty and newline-free.
+    the binary container (:func:`_container_writer`). Either is written a
+    block of rows at a time, after the shape and labels are checked. Labels
+    must be non-empty and newline-free.
     """
-    if _is_csv(destination):
-        arr = _coerce_matrix(matrix)
-        labels = _check_labels(labels, len(arr))
-        pieces = (
-            _csv_text(
+    arr = _coerce_matrix(matrix)
+    if not _is_csv(destination):
+        with _opened(destination) as fh, _container_writer(fh, *arr.shape, labels) as write:
+            write(arr)
+        return
+    labels = _check_labels(labels, len(arr))
+    with _opened(destination) as fh:
+        for part in _row_blocks(arr):
+            fh.write(_csv_text(
                 row.tolist() if labels is None else [labels[i], *row.tolist()]
                 for i, row in enumerate(np.asarray(arr[part], dtype="<f4"), part.start)
-            ).encode("utf-8")
-            for part in _row_blocks(arr)
-        )
-    else:
-        pieces = _packed([_container(matrix, labels)])
-    _write(destination, pieces)
+            ).encode("utf-8"))
 
 
 def _checked(
@@ -526,34 +496,12 @@ def _unit_file(
     """The embedding file ``source`` read whole as a ``dtype`` matrix and
     :func:`_checked` a block at a time from memory. The rows come back
     read-only, as ``dtype`` rows, or as float64 projections with ``renormalize``."""
-    with _embedding_stream(source) as stream:
-        matrix, labels = _read_rows(stream, dtype, allow_labels=True)
+    with _payload(source) as walk:
+        matrix = _fill(walk, dtype)
     rows = _checked(matrix, ((part.start, matrix[part]) for part in _row_blocks(matrix)), renormalize)
     rows = _normalize_rows(rows, "row") if renormalize else rows
     rows.flags.writeable = False
-    return rows, labels
-
-
-@contextlib.contextmanager
-def _payload(
-    source: str | Path | BinaryIO,
-) -> Iterator[tuple[tuple[int, int], list[str] | None, Callable[[int, int], Iterator]]]:
-    """An embedding file's (count, dim) shape and labels, read first, and a function
-    giving its rows ``start`` to ``stop`` as :func:`_chunks` while the block runs. A
-    stream that cannot seek is read whole first, and a CSV file is packed into a
-    container (:func:`_embedding_stream`)."""
-    with _embedding_stream(source) as stream:
-        count, dim, more = _header(stream)
-        payload, labels = stream.tell(), None
-        if more:
-            stream.seek(payload + 4 * dim * count)
-            labels = _parse_label_block(stream.read(), count)
-
-        def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-            stream.seek(payload + 4 * dim * start)
-            return _chunks(stream, count, dim, start, stop)
-
-        yield (count, dim), labels, chunks
+    return rows, walk[1]
 
 
 @contextlib.contextmanager
@@ -568,10 +516,11 @@ def _open_rows(
     their index in the file. Each slice served is checked again as it is read, so
     a file changed in the meantime raises the same errors.
     """
-    with _payload(source) as ((count, dim), labels, chunks):
+    with _payload(source) as walk:
+        (count, dim), labels, chunks = walk
 
         def read(start: int, stop: int) -> np.ndarray:
-            rows = _fill(chunks(start, stop), np.empty((stop - start, dim)), start)
+            rows = _fill(walk, np.float64, start, stop)
             rows = _checked(rows, [(start, rows)], renormalize)
             return _normalize_rows(rows, "row") if renormalize else rows
 
@@ -580,9 +529,9 @@ def _open_rows(
 
 def _row_slots(words: np.ndarray, weights: np.ndarray, bits: int) -> np.ndarray:
     """The home slot, among ``2 ** bits``, of each row of a (N, W) uint32 array: the
-    sum of its words times ``weights``, mixed by Fibonacci hashing into its top
-    ``bits`` bits. Bit-equal rows share their slot."""
-    sums = (words * weights).sum(axis=1, dtype=np.uint64)
+    sum of its words times ``weights`` modulo 2 ** 32, mixed by Fibonacci hashing
+    into its top ``bits`` bits. Bit-equal rows share their slot."""
+    sums = np.einsum("ij,j->i", words, weights).astype(np.uint64)
     return ((sums * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - bits)).astype(np.intp)
 
 
@@ -593,59 +542,63 @@ def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str]
 
     The rows are folded in the one chunked pass that checks them (:func:`_checked`
     over :func:`_payload`), so the errors and their order are :func:`_load_table`'s.
-    Each chunk's distinct rows (:func:`_distinct_rows`, at the width the file stores
-    or, with ``renormalize``, as float64 projections) are looked up among the rows
-    kept so far in an open-addressing table of their codes: from a row's hash slot
-    (:func:`_row_slots`) on, each code met is checked for a bit-equal row until a
-    free slot ends the search, so a lookup is exact whatever the hashes. New rows are
-    appended and take the first free slot from theirs; at most half the slots are
-    taken, 4 bytes each below 2 ** 31 rows. The table of rows is sized for every
-    row and filled from the front, so the pages of rows a repeating file never
-    keeps are never written."""
+    Each chunk, at the width the file stores or, with ``renormalize``, as float64
+    projections, is put after the rows kept so far and looked up in an
+    open-addressing table of row positions, 2 to 4 slots per row of the file (4
+    bytes each below 2 ** 31 rows). A row probes from its hash slot
+    (:func:`_row_slots`) in steps of 1, 2, 3, ..., which visit every slot,
+    comparing each row met bit for bit (its leading word first) until a free
+    slot: the first row of the chunk to reach that slot takes it, and the others
+    there compare against that row. Slots are never freed, so a lookup is exact
+    whatever the hashes, copies within a chunk resolve in the same loop, and a
+    row's first copy is its first appearance. The chunk's new rows then close up
+    behind the kept ones: the table of rows is sized for every row and filled
+    from the front, so the pages of rows a repeating file never keeps are never
+    written. Rows narrower than 2 fold to nothing and size nothing by their
+    count: their shape error comes once every chunk is checked."""
     with _payload(source) as ((count, dim), labels, chunks):
-        table = np.empty((count, dim), np.float64 if renormalize else "<f4")
+        table = np.empty((count if dim > 1 else 0, dim), np.float64 if renormalize else "<f4")
         held = table.view(np.uint32)
-        index = np.empty(count, np.intp)
-        bits = max(1, (2 * count - 1).bit_length())
+        index = np.empty(count, np.intp) if dim > 1 else np.broadcast_to(np.intp(0), count)
+        bits = max(1, (2 * len(table) - 1).bit_length())
         slots, mask = np.full(1 << bits, -1, np.intp if count >> 31 else np.int32), (1 << bits) - 1
         # Odd weights, one per 32-bit word of a row: golden-ratio multiples.
         weights = ((2 * np.arange(held.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B9)).astype(np.uint32)
         kept = 0
 
-        def fold(start: int, chunk: np.ndarray) -> None:
+        def keep(start: int, chunk: np.ndarray) -> None:
             nonlocal kept
-            if dim < 2:  # no rows to fold: the shape error comes once every chunk is checked
+            if dim < 2:
                 return
-            rows = _normalize_rows(chunk, "row") if renormalize else chunk
-            first, inverse = _distinct_rows(rows)
-            fresh = rows[first]
-            words = fresh.view(np.uint32)
-            codes, ends = np.full(len(fresh), -1, np.intp), np.empty(len(fresh), np.intp)
-            todo, at = np.arange(len(fresh)), _row_slots(words, weights, bits)
-            while todo.size:  # look each row up among the kept rows, up to a free slot
-                code = slots[at]
-                taken = code >= 0
-                same = taken.copy()
-                same[taken] = (held[code[taken]] == words[todo[taken]]).all(axis=1)
-                codes[todo[same]] = code[same]
-                ends[todo[~taken]] = at[~taken]
-                on = taken & ~same
-                todo, at = todo[on], (at[on] + 1) & mask
-            new = np.flatnonzero(codes < 0)
-            codes[new] = np.arange(kept, kept + len(new))
-            table[kept : kept + len(new)] = fresh[new]
-            kept += len(new)
-            todo, at = new, ends[new]
-            while todo.size:  # the first new row to reach a free slot takes it
-                free = np.flatnonzero(slots[at] < 0)
+            stop = kept + len(chunk)
+            table[kept:stop] = _normalize_rows(chunk, "row") if renormalize else chunk
+            words = held[kept:stop]
+            keys, ends = np.empty(len(words), np.intp), np.empty(len(words), np.intp)
+            todo, at, step = np.arange(len(words)), _row_slots(words, weights, bits), 0
+            while todo.size:  # each row's position among the kept and staged rows
+                key, step = slots[at], step + 1
+                free = np.flatnonzero(key < 0)
                 won = free[np.unique(at[free], return_index=True)[1]]
-                slots[at[won]] = codes[todo[won]]
-                on = np.ones(len(todo), bool)
-                on[won] = False
-                todo, at = todo[on], (at[on] + 1) & mask
-            index[start : start + len(rows)] = codes[inverse]
+                slots[at[won]] = kept + todo[won]
+                key[free] = slots[at[free]]
+                same = np.zeros(len(todo), bool)
+                same[won] = True
+                look = np.flatnonzero(~same)
+                look = look[held[key[look], 0] == words[todo[look], 0]]
+                same[look] = (held[key[look]] == words[todo[look]]).all(axis=1)
+                keys[todo[same]], ends[todo[same]] = key[same], at[same]
+                todo, at = todo[~same], (at[~same] + step) & mask
+            own = keys == np.arange(kept, stop)
+            new = np.flatnonzero(own)
+            fresh = keys >= kept  # a new row of the chunk, or a copy of one
+            keys[fresh] = (kept - 1 + np.cumsum(own))[keys[fresh] - kept]
+            if len(new) < len(chunk):
+                table[kept : kept + len(new)] = table[kept + new]
+            slots[ends[new]] = np.arange(kept, kept + len(new))
+            index[start : start + len(chunk)] = keys
+            kept += len(new)
 
-        _checked(_Take(table, index), chunks(0, count), renormalize, fold)
+        _checked(_Take(table, index), chunks(0, count), renormalize, keep)
     table.flags.writeable = False
     return _Take(table[:kept], index, folded=True), labels
 
@@ -788,4 +741,6 @@ def write_image_ppm(destination: str | Path | BinaryIO, image: np.ndarray) -> No
     magic = b"P6" if channels == 3 else b"P5"
     header = magic + f"\n{width} {height}\n255\n".encode("ascii")
     raster = np.rint(arr * 255.0).astype(np.uint8).tobytes(order="C")
-    _write(destination, (header, raster))
+    with _opened(destination) as fh:
+        fh.write(header)
+        fh.write(raster)

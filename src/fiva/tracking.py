@@ -328,14 +328,13 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
     (f32), margin (f32), and key pointer (u32), all little-endian. The file
     is written a block of rows at a time.
     """
-    count = state.key_pointer
-    dim = state.dim or 0
-    pieces = fio._packed(
-        [fio._container(rows[:count], dim=dim) for rows in (state._stored, state._fakes)],
-        _TRAILER.pack(state.threshold, state.margin, count),
-    )
+    count, dim = state.key_pointer, state.dim or 0
     try:
-        fio._write(destination, pieces)
+        with fio._opened(destination) as fh:
+            for rows in (state._stored, state._fakes):
+                with fio._container_writer(fh, count, dim) as write:
+                    write(rows[:count].reshape(count, dim))
+            fh.write(_TRAILER.pack(state.threshold, state.margin, count))
     except OSError as exc:
         raise IoFailure(f"cannot write tracker state: {exc}") from exc
 
@@ -354,8 +353,8 @@ def load_state(
     """
     try:
         with fio._binary_stream(source) as stream:
-            stored, _ = fio._read_rows(stream, np.float64, allow_labels=False)
-            fakes, _ = fio._read_rows(stream, np.float32, allow_labels=False)
+            stored = fio._fill(fio._walk(stream, labeled=False), np.float64)
+            fakes = fio._fill(fio._walk(stream, labeled=False), np.float32)
             left, trailer = fio._remaining(stream), bytearray(_TRAILER.size)
             if left != _TRAILER.size or fio._readinto(stream, trailer) != left:
                 raise CorruptState(

@@ -1,12 +1,16 @@
 """``fiva bench`` streams ``frames.emb`` into its staged temporary as each block
-of frames is made, through ``io._container_writer``. The streamed file holds
-the bytes ``write_container`` writes; a run that fails once streaming has
-begun leaves the files of an earlier run as they were and no temporary, and a
-killed run leaves them too, beside its one temporary."""
+of frames is made, through the one container writer, ``io._container_writer``,
+given the file ``io._opened`` stages. The streamed file holds the bytes
+``write_container`` writes; a run that fails once streaming has begun leaves
+the files of an earlier run as they were and no temporary, a killed run leaves
+them too, beside its one temporary, and a run stopped by SIGINT or SIGTERM
+exits 2 with one line on stderr and leaves them with no temporary."""
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,7 +49,7 @@ def test_streamed_container_holds_the_bytes_of_write_container(rng, tmp_path):
     rows = rng.normal(size=(3000, 96))
     labels = [f"row {i}" for i in range(len(rows))]
     path = tmp_path / "rows.emb"
-    with fio._container_writer(path, len(rows), 96, labels) as write:
+    with fio._opened(path) as fh, fio._container_writer(fh, len(rows), 96, labels) as write:
         for part in (slice(0, 1), slice(1, 2900), slice(2900, 2900), slice(2900, 3000)):
             write(rows[part])
         assert not path.exists()
@@ -59,7 +63,7 @@ def test_streamed_container_of_the_wrong_row_count_keeps_the_old_file(rng, tmp_p
     path = tmp_path / "rows.emb"
     path.write_bytes(b"old bytes")
     with pytest.raises(ShapeMismatch):
-        with fio._container_writer(path, 4, 8) as write:
+        with fio._opened(path) as fh, fio._container_writer(fh, 4, 8) as write:
             for count in blocks:
                 write(rng.normal(size=(count, 8)))
     assert [p.name for p in tmp_path.iterdir()] == ["rows.emb"]
@@ -135,3 +139,33 @@ def test_killed_run_leaves_the_old_files_and_one_temporary(earlier):
     # The temporary is debris a later run leaves alone; the rerun lands its files.
     assert cli.main(bench_args(out, 1)) == 0
     assert files(out) == {**before, staged: (out / staged).read_bytes()}
+
+
+# A child ``fiva`` run with Python's own SIGINT handler, which a shell may have
+# set to ignored for a background job.
+STOPPABLE = """
+import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from fiva import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_stopped_run_exits_2_and_leaves_the_out_dir(earlier, signum):
+    out, before = earlier
+    env = dict(os.environ, PYTHONPATH=str(Path(fiva.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", STOPPABLE, "bench", "--identities", "3000", "--frames", "10",
+         "--out-dir", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    deadline = time.monotonic() + 120
+    while not list(out.glob(".frames.emb.*.tmp")):  # the frames stream into their temporary
+        assert child.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    child.send_signal(signum)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 2
+    assert err.decode().splitlines() == ["fiva: interrupted"]
+    assert files(out) == before

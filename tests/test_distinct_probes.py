@@ -343,9 +343,9 @@ def assert_same_fold(path, renormalize=False):
     whole, want_labels = load_rows(path, renormalize)
     if not renormalize:
         whole = whole.astype(np.float32)
-    first, codes = _distinct_rows(whole)
+    keys, codes = byte_fold(whole)
     assert got.folded and got.table.dtype == whole.dtype
-    assert got.table.tobytes() == whole[first].tobytes()
+    assert got.table.tobytes() == b"".join(keys)
     assert np.array_equal(got.index, codes)
     assert labels == want_labels
     return got
@@ -381,8 +381,8 @@ class TestReaderFold:
         with mock.patch.object(fio, "_BLOCK_ELEMENTS", cells), mock.patch.object(fio, "_check_norms"), \
                 mock.patch.object(fio, "_row_slots", fio._row_slots if home is None else collide):
             got, _ = fio._distinct_table(path)
-        first, codes = _distinct_rows(rows.astype(np.float32))
-        assert got.table.tobytes() == rows.astype(np.float32)[first].tobytes()
+        keys, codes = byte_fold(rows.astype(np.float32))
+        assert got.table.tobytes() == b"".join(keys)
         assert np.array_equal(got.index, codes)
 
     def test_normalize_folds_the_projections(self, rng, tmp_path):

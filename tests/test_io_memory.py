@@ -4,12 +4,15 @@ the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
 width, sampling against many anchors holds a 128-row block of products, the
 exact row fold holds less than its rows, the tracker mints a block of fakes at
-a time and loads its fakes at file width: traced peaks.
+a time and loads its fakes at file width, and a header of zero-width rows
+sizes nothing by its row count: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
 """
 
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 
 from fiva import (
     AnchorSet,
+    DimensionMismatch,
     SynthConfig,
     TrackerState,
     build_anchor_set,
@@ -31,6 +35,7 @@ from fiva import (
     write_container,
 )
 from fiva import gallery as gallery_module
+from fiva import io as fio
 from fiva import sphere
 from fiva.metrics import _distinct_rows
 from fiva.sphere import _BLOCK_ELEMENTS
@@ -358,3 +363,23 @@ def test_fold_of_rows_sharing_their_leading_values_holds_less_than_one_copy(rng)
     (first, inverse), peak = traced_peak(lambda: _distinct_rows(rows))
     assert len(first) == ROWS // 4 and rows[first][inverse].tobytes() == rows.tobytes()
     assert peak < rows.nbytes
+
+
+def test_a_zero_width_header_sizes_nothing_by_its_row_count(tmp_path, capsys):
+    # 16 bytes declaring 2 ** 24 rows of width 0: the payload is empty, so the
+    # probes reader must not size its index or its hash slots by the count
+    # (256 MiB at this count) before the shape error.
+    path = tmp_path / "empty_rows.emb"
+    path.write_bytes(b"FIVAEMB1" + struct.pack("<II", 1 << 24, 0))
+    message = "embedding rows must form an (N, D) array with D >= 2, got shape (16777216, 0)"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            fio._distinct_table(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < MiB
+    assert cli.main(["eval-retrieval", "--probes", str(path), "--gallery", str(path)]) == 2
+    assert capsys.readouterr().err == f"fiva: error: {message}\n"

@@ -1,16 +1,23 @@
-"""Writers: CSV labels that need quoting, the shared label check, atomic file writes."""
+"""Writers: CSV labels that need quoting, the shared label check, atomic file
+writes, and one container writer behind every container's bytes."""
 
+import io
 import os
 import shutil
 import stat
+import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiva import cli
 from fiva import io as fio
 from fiva import (
+    AnchorSet,
     IoFailure,
     LabelCountMismatch,
     TrackerState,
@@ -20,6 +27,7 @@ from fiva import (
     write_container,
     write_image_ppm,
 )
+from fiva.sphere import _Take
 from conftest import random_unit
 
 
@@ -75,12 +83,27 @@ WRITERS = {
 }
 
 
-def half_write(path, pieces):
-    """``io._write_file`` that writes half the file's bytes and fails."""
-    data = b"".join(bytes(piece) for piece in pieces)  # a piece is good until the next
-    with open(path, "wb") as fh:
-        fh.write(data[: len(data) // 2])
-    raise OSError("disk full")
+class HalfWritten:
+    """A file open to write that takes half the bytes of its first write and fails."""
+
+    def __init__(self, path):
+        self.file = open(path, "wb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        view = memoryview(data).cast("B")
+        self.file.write(view[: len(view) // 2])
+        raise OSError("disk full")
+
+
+def half_write(path, mode="r", *args, **kwargs):
+    """``open`` as ``fiva.io`` calls it, whose files opened to write fail halfway."""
+    return HalfWritten(path) if "w" in mode else open(path, mode, *args, **kwargs)
 
 
 def failing_replace(src, dst):
@@ -96,7 +119,7 @@ def test_failed_write_keeps_old_bytes_and_leaves_no_temporary(
     (target,) = tmp_path.iterdir()
     before = target.read_bytes()
     if failure == "midway":
-        monkeypatch.setattr(fio, "_write_file", half_write)
+        monkeypatch.setattr(fio, "open", half_write, raising=False)
     else:
         monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises((OSError, IoFailure)):
@@ -153,7 +176,7 @@ def test_failed_text_output_keeps_old_bytes_and_leaves_no_temporary(
     target = out / name
     target.write_bytes(b"old bytes\n")
     if failure == "midway":
-        monkeypatch.setattr(fio, "_write_file", only_for(target, half_write, fio._write_file))
+        monkeypatch.setattr(fio, "open", only_for(target, half_write, open), raising=False)
     else:
         monkeypatch.setattr(os, "replace", only_for(target, failing_replace, os.replace))
     code = cli.main([arg.format(inputs=inputs, out=out) for arg in args.split()])
@@ -246,7 +269,7 @@ def test_failed_run_leaves_the_file_it_rewrites_and_the_rerun_matches_the_clean_
     before = (failed / kept).read_bytes()
     assert run(clean) == 0
     if failure == "midway":
-        monkeypatch.setattr(fio, "_write_file", only_for(failed / target, half_write, fio._write_file))
+        monkeypatch.setattr(fio, "open", only_for(failed / target, half_write, open), raising=False)
     elif failure == "at rename":
         monkeypatch.setattr(os, "replace", only_for(failed / target, failing_replace, os.replace))
     assert run(failed, f"nodir/{target}" if failure == "missing directory" else target) == 2
@@ -257,3 +280,64 @@ def test_failed_run_leaves_the_file_it_rewrites_and_the_rerun_matches_the_clean_
     assert run(failed) == 0
     for name in outputs:
         assert (failed / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def packed(rows, labels=None):
+    """A container's bytes by the layout: header, float32 rows, label lines."""
+    rows = np.asarray(rows, dtype="<f4")
+    block = "".join(f"{label}\n" for label in labels or []).encode("utf-8")
+    return struct.pack("<8sII", b"FIVAEMB1", *rows.shape) + rows.tobytes() + block
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_container_writer_gives_the_same_bytes(tmp_path_factory, data):
+    # float64, float32 or gathered rows, with or without labels, written whole to
+    # a path and to a stream, packed, and streamed in random blocks, through a
+    # conversion buffer of one row up to the default.
+    count, dim = data.draw(st.integers(0, 40)), data.draw(st.integers(2, 9))
+    kind = data.draw(st.sampled_from(["float64", "float32", "gathered"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "gathered":
+        rows = _Take(rng.normal(size=(5, dim)), rng.integers(0, 5, count))
+        want = rows.table[rows.index]
+    else:
+        rows = want = rng.normal(size=(count, dim)).astype(kind)
+    labels = [f"row {i}" for i in range(count)] if data.draw(st.booleans()) else None
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+    cells = data.draw(st.sampled_from([1, 4 * dim * 3, fio._BLOCK_ELEMENTS]))
+    folder = tmp_path_factory.mktemp("writers")
+    stream = io.BytesIO()
+    with mock.patch.object(fio, "_BLOCK_ELEMENTS", cells):
+        write_container(folder / "whole.emb", rows, labels)
+        write_container(stream, rows, labels)
+        blob = pack_container(rows, labels)
+        with fio._opened(folder / "streamed.emb") as fh, fio._container_writer(fh, count, dim, labels) as write:
+            for start, stop in zip([0, *cuts], [*cuts, count]):
+                write(rows[start:stop])
+    expected = packed(want, labels)
+    assert (folder / "whole.emb").read_bytes() == expected
+    assert stream.getvalue() == expected
+    assert blob == expected
+    assert (folder / "streamed.emb").read_bytes() == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 20), st.sampled_from([2, 7, 64]), st.booleans())
+def test_save_state_is_two_containers_and_the_trailer(tmp_path_factory, count, dim, anchored):
+    rng = np.random.default_rng(count * 100 + dim)
+    # An anchored tracker has a width before its first key; the other has none.
+    tracker = TrackerState(0.4, 0.2, anchors=AnchorSet(unit_matrix(rng, 3, dim))) if anchored else \
+        TrackerState(0.4, 0.2, sampler=lambda stored: -stored)
+    tracker.track_rows(unit_matrix(rng, count, dim))
+    path = tmp_path_factory.mktemp("state") / "tracker.state"
+    stream = io.BytesIO()
+    save_state(tracker, path)
+    save_state(tracker, stream)
+    keys, width = len(tracker), tracker.dim or 0
+    expected = (
+        packed(tracker._stored[:keys].reshape(keys, width))
+        + packed(tracker.fake_matrix.reshape(keys, width))
+        + struct.pack("<ffI", tracker.threshold, tracker.margin, keys)
+    )
+    assert path.read_bytes() == stream.getvalue() == expected
