@@ -482,8 +482,8 @@ def _interrupt(signum, frame) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     # While a command runs, SIGTERM stops it as Ctrl-C does: the command unwinds,
     # its temporaries are removed, and it exits 2 like any failure.
-    handles = threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGTERM, _interrupt) if handles else None
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if main_thread else None
     parser = _build_parser()
     try:
         try:
@@ -504,7 +504,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("fiva: interrupted", file=sys.stderr)
         return 2
     finally:
-        if handles:
+        if previous is not None:  # None: not installed from Python, so nothing to restore
             signal.signal(signal.SIGTERM, previous)
 
 

@@ -169,3 +169,10 @@ def test_stopped_run_exits_2_and_leaves_the_out_dir(earlier, signum):
     assert child.returncode == 2
     assert err.decode().splitlines() == ["fiva: interrupted"]
     assert files(out) == before
+
+
+def test_main_restores_the_sigterm_handler_it_replaced(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert cli.main(bench_args(tmp_path / "out", 1)) == 0
+    assert cli.main(bench_args(tmp_path / "out", 1, "--margin", "2")) == 2
+    assert signal.getsignal(signal.SIGTERM) is before
