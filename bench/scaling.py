@@ -19,8 +19,9 @@ I identities with F jittered frames each:
 - ``io_write``: ``write_container`` of the I * F labeled frames to a file in a
   temporary directory;
 - ``io_read``: ``load_rows`` of that file, as float64 unit rows;
-- ``io_fold``: the probes reader's fold (``io._distinct_table``) of that file,
-  all distinct, and of the sampled fakes' file, few distinct rows;
+- ``io_fold``: the probes reader's fold (``io._distinct_table``, a dict of row
+  hashes filled as the file is read) of that file, all distinct, and of the
+  sampled fakes' file, few distinct rows;
 - ``io_state``: a ``save_state`` and ``load_state`` round trip, through a file
   in the temporary directory, of the tracker the scene-order run filled (the
   ``track_mint`` tracker);

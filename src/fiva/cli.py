@@ -35,7 +35,7 @@ from .defense import (
     toy_oracle,
     uniform_pixel_noise,
 )
-from .detector import DEFAULT_DETECT_THRESHOLD, score_rows
+from .detector import DEFAULT_DETECT_THRESHOLD, _check_threshold, score_rows
 from .errors import ConfigError, FivaError
 from .metrics import retrieval_report, temporal_consistency
 from .sampling import sample_batch
@@ -393,11 +393,14 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
             fractions = [float(f) for f in sweep.split(",") if f.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --sweep value {sweep!r}: {exc}") from exc
+        paths = [_sweep_path(args.output, fraction) for fraction in fractions]
+        for i, path in enumerate(paths):
+            if (first := paths.index(path)) < i:  # one file would hold the last of them
+                raise ConfigError(f"--sweep fractions {fractions[first]!r} and {fractions[i]!r} both write {path}")
         outputs = fraction_sweep(image, epsilon, fractions, seed)
 
         def written():  # each row once its image is written
-            for fraction, noised in outputs:
-                path = _sweep_path(args.output, fraction)
+            for path, (fraction, noised) in zip(paths, outputs):
                 fio.write_image_ppm(path, noised)
                 yield [fraction, path]
 
@@ -416,9 +419,7 @@ def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
         fio._open_rows(args.inputs, normalize) as (inputs, _),
         fio._open_rows(args.outputs, normalize) as (outputs, _),
     ):
-        threshold = opts.get("threshold")
-        if not 0.0 < threshold < 2.0:
-            raise ValueError(f"threshold must be in (0, 2), got {threshold}")
+        threshold = _check_threshold(opts.get("threshold"))
         dist = score_rows(inputs, outputs)
     flags = [distance > threshold for distance in dist.scores]
     rows = [[i, distance, int(is_fake)] for i, (distance, is_fake) in enumerate(zip(dist.scores, flags))]

@@ -32,6 +32,13 @@ __all__ = [
 GradientOracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
+def _check_epsilon(epsilon: float) -> float:
+    """``epsilon``, once it is a finite amplitude >= 0."""
+    if not math.isfinite(epsilon) or epsilon < 0.0:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Uniform pixel-noise parameters: amplitude, coverage, and seed."""
@@ -41,8 +48,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
         if self.seed < 0:
@@ -117,9 +123,7 @@ def parameter_noise(params: np.ndarray, epsilon: float, seed: int) -> np.ndarray
         raise ShapeMismatch(f"parameter vector must be 1-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFinite("parameter vector contains non-finite values")
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if epsilon == 0.0:
+    if _check_epsilon(epsilon) == 0.0:
         return arr.copy()
     rng = np.random.default_rng(seed)
     return arr + rng.normal(0.0, epsilon, size=arr.size)
@@ -136,9 +140,7 @@ def fgsm_defense(
     moving no value by more than epsilon.
     """
     img = _check_image(image)
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if epsilon == 0.0:
+    if _check_epsilon(epsilon) == 0.0:
         return img.copy()
     _, gradient = oracle(img)
     gradient = np.asarray(gradient, dtype=np.float64)

@@ -32,6 +32,13 @@ DEFAULT_DETECT_THRESHOLD = 0.6
 HISTOGRAM_BINS = 40
 
 
+def _check_threshold(threshold: float) -> float:
+    """``threshold``, once it is a detection threshold in (0, 2)."""
+    if not 0.0 < threshold < 2.0:
+        raise ValueError(f"threshold must be in (0, 2), got {threshold}")
+    return threshold
+
+
 @dataclass(frozen=True)
 class DetectionScore:
     distance: float
@@ -58,8 +65,7 @@ def detect(
     z_in: Embedding, z_out: Embedding, threshold: float = DEFAULT_DETECT_THRESHOLD
 ) -> DetectionScore:
     """Score one input/output pair; fake means distance strictly above threshold."""
-    if not 0.0 < threshold < 2.0:
-        raise ValueError(f"threshold must be in (0, 2), got {threshold}")
+    _check_threshold(threshold)
     distance = cosine_distance(z_in, z_out)
     return DetectionScore(distance, distance > threshold, threshold)
 

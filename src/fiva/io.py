@@ -23,7 +23,7 @@ one reused buffer. Every container write, tracker states and ``fiva bench``'s
 streamed frames included, goes through one writer (:func:`_container_writer`)
 into a file that :func:`_opened` gives: a stream as it is, or a path through
 its staged temporary. A file whose repeated rows are held once is folded as
-it is read, a chunk at a time, by one exact hash table (:func:`_distinct_table`).
+it is read, one row at a time, by a dict of row hashes (:func:`_distinct_table`).
 
 Images travel as binary netpbm rasters with maxval 255: P6 for 3-channel,
 P5 for single-channel. Reading maps byte b to b / 255; writing maps v to
@@ -527,14 +527,6 @@ def _open_rows(
         yield _checked(_CheckedRows((count, dim), read), chunks(0, count), renormalize), labels
 
 
-def _row_slots(words: np.ndarray, weights: np.ndarray, bits: int) -> np.ndarray:
-    """The home slot, among ``2 ** bits``, of each row of a (N, W) uint32 array: the
-    sum of its words times ``weights`` modulo 2 ** 32, mixed by Fibonacci hashing
-    into its top ``bits`` bits. Bit-equal rows share their slot."""
-    sums = np.einsum("ij,j->i", words, weights).astype(np.uint64)
-    return ((sums * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - bits)).astype(np.intp)
-
-
 def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str] | None]:
     """:func:`_load_table`'s rows and labels with each distinct row held once: folded
     gathered rows whose table holds the file's bit-distinct rows in order of first
@@ -542,61 +534,36 @@ def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str]
 
     The rows are folded in the one chunked pass that checks them (:func:`_checked`
     over :func:`_payload`), so the errors and their order are :func:`_load_table`'s.
-    Each chunk, at the width the file stores or, with ``renormalize``, as float64
-    projections, is put after the rows kept so far and looked up in an
-    open-addressing table of row positions, 2 to 4 slots per row of the file (4
-    bytes each below 2 ** 31 rows). A row probes from its hash slot
-    (:func:`_row_slots`) in steps of 1, 2, 3, ..., which visit every slot,
-    comparing each row met bit for bit (its leading word first) until a free
-    slot: the first row of the chunk to reach that slot takes it, and the others
-    there compare against that row. Slots are never freed, so a lookup is exact
-    whatever the hashes, copies within a chunk resolve in the same loop, and a
-    row's first copy is its first appearance. The chunk's new rows then close up
-    behind the kept ones: the table of rows is sized for every row and filled
-    from the front, so the pages of rows a repeating file never keeps are never
-    written. Rows narrower than 2 fold to nothing and size nothing by their
-    count: their shape error comes once every chunk is checked."""
+    Each row, at the width the file stores or, with ``renormalize``, as a float64
+    projection, is looked up by the hash of its bytes in a dict that gives the code
+    of the first row to claim that hash, and a hit counts only if that row's bytes
+    are its bytes. A row whose hash another row holds is looked up by its bytes in
+    a second dict. A row found in neither is new: it takes the next code and is
+    written behind the rows kept so far. So the fold is exact whatever the hashes,
+    and its codes follow first appearance. The dicts cost about 100 bytes per
+    distinct row, a few percent of a 512-wide float32 row. The table of rows is
+    sized for every row and filled from the front, so the pages of rows a repeating
+    file never keeps are never written. Rows narrower than 2 fold to nothing and
+    size nothing by their count: their shape error comes once every chunk is
+    checked."""
     with _payload(source) as ((count, dim), labels, chunks):
         table = np.empty((count if dim > 1 else 0, dim), np.float64 if renormalize else "<f4")
-        held = table.view(np.uint32)
         index = np.empty(count, np.intp) if dim > 1 else np.broadcast_to(np.intp(0), count)
-        bits = max(1, (2 * len(table) - 1).bit_length())
-        slots, mask = np.full(1 << bits, -1, np.intp if count >> 31 else np.int32), (1 << bits) - 1
-        # Odd weights, one per 32-bit word of a row: golden-ratio multiples.
-        weights = ((2 * np.arange(held.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B9)).astype(np.uint32)
-        kept = 0
+        codes, spilled, kept = {}, {}, 0
 
         def keep(start: int, chunk: np.ndarray) -> None:
             nonlocal kept
             if dim < 2:
                 return
-            stop = kept + len(chunk)
-            table[kept:stop] = _normalize_rows(chunk, "row") if renormalize else chunk
-            words = held[kept:stop]
-            keys, ends = np.empty(len(words), np.intp), np.empty(len(words), np.intp)
-            todo, at, step = np.arange(len(words)), _row_slots(words, weights, bits), 0
-            while todo.size:  # each row's position among the kept and staged rows
-                key, step = slots[at], step + 1
-                free = np.flatnonzero(key < 0)
-                won = free[np.unique(at[free], return_index=True)[1]]
-                slots[at[won]] = kept + todo[won]
-                key[free] = slots[at[free]]
-                same = np.zeros(len(todo), bool)
-                same[won] = True
-                look = np.flatnonzero(~same)
-                look = look[held[key[look], 0] == words[todo[look], 0]]
-                same[look] = (held[key[look]] == words[todo[look]]).all(axis=1)
-                keys[todo[same]], ends[todo[same]] = key[same], at[same]
-                todo, at = todo[~same], (at[~same] + step) & mask
-            own = keys == np.arange(kept, stop)
-            new = np.flatnonzero(own)
-            fresh = keys >= kept  # a new row of the chunk, or a copy of one
-            keys[fresh] = (kept - 1 + np.cumsum(own))[keys[fresh] - kept]
-            if len(new) < len(chunk):
-                table[kept : kept + len(new)] = table[kept + new]
-            slots[ends[new]] = np.arange(kept, kept + len(new))
-            index[start : start + len(chunk)] = keys
-            kept += len(new)
+            for i, row in enumerate(_normalize_rows(chunk, "row") if renormalize else chunk, start):
+                key = row.tobytes()
+                code = codes.setdefault(hash(key), kept)
+                if code < kept and table[code].tobytes() != key:  # another row holds its hash
+                    code = spilled.setdefault(key, kept)
+                if code == kept:
+                    table[kept] = row
+                    kept += 1
+                index[i] = code
 
         _checked(_Take(table, index), chunks(0, count), renormalize, keep)
     table.flags.writeable = False

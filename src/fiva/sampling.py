@@ -20,6 +20,13 @@ from .sphere import AnchorSet, Embedding, _nearest, _unit_matrix
 __all__ = ["SampleResult", "sample_batch", "sample_fake"]
 
 
+def _check_margin(m: float) -> float:
+    """``m``, once it is a margin in [-1, 1]."""
+    if not -1.0 <= m <= 1.0:
+        raise ValueError(f"margin must be in [-1, 1], got {m}")
+    return m
+
+
 @dataclass(frozen=True)
 class SampleResult:
     """Outcome of one sampling call."""
@@ -40,8 +47,7 @@ def sample_batch(
     """
     if len(anchors) == 0:
         raise EmptyAnchorSet("cannot sample from an empty anchor set")
-    if not -1.0 <= m <= 1.0:
-        raise ValueError(f"margin must be in [-1, 1], got {m}")
+    _check_margin(m)
     return _nearest(_unit_matrix(queries, "query embedding", anchors.dim), anchors.matrix, m)
 
 

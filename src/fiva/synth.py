@@ -21,7 +21,7 @@ from .metrics import (
     retrieval_reports,
     temporal_consistency,
 )
-from .sampling import sample_batch
+from .sampling import _check_margin, sample_batch
 from .sphere import (
     _BLOCK_ELEMENTS,
     AnchorSet,
@@ -96,8 +96,7 @@ class MockAnonymizer:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {ANONYMIZER_MODES}"
             )
-        if not -1.0 <= self.margin <= 1.0:
-            raise ValueError(f"margin must be in [-1, 1], got {self.margin}")
+        _check_margin(self.margin)
         if not 0.0 <= self.blend <= 1.0:
             raise ValueError(f"blend must be in [0, 1], got {self.blend}")
         if self.mode in ("anchor_sample", "slerp_blend") and self.anchors is None:

@@ -38,7 +38,7 @@ from .errors import (
     NotUnitNorm,
     ShapeMismatch,
 )
-from .sampling import sample_batch
+from .sampling import _check_margin, sample_batch
 from .sphere import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROWS,
@@ -75,9 +75,7 @@ _LOAD_NORM_TOL = 1e-5
 
 def _f32_margin(value: float) -> float:
     """A margin range-checked and rounded to single precision, as a tracker holds it."""
-    if not -1.0 <= value <= 1.0:
-        raise ValueError(f"margin must be in [-1, 1], got {value}")
-    return float(np.float32(value))
+    return float(np.float32(_check_margin(value)))
 
 
 @dataclass(frozen=True)

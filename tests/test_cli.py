@@ -483,6 +483,20 @@ class TestDefend:
         assert (tmp_path / "defended_f0.1.ppm").exists()
         assert (tmp_path / "defended_f0.47.ppm").exists()
 
+    @pytest.mark.parametrize("sweep, first, second", [
+        ("0.5,0.5000001,0.5", "0.5", "0.5000001"), ("0.1,0.47,0.1", "0.1", "0.1"),
+    ])
+    def test_sweep_fractions_sharing_a_file_name_write_nothing(self, capsys, image_file, tmp_path, sweep, first, second):
+        path, _ = image_file
+        code, stdout, stderr = run(
+            capsys, "defend", "--mode", "uniform", "--sweep", sweep,
+            "--input", str(path), "--output", str(tmp_path / "out.ppm"),
+        )
+        name = tmp_path / f"out_f{float(first):g}.ppm"
+        assert code == 2 and stdout == ""
+        assert stderr == f"fiva: error: --sweep fractions {first} and {second} both write {name}\n"
+        assert not list(tmp_path.glob("out*"))
+
     def test_sweep_report_quotes_paths(self, capsys, image_file, tmp_path, monkeypatch):
         path, _ = image_file
         monkeypatch.chdir(tmp_path)

@@ -367,7 +367,7 @@ def test_fold_of_rows_sharing_their_leading_values_holds_less_than_one_copy(rng)
 
 def test_a_zero_width_header_sizes_nothing_by_its_row_count(tmp_path, capsys):
     # 16 bytes declaring 2 ** 24 rows of width 0: the payload is empty, so the
-    # probes reader must not size its index or its hash slots by the count
+    # probes reader must not size its index or its table of rows by the count
     # (256 MiB at this count) before the shape error.
     path = tmp_path / "empty_rows.emb"
     path.write_bytes(b"FIVAEMB1" + struct.pack("<II", 1 << 24, 0))
