@@ -49,7 +49,12 @@ warm-up run, at a fixed seed and D = 512, one axis varied at a time: I in
 {250, 1000, 4000} at F = 10, and F in {5, 10, 20} at I = 1000. The tracker,
 container, detector and command layers, ``bench`` and ``build_anchor_set``
 also get one more run under ``tracemalloc``, whose peak (the most memory the
-call held at once, numpy's buffers included) is reported in MiB.
+call held at once, numpy's buffers included) is reported in MiB. Each command
+layer is also run 3 times as ``python -m fiva.cli`` in a child process, started
+from a small runner that imports no numpy, and the medians of the child's
+``ru_maxrss``, minor page faults and CPU time from ``os.wait4`` are reported
+(``child``): unlike the in-process layers, these compare across two trees,
+since no earlier layer's heap or caches are in the child.
 
 A third axis moves the reference rows K alone: ``sample_batch`` and
 ``retrieval`` of the I * F = 1000 * 10 frames against K in {1000, 4000, 16000}
@@ -78,6 +83,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -97,6 +103,8 @@ REFERENCE_AXIS = (1000, 4000, 16000)
 # Layers timed and traced along the reference axis.
 REFERENCE_LAYERS = ("sample_batch", "retrieval")
 # Layers whose tracemalloc peak is reported besides their time.
+CLI_LAYERS = ("cli_track", "cli_detect", "cli_eval_retrieval", "cli_eval_retrieval_sampled",
+              "cli_eval_temporal")
 TRACED = ("track_mint", "track_match", "io_write", "io_read", "io_fold", "io_state", "score_rows",
           "cli_track", "cli_detect",
           "cli_eval_retrieval", "cli_eval_retrieval_sampled", "cli_eval_temporal", "bench", "build_anchor_set")
@@ -178,6 +186,56 @@ def command(fiva, *argv):
             raise RuntimeError(f"fiva {argv[0]} failed")
 
 
+def cli_commands(x) -> dict[str, list]:
+    """name -> the ``fiva`` arguments of each command layer on the inputs ``x``."""
+    w = x["workdir"]
+    return {
+        "cli_track": ["track", "--frames", x["file"], "--anchors", w / "anchors.emb",
+                      "--out", w / "tracked.emb", "--log", w / "track.csv"],
+        "cli_detect": ["detect", "--inputs", x["file"], "--outputs", w / "sampled.emb",
+                       "--report", w / "detect.csv"],
+        "cli_eval_retrieval": ["eval-retrieval", "--probes", x["file"], "--gallery", w / "gallery.emb",
+                               "--report", w / "retrieval.csv"],
+        "cli_eval_retrieval_sampled": ["eval-retrieval", "--probes", w / "sampled.emb",
+                                       "--gallery", w / "gallery.emb", "--report", w / "sampled.csv"],
+        "cli_eval_temporal": ["eval-temporal", "--frames", *x["video_files"],
+                              "--report", w / "temporal.csv"],
+    }
+
+
+# Runs ``python -m fiva.cli ARGS`` (argv after the source directory) and prints
+# the child's rusage. It imports no numpy: Linux starts a forked child's
+# ``ru_maxrss`` at its parent's resident size, so a child of this runner
+# would report at least the runner's own size.
+LAUNCHER = """
+import json, os, subprocess, sys
+env = dict(os.environ, PYTHONPATH=sys.argv[1])
+child = subprocess.Popen([sys.executable, "-m", "fiva.cli", *sys.argv[2:]], env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(json.dumps({"code": os.waitstatus_to_exitcode(status), "maxrss_kib": usage.ru_maxrss,
+                  "minflt": usage.ru_minflt, "cpu_s": usage.ru_utime + usage.ru_stime}))
+"""
+
+
+def child_usage(src: str, argv) -> dict[str, float]:
+    """The median peak RSS (MiB), minor page faults and CPU seconds of ``fiva
+    argv`` run in a child process started by :data:`LAUNCHER`, over 3 runs."""
+    runs = []
+    for _ in range(3):
+        out = subprocess.run([sys.executable, "-c", LAUNCHER, src, *map(str, argv)],
+                             check=True, capture_output=True, text=True).stdout
+        run = json.loads(out)
+        if run["code"]:
+            raise RuntimeError(f"fiva {argv[0]} exited {run['code']}")
+        runs.append(run)
+    return {
+        "maxrss_mib": statistics.median(r["maxrss_kib"] for r in runs) / 1024,
+        "minflt": statistics.median(r["minflt"] for r in runs),
+        "cpu_s": statistics.median(r["cpu_s"] for r in runs),
+    }
+
+
 def layers(fiva):
     """name -> callable(inputs) for the tree under test."""
     fold = fiva.io._distinct_table  # the probes reader: private, taken from the tree under test
@@ -203,26 +261,7 @@ def layers(fiva):
             fiva.load_state(x["workdir"] / "tracker.state", x["anchors"]),
         ),
         "score_rows": lambda x: fiva.score_rows(x["probes"], x["sampled"]),
-        "cli_track": lambda x: command(
-            fiva, "track", "--frames", x["file"], "--anchors", x["workdir"] / "anchors.emb",
-            "--out", x["workdir"] / "tracked.emb", "--log", x["workdir"] / "track.csv",
-        ),
-        "cli_detect": lambda x: command(
-            fiva, "detect", "--inputs", x["file"], "--outputs", x["workdir"] / "sampled.emb",
-            "--report", x["workdir"] / "detect.csv",
-        ),
-        "cli_eval_retrieval": lambda x: command(
-            fiva, "eval-retrieval", "--probes", x["file"], "--gallery", x["workdir"] / "gallery.emb",
-            "--report", x["workdir"] / "retrieval.csv",
-        ),
-        "cli_eval_retrieval_sampled": lambda x: command(
-            fiva, "eval-retrieval", "--probes", x["workdir"] / "sampled.emb",
-            "--gallery", x["workdir"] / "gallery.emb", "--report", x["workdir"] / "sampled.csv",
-        ),
-        "cli_eval_temporal": lambda x: command(
-            fiva, "eval-temporal", "--frames", *x["video_files"],
-            "--report", x["workdir"] / "temporal.csv",
-        ),
+        **{name: (lambda x, name=name: command(fiva, *cli_commands(x)[name])) for name in CLI_LAYERS},
         "bench": lambda x: fiva.end_to_end_benchmark(
             x["config"], fiva.MockAnonymizer("anchor_sample", anchors=x["anchors"]),
             gallery=x["gallery"],
@@ -259,12 +298,14 @@ def time_layers(table, point, traced) -> tuple[dict[str, float], dict[str, float
     return medians, peaks
 
 
-def time_point(fiva, identities: int, frames: int) -> tuple[dict[str, float], dict[str, float], int]:
+def time_point(fiva, src: str, identities: int, frames: int) -> tuple[dict, dict, dict, int]:
     """Per layer, the median time at one grid point; per traced layer, its peak
-    MiB; and the distinct sampled anchors."""
+    MiB; per command layer, its child's usage; and the distinct sampled anchors."""
     with tempfile.TemporaryDirectory() as workdir:
         point = inputs(fiva, identities, frames, Path(workdir))
-        return (*time_layers(layers(fiva), point, TRACED), point["sampled_distinct"])
+        medians, peaks = time_layers(layers(fiva), point, TRACED)
+        children = {name: child_usage(src, argv) for name, argv in cli_commands(point).items()}
+        return medians, peaks, children, point["sampled_distinct"]
 
 
 def time_reference_point(fiva, rows: int) -> tuple[dict[str, float], dict[str, float]]:
@@ -313,10 +354,10 @@ def main(argv=None) -> int:
     for axis, grid in axes.items():
         for shape in grid:
             if shape not in cache:
-                cache[shape], peak_cache[shape], distinct = time_point(fiva, *shape)
+                cache[shape], peak_cache[shape], children, distinct = time_point(fiva, args.src, *shape)
                 points.append({"identities": shape[0], "frames": shape[1], "dim": DIM,
                                "sampled_distinct": distinct, "median_s": cache[shape],
-                               "peak_mib": peak_cache[shape]})
+                               "peak_mib": peak_cache[shape], "child": children})
         if len(grid) > 1:
             sizes = [i if axis == "identities" else f for i, f in grid]
             for into, table in ((slopes, cache), (peak_slopes, peak_cache)):

@@ -64,6 +64,7 @@ from .sphere import (
     _CheckedRows,
     _normalize_rows,
     _row_blocks,
+    _Scratch,
     _stack,
     _Take,
 )
@@ -206,20 +207,21 @@ def _walk(
 ) -> tuple[tuple[int, int], list[str] | None, Callable[[int, int], Iterator[tuple[int, np.ndarray]]]]:
     """The container at ``stream``'s position: its (count, dim) shape and its labels,
     read first, and a function giving its rows ``start`` to ``stop`` in chunks of
-    at most ``_BLOCK_ELEMENTS`` bytes (or one row) read into one reused buffer, each
-    with the index of its first row. With ``labeled`` a label block runs to the end
-    of the stream; without it the container is one embedded in a larger file, and
-    reading its rows to the last leaves the stream one past its payload."""
+    at most ``_BLOCK_ELEMENTS`` bytes (or one row) read into one buffer that every
+    call reuses, each with the index of its first row. With ``labeled`` a label
+    block runs to the end of the stream; without it the container is one embedded
+    in a larger file, and reading its rows to the last leaves the stream one past
+    its payload."""
     count, dim, more = _header(stream)
     payload, labels = stream.tell(), None
     if labeled and more:
         stream.seek(payload + 4 * dim * count)
         labels = _parse_label_block(stream.read(), count)
+    step = max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
+    chunk = np.empty((min(step, count), dim), "<f4")
 
     def chunks(start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
         stream.seek(payload + 4 * dim * start)
-        step = max(1, _BLOCK_ELEMENTS // max(1, 4 * dim))
-        chunk = np.empty((min(step, stop - start), dim), "<f4")
         for first in range(start, stop if dim else start, step):  # zero-width rows hold no bytes
             rows = chunk[: min(step, stop - first)]
             if _readinto(stream, rows) < rows.nbytes:
@@ -229,12 +231,12 @@ def _walk(
     return (count, dim), labels, chunks
 
 
-def _fill(walk, dtype, start: int = 0, stop: int | None = None) -> np.ndarray:
+def _fill(walk, dtype, start: int = 0, stop: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``start`` to ``stop`` (default all) of a :func:`_walk` read into a new
-    ``dtype`` matrix, converted a chunk at a time."""
+    ``dtype`` matrix, or into ``out`` of that shape, converted a chunk at a time."""
     (count, dim), _, chunks = walk
     stop = count if stop is None else stop
-    matrix = np.empty((stop - start, dim), dtype)
+    matrix = np.empty((stop - start, dim), dtype) if out is None else out
     for first, rows in chunks(start, stop):
         matrix[first - start : first - start + len(rows)] = rows
     return matrix
@@ -473,13 +475,18 @@ def _checked(
     file's label errors come the first row holding a NaN or infinite value, a bad
     shape, then the first row off the sphere (with ``renormalize``, the first of
     norm zero). Each chunk that passes, while every row before it has, goes to
-    ``keep`` with the index of its first row."""
-    fault = None
+    ``keep`` with the index of its first row. A float32 chunk's norms are taken
+    from its rows widened into one buffer held for every chunk."""
+    fault, held = None, _Scratch()
     for first, chunk in chunks:
         _check_finite(chunk, first)
         if fault is None:  # a row off the sphere is known; only a later NaN outranks it
+            wide = chunk
+            if chunk.dtype != np.float64:
+                wide = held("wide", chunk.shape)
+                wide[...] = chunk
             try:
-                _check_norms(chunk.astype(np.float64, copy=False), "row", renormalize, first=first)
+                _check_norms(wide, "row", renormalize, first=first)
             except (NotUnitNorm, ZeroVector) as exc:
                 fault = exc
             else:
@@ -514,17 +521,23 @@ def _open_rows(
     One chunked pass (:func:`_payload`) checks the whole file first and raises
     what :func:`load_rows` raises, in its order (:func:`_checked`), naming rows by
     their index in the file. Each slice served is checked again as it is read, so
-    a file changed in the meantime raises the same errors.
+    a file changed in the meantime raises the same errors. Slices are read into
+    one float64 buffer held while the block runs, grown to the largest slice
+    asked for: a slice holds its rows until the next slice is read.
     """
     with _payload(source) as walk:
         (count, dim), labels, chunks = walk
+        held = _Scratch()
 
         def read(start: int, stop: int) -> np.ndarray:
-            rows = _fill(walk, np.float64, start, stop)
+            rows = _fill(walk, np.float64, start, stop, held("rows", (stop - start, dim)))
             rows = _checked(rows, [(start, rows)], renormalize)
-            return _normalize_rows(rows, "row") if renormalize else rows
+            return _normalize_rows(rows, "row", out=rows) if renormalize else rows
 
-        yield _checked(_CheckedRows((count, dim), read), chunks(0, count), renormalize), labels
+        try:
+            yield _checked(_CheckedRows((count, dim), read), chunks(0, count), renormalize), labels
+        finally:
+            del walk, held  # the buffers go with the block: its rows are served only inside it
 
 
 def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str] | None]:

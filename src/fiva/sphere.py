@@ -207,12 +207,13 @@ def _frozen(matrix) -> np.ndarray:
     return matrix
 
 
-def _normalize_rows(rows, name: str = "row") -> np.ndarray:
+def _normalize_rows(rows, name: str = "row", out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_as_rows` as float64 projected onto the sphere, each row with the bits
-    of ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs). Raises
-    :class:`ZeroVector` naming the first row of norm <= 1e-12 or not finite."""
+    of ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs), into
+    ``out`` if given. Raises :class:`ZeroVector` naming the first row of norm
+    <= 1e-12 or not finite."""
     arr = _as_rows(np.asarray(rows, dtype=np.float64), name)
-    return arr / _check_norms(arr, name, renormalize=True)[:, None]
+    return np.divide(arr, _check_norms(arr, name, renormalize=True)[:, None], out=out)
 
 
 # Most query rows per block of the nearest-row kernel. Half of it is the
@@ -300,7 +301,11 @@ def _pick(objective: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.
 class _Scratch:
     """Buffers kept from one call to the next, each grown to the largest size
     asked of it. A caller that searches many small batches passes one, so the
-    buffers' pages are mapped once instead of on every call."""
+    buffers' pages are mapped once instead of on every call. A buffer that
+    grows takes at least twice its last size, up to a block's cells
+    (``_BLOCK_ELEMENTS``), so a need that creeps up call by call, as a
+    tracker's lookups do while its store fills, regrows it a few times, not on
+    every call."""
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
@@ -308,8 +313,9 @@ class _Scratch:
     def __call__(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         if key not in self._flat or self._flat[key].size < size:
-            self._flat.pop(key, None)  # freed before its larger successor is made
-            self._flat[key] = np.empty(size, dtype)
+            # freed before its larger successor is made
+            last = self._flat.pop(key).size if key in self._flat else 0
+            self._flat[key] = np.empty(max(size, min(2 * last, _BLOCK_ELEMENTS)), dtype)
         return self._flat[key][:size].reshape(shape)
 
 

@@ -23,6 +23,7 @@ cycle reproduce the live state bit for bit.
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
@@ -93,9 +94,19 @@ class TrackResult:
     match_distance: Optional[float]
 
 
+def _mapped(count: int, dim: int, dtype) -> np.ndarray:
+    """A (count, dim) ``dtype`` array in an anonymous mapping of its own. The
+    kernel gives each page, zeroed, when it is first written, and unmaps it once
+    no array holds it: the store never frees a malloc chunk, whose release would
+    move the allocator's mmap threshold and send later buffers to its heap."""
+    dtype = np.dtype(dtype)
+    buffer = mmap.mmap(-1, max(1, count * dim * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, count * dim).reshape(count, dim)
+
+
 def _grown(rows: np.ndarray, used: int, capacity: int, dim: int) -> np.ndarray:
-    """A (capacity, dim) buffer of ``rows``' dtype holding its first ``used`` rows."""
-    grown = np.empty((capacity, dim), dtype=rows.dtype)
+    """A (capacity, dim) mapped buffer of ``rows``' dtype holding its first ``used`` rows."""
+    grown = _mapped(capacity, dim, rows.dtype)
     if used:
         grown[:used] = rows[:used]
     return grown
@@ -185,13 +196,14 @@ class TrackerState:
         return None
 
     def _reserve(self, used: int, dim: int) -> None:
-        """Make room for row ``used``, keeping rows ``[0, used)`` of both buffers.
+        """Make room for row ``used``, keeping the stored rows ``[0, used)`` and the
+        fakes of keys ``[0, key_pointer)``: the fakes past them are not minted yet.
         The buffers grow one after the other, so a growth copies one at a time."""
         if used < len(self._stored):
             return
         capacity = max(16, 2 * used)
         self._stored = _grown(self._stored, used, capacity, dim)
-        self._fakes = _grown(self._fakes, used, capacity, dim)
+        self._fakes = _grown(self._fakes, self.key_pointer, capacity, dim)
 
     def _sample_anchors(self, rows: np.ndarray) -> _Take:
         """The anchor rows the sampler picks for ``rows``, gathered when sliced."""
@@ -337,6 +349,12 @@ def save_state(state: TrackerState, destination: str | BinaryIO) -> None:
         raise IoFailure(f"cannot write tracker state: {exc}") from exc
 
 
+def _read_mapped(stream: BinaryIO, dtype) -> np.ndarray:
+    """The embedded container at ``stream``'s position read into a mapped ``dtype`` array."""
+    walk = fio._walk(stream, labeled=False)
+    return fio._fill(walk, dtype, out=_mapped(*walk[0], dtype))
+
+
 def load_state(
     source: str | BinaryIO,
     anchors: AnchorSet | None = None,
@@ -351,8 +369,8 @@ def load_state(
     """
     try:
         with fio._binary_stream(source) as stream:
-            stored = fio._fill(fio._walk(stream, labeled=False), np.float64)
-            fakes = fio._fill(fio._walk(stream, labeled=False), np.float32)
+            stored = _read_mapped(stream, np.float64)
+            fakes = _read_mapped(stream, np.float32)
             left, trailer = fio._remaining(stream), bytearray(_TRAILER.size)
             if left != _TRAILER.size or fio._readinto(stream, trailer) != left:
                 raise CorruptState(

@@ -1,6 +1,10 @@
 """The tracker's growable store: keys, distances and fakes across buffer growth."""
 
+import gc
 import io
+import math
+import mmap
+import weakref
 
 import numpy as np
 
@@ -101,3 +105,70 @@ def test_fakes_are_held_as_float32_and_widen_to_the_rounded_sampled_rows(rng):
     loaded = load_state(io.BytesIO(buf.getvalue()))
     assert loaded.fake_matrix.dtype == np.float32
     assert loaded.fake_matrix.tobytes() == tracker.fake_matrix.tobytes()
+
+
+def mapping_of(rows: np.ndarray) -> mmap.mmap:
+    """The anonymous mapping an array's memory lives in."""
+    base = rows
+    while not isinstance(base, mmap.mmap):
+        base = base.obj if isinstance(base, memoryview) else base.base
+    return base
+
+
+def test_capacity_is_max_16_twice_used_and_maps_capacity_rows(rng):
+    dim = 24
+    tracker = TrackerState(sampler=lambda rows: -rows)
+    capacities = []
+    for z in orthonormal(rng, 24, dim):
+        used = len(tracker)
+        tracker.track(z)
+        capacity = len(tracker._stored)
+        if not capacities or capacity != capacities[-1]:
+            assert capacity == max(16, 2 * used)
+            capacities.append(capacity)
+        for rows, itemsize in ((tracker._stored, 8), (tracker._fakes, 4)):
+            assert rows.shape == (capacity, dim)
+            assert len(mapping_of(rows)) == capacity * dim * itemsize
+    assert capacities == [16, 32]
+
+
+def test_a_fake_matrix_view_keeps_its_values_across_a_growth(rng):
+    tracker = TrackerState(sampler=lambda rows: -rows)
+    people = np.stack([z.values for z in orthonormal(rng, 40, 48)])
+    tracker.track_rows(people[:16])
+    view = tracker.fake_matrix
+    before = view.tobytes()
+    tracker.track_rows(people[16:])
+    assert len(tracker._stored) == 64 and len(view) == 16  # grown twice
+    assert view.tobytes() == before == tracker.fake_matrix[:16].tobytes()
+
+
+def test_one_row_tracking_regrows_the_store_log_n_times(rng):
+    dim = 16
+    tracker = TrackerState(sampler=lambda rows: -rows)
+    frames = rng.normal(size=(3000, dim))
+    frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+    tracker.threshold = 1e-6  # every frame is a new identity
+    capacities = set()
+    for row in frames:
+        tracker.track(Embedding(row))
+        capacities.add(len(tracker._stored))
+    assert len(tracker) == 3000
+    # 16, 32, ..., 4096: a mapping each, made as the rows before it fill
+    assert sorted(capacities) == [16 << k for k in range(9)]
+    assert len(capacities) == math.ceil(math.log2(3000 / 16)) + 1
+
+
+def test_an_old_mapping_is_freed_once_no_view_holds_it(rng):
+    tracker = TrackerState(sampler=lambda rows: -rows)
+    people = np.stack([z.values for z in orthonormal(rng, 20, 32)])
+    tracker.track_rows(people[:10])
+    view = tracker.fake_matrix
+    stored, fakes = (weakref.ref(mapping_of(rows)) for rows in (tracker._stored, tracker._fakes))
+    tracker.track_rows(people[10:])  # grows past 16 rows
+    gc.collect()
+    assert stored() is None  # nothing but the store held it
+    assert fakes() is not None  # the view still reads it
+    del view
+    gc.collect()
+    assert fakes() is None
