@@ -30,6 +30,8 @@ I identities with F jittered frames each:
 - ``cli_track``: ``fiva track`` (``cli.main``, in process) of the frames file
   in scene order into an empty tracker with the anchors file, writing the
   fakes and the log;
+- ``cli_sample``: ``fiva sample`` of the frames file against the anchors file
+  at m = 0, writing the fakes and the pick table;
 - ``cli_detect``: ``fiva detect`` of the frames file against the sampled
   fakes' file, writing the report;
 - ``cli_eval_retrieval``: ``fiva eval-retrieval`` of the labeled frames file
@@ -103,10 +105,10 @@ REFERENCE_AXIS = (1000, 4000, 16000)
 # Layers timed and traced along the reference axis.
 REFERENCE_LAYERS = ("sample_batch", "retrieval")
 # Layers whose tracemalloc peak is reported besides their time.
-CLI_LAYERS = ("cli_track", "cli_detect", "cli_eval_retrieval", "cli_eval_retrieval_sampled",
-              "cli_eval_temporal")
+CLI_LAYERS = ("cli_track", "cli_sample", "cli_detect", "cli_eval_retrieval",
+              "cli_eval_retrieval_sampled", "cli_eval_temporal")
 TRACED = ("track_mint", "track_match", "io_write", "io_read", "io_fold", "io_state", "score_rows",
-          "cli_track", "cli_detect",
+          "cli_track", "cli_sample", "cli_detect",
           "cli_eval_retrieval", "cli_eval_retrieval_sampled", "cli_eval_temporal", "bench", "build_anchor_set")
 
 
@@ -178,10 +180,10 @@ def reference_inputs(fiva, rows: int) -> dict:
 
 
 def command(fiva, *argv):
-    """``fiva`` run in process on ``argv``, its messages dropped."""
+    """``fiva`` run in process on ``argv``, its tables and messages dropped."""
     from fiva import cli
 
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if cli.main([str(arg) for arg in argv]):
             raise RuntimeError(f"fiva {argv[0]} failed")
 
@@ -192,6 +194,8 @@ def cli_commands(x) -> dict[str, list]:
     return {
         "cli_track": ["track", "--frames", x["file"], "--anchors", w / "anchors.emb",
                       "--out", w / "tracked.emb", "--log", w / "track.csv"],
+        "cli_sample": ["sample", "--anchors", w / "anchors.emb", "--query", x["file"],
+                       "--out", w / "fakes.emb"],
         "cli_detect": ["detect", "--inputs", x["file"], "--outputs", w / "sampled.emb",
                        "--report", w / "detect.csv"],
         "cli_eval_retrieval": ["eval-retrieval", "--probes", x["file"], "--gallery", w / "gallery.emb",

@@ -36,7 +36,7 @@ from .defense import (
     uniform_pixel_noise,
 )
 from .detector import DEFAULT_DETECT_THRESHOLD, _check_threshold, score_rows
-from .errors import ConfigError, FivaError
+from .errors import ConfigError, EmptyList, FivaError
 from .metrics import retrieval_report, temporal_consistency
 from .sampling import sample_batch
 from .sphere import AnchorSet, _Take, build_anchor_set
@@ -346,18 +346,26 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
-    videos = [fio._load_table(path, opts.get("normalize"))[0] for path in args.frames]
-    report = temporal_consistency(videos)
+    counts: list[int] = []
+
+    def video(path: str) -> np.ndarray:  # read as it is scored: the first bad file decides the error
+        rows = fio._load_table(path, opts.get("normalize"))[0]
+        if not len(rows):
+            raise EmptyList(f"{path}: a video needs at least one frame embedding")
+        counts.append(len(rows))
+        return rows
+
+    report = temporal_consistency(map(video, args.frames))
     rows = [
-        [i, Path(path).name, len(video), mean, std]
-        for i, (path, video, mean, std) in enumerate(zip(
-            args.frames, videos, report.video_means.tolist(), report.video_stds.tolist()
+        [i, Path(path).name, count, mean, std]
+        for i, (path, count, mean, std) in enumerate(zip(
+            args.frames, counts, report.video_means.tolist(), report.video_stds.tolist()
         ))
     ]
     rows.append(["aggregate", "", "", report.mean_of_means, report.mean_of_stds])
     _report(args.report, "video_index,video,frame_count,mean_distance,std_distance", rows)
     _info(
-        f"temporal consistency over {len(videos)} videos: "
+        f"temporal consistency over {len(counts)} videos: "
         f"mean {report.mean_of_means:.6f}, std {report.mean_of_stds:.6f}"
     )
     return 0

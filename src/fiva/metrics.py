@@ -12,8 +12,9 @@ mean and population standard deviation, then averages both across videos.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -208,46 +209,45 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
 
 
 def temporal_consistency(
-    videos: Sequence[Sequence[Embedding] | np.ndarray] | np.ndarray,
+    videos: Iterable[Sequence[Embedding] | np.ndarray] | np.ndarray,
 ) -> TemporalReport:
-    """Consistency statistics for a list of videos (frame lists or (F, D) arrays),
-    for an (I, F, D) array of I videos, or for gathered rows with an (I, F) index.
+    """Consistency statistics for a list or an iterable of videos (frame lists or
+    (F, D) arrays), for an (I, F, D) array of I videos, or for gathered rows with an
+    (I, F) index.
 
-    Each listed video, or the table of stacked ones, is folded once (:func:`_fold`).
-    Videos of one shape are scored a block per batched Gram product (see
-    :func:`pairwise_distance_matrix`); an (I, F, D) array is used in place, gathered
-    rows and float32 videos are read and widened a block of videos at a time.
+    Listed videos are read as they come, each folded once (:func:`_fold`), and scored
+    in blocks of consecutive videos of one shape, a block per batched Gram product
+    (see :func:`pairwise_distance_matrix`): an iterable is held a block at a time.
+    Stacked videos are folded as one table of rows: an (I, F, D) array is used in
+    place, gathered rows and float32 videos are read and widened a block of videos
+    at a time. A video's stats do not depend on the videos that share its block.
     """
-    gathered = isinstance(videos, _Take)
-    stacked = gathered or (isinstance(videos, np.ndarray) and videos.ndim == 3)
-    videos = videos if stacked else list(videos)
-    if not len(videos):
-        raise EmptyList("need at least one video")
-    # Per (F, D) shape: the indices of its videos, their rows and their copy codes.
-    groups: dict[tuple[int, ...], tuple[list[int], Sequence[np.ndarray], Sequence[np.ndarray]]] = {}
-    if stacked:  # folded as one table of rows, then read a block of videos at a time
+    means, stds = [], []
+
+    def score(rows, codes) -> None:  # a block of videos of one (F, D) shape
+        distances = _video_distances(rows, codes)
+        mean = distances.mean(axis=(1, 2))
+        deviation = distances - mean[:, None, None]
+        means.append(mean)
+        stds.append(np.sqrt((deviation * deviation).mean(axis=(1, 2))))
+
+    if isinstance(videos, _Take) or (isinstance(videos, np.ndarray) and videos.ndim == 3):
         count, frames, dim = videos.shape
+        gathered = isinstance(videos, _Take)
         rows = _Take(videos.table, videos.index.ravel()) if gathered else videos.reshape(count * frames, dim)
-        table, codes = _video_rows(rows)
+        table, codes = _video_rows(rows) if count else (rows, rows)  # no videos: raised below
         videos = _Take(table, videos.index) if gathered else table.reshape(videos.shape)
-        groups[(frames, dim)] = list(range(count)), videos, codes.reshape(count, frames)
-    else:
-        for i, (video, codes) in enumerate(map(_video_rows, videos)):
-            members, rows, folds = groups.setdefault(video.shape, ([], [], []))
-            members.append(i)
-            rows.append(video)
-            folds.append(codes)
-    means = np.empty(len(videos), dtype=np.float64)
-    stds = np.empty(len(videos), dtype=np.float64)
-    for (n, dim), (members, rows, codes) in groups.items():
-        step = max(1, _BLOCK_ELEMENTS // (n * (n + dim)))
-        for start in range(0, len(members), step):
-            distances = _video_distances(rows[start : start + step], codes[start : start + step])
-            mean = distances.mean(axis=(1, 2))
-            deviation = distances - mean[:, None, None]
-            chosen = members[start : start + step]
-            means[chosen] = mean
-            stds[chosen] = np.sqrt((deviation * deviation).mean(axis=(1, 2)))
+        step = max(1, _BLOCK_ELEMENTS // (frames * (frames + dim)))
+        for start in range(0, count, step):
+            score(videos[start : start + step], codes.reshape(count, frames)[start : start + step])
+    else:  # runs of consecutive videos of one shape, read as they come and cut into blocks
+        for (frames, dim), run in itertools.groupby(map(_video_rows, videos), lambda folded: folded[0].shape):
+            step = max(1, _BLOCK_ELEMENTS // (frames * (frames + dim)))
+            while block := list(itertools.islice(run, step)):
+                score(*zip(*block))
+    if not means:
+        raise EmptyList("need at least one video")
+    means, stds = np.concatenate(means), np.concatenate(stds)
     means.setflags(write=False)
     stds.setflags(write=False)
     return TemporalReport(float(means.mean()), float(stds.mean()), means, stds)

@@ -226,6 +226,8 @@ _BLOCK_ROWS = 256
 # second size (stored identities, frames per video, reference rows down to the
 # nearest-row kernel's floor): bounds a block's memory whatever that size.
 _BLOCK_ELEMENTS = 1 << 18
+# Cells of one row slice of the nearest-row kernel's pick: 512 KiB of float64, an L2 cache's worth.
+_PICK_ELEMENTS = 1 << 16
 
 
 def _tie(dim: int) -> float:
@@ -302,20 +304,20 @@ class _Scratch:
     """Buffers kept from one call to the next, each grown to the largest size
     asked of it. A caller that searches many small batches passes one, so the
     buffers' pages are mapped once instead of on every call. A buffer that
-    grows takes at least twice its last size, up to a block's cells
-    (``_BLOCK_ELEMENTS``), so a need that creeps up call by call, as a
+    grows takes at least twice its last size, up to ``cap`` cells (a block's,
+    ``_BLOCK_ELEMENTS``, by default), so a need that creeps up call by call, as a
     tracker's lookups do while its store fills, regrows it a few times, not on
     every call."""
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
 
-    def __call__(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def __call__(self, key: str, shape: tuple[int, ...], dtype=np.float64, cap=None) -> np.ndarray:
         size = math.prod(shape)
         if key not in self._flat or self._flat[key].size < size:
             # freed before its larger successor is made
             last = self._flat.pop(key).size if key in self._flat else 0
-            self._flat[key] = np.empty(max(size, min(2 * last, _BLOCK_ELEMENTS)), dtype)
+            self._flat[key] = np.empty(max(size, min(2 * last, cap or _BLOCK_ELEMENTS)), dtype)
         return self._flat[key][:size].reshape(shape)
 
 
@@ -336,23 +338,23 @@ def _nearest(queries: np.ndarray, matrix: np.ndarray, m: float, negate=False, sc
 
     Products go to one buffer reused by every block, at most
     ``max(_BLOCK_ELEMENTS, _BLOCK_ROWS // 2 * K)`` cells. Picks run in row slices of
-    ``_BLOCK_ELEMENTS`` cells, in two buffers reused for all: the tie mask and
-    ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``). The buffers come
-    from ``scratch`` (a :class:`_Scratch`), or a fresh one.
+    ``_PICK_ELEMENTS`` cells (or one row), in two buffers of at most that size reused
+    for all: the tie mask and ``|c + m|``, or ``|c - m|`` (the bits of ``|-c + m|``).
+    The buffers come from ``scratch`` (a :class:`_Scratch`), or a fresh one.
     """
     flags = negate if isinstance(negate, tuple) else (negate,)
     count, dim = queries.shape
     picks = tuple(
         (np.empty(count, dtype=np.intp), np.empty(count, dtype=np.float64)) for _ in flags
     )
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(matrix)))
-    rows = min(_BLOCK_ROWS, max(_BLOCK_ROWS // 2, step))
+    rows = min(_BLOCK_ROWS, max(_BLOCK_ROWS // 2, _BLOCK_ELEMENTS // max(1, len(matrix))))
+    step = max(1, _PICK_ELEMENTS // max(1, len(matrix)))
     blocks = -(-count // rows)
     bounds = [count * i // max(blocks, 1) for i in range(blocks + 1)]
     scratch = scratch or _Scratch()
     products = scratch("products", (min(count, rows), len(matrix)))
-    objective = scratch("objective", (min(step, rows), len(matrix)))
-    tied = scratch("tied", objective.shape, bool)
+    objective = scratch("objective", (min(step, rows, count), len(matrix)), cap=_PICK_ELEMENTS)
+    tied = scratch("tied", objective.shape, bool, cap=_PICK_ELEMENTS)
     for start, stop in zip(bounds, bounds[1:]):
         block = np.asarray(queries[start:stop], dtype=np.float64)
         sims = _block_products(block, matrix, products[: stop - start])

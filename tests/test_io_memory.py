@@ -2,10 +2,12 @@
 streams its frames to disk and holds each fake corpus as a table and an index,
 the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
-width, sampling against many anchors holds a 128-row block of products, the
-exact row fold holds less than its rows, the tracker mints a block of fakes at
-a time and loads its fakes at file width, and a header of zero-width rows
-sizes nothing by its row count: traced peaks.
+width, ``eval-temporal`` holds one block of videos whatever the file count,
+sampling against many anchors holds a 128-row block of products, the exact row
+fold holds less than its rows, the tracker mints a block of fakes at a time and
+loads its fakes at file width, the nearest-row kernel's pick buffers stay at
+one slice while a store grows and at one row for a lone query, and a header of
+zero-width rows sizes nothing by its row count: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
 memory the call held at once, on top of what existed before it.
@@ -14,6 +16,7 @@ memory the call held at once, on top of what existed before it.
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ import pytest
 from fiva import (
     AnchorSet,
     DimensionMismatch,
+    Embedding,
+    Gallery,
     SynthConfig,
     TrackerState,
     build_anchor_set,
@@ -29,7 +34,9 @@ from fiva import (
     load_gallery,
     load_rows,
     load_state,
+    retrieve,
     sample_batch,
+    sample_fake,
     save_state,
     score_rows,
     write_container,
@@ -291,6 +298,22 @@ def test_eval_temporal_holds_float32_videos(scored, tmp_path):
     assert peak <= ROWS * DIM * 4 + 3 * MiB + MiB
 
 
+def test_eval_temporal_peak_does_not_grow_with_the_file_count(rng, tmp_path, capsys):
+    # 400 files of 16 frames of D = 256 are 6.25 MiB as float32; held at once,
+    # they would add 5.5 MiB over 50 of them. Read and scored a block at a time,
+    # the two peaks differ by the per-video stats and report rows alone.
+    paths = []
+    for v in range(400):
+        rows = rng.normal(size=(16, DIM))
+        paths.append(tmp_path / f"v{v:03d}.emb")
+        write_container(paths[-1], rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    peaks = {
+        count: command_peak(["eval-temporal", "--frames", *paths[:count], "--report", tmp_path / f"r{count}.csv"])
+        for count in (50, 400)
+    }
+    assert abs(peaks[400] - peaks[50]) < 8 * _BLOCK_ELEMENTS
+
+
 def test_tracker_mints_a_block_of_fakes_at_a_time(rng):
     # 2049 identities grow the store's buffers to 4096 rows, so 2000 more mint
     # without regrowing them. Gathering those fakes at once as float64 and
@@ -383,3 +406,47 @@ def test_a_zero_width_header_sizes_nothing_by_its_row_count(tmp_path, capsys):
     assert peak < MiB
     assert cli.main(["eval-retrieval", "--probes", str(path), "--gallery", str(path)]) == 2
     assert capsys.readouterr().err == f"fiva: error: {message}\n"
+
+
+def test_tracker_pick_buffers_stay_at_one_slice_while_the_store_grows(rng):
+    # 3000 identities of D = 64 in scene order, each minted in turn: the store
+    # grows row by row, and the walk's blocks of products with it, up to
+    # _BLOCK_ELEMENTS cells (2 MiB). The pick's |c + m| and tie mask stay at one
+    # slice of _PICK_ELEMENTS cells (512 KiB and 64 KiB) however their need creeps
+    # up; doubled up to a block's cells they would add 2 MiB and break the bound.
+    dim = 64
+    anchors = rng.normal(size=(500, dim))
+    people = rng.normal(size=(3000, dim))
+    frames = np.repeat(people, 2, axis=0) + rng.normal(0.0, 0.01, size=(6000, dim))
+    for rows in (anchors, frames):
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    state = TrackerState(0.1, anchors=AnchorSet(anchors))
+    sizes = []
+    call = sphere._Scratch.__call__
+
+    def spy(scratch, key, *args, **kwargs):
+        buffer = call(scratch, key, *args, **kwargs)
+        if key == "objective":
+            sizes.append(scratch._flat[key].size)
+        return buffer
+
+    with mock.patch.object(sphere._Scratch, "__call__", spy):
+        (matched, _, _), peak = traced_peak(lambda: state.track_rows(frames))
+    assert len(state) == 3000 and matched.sum() == 3000
+    assert max(sizes) <= sphere._PICK_ELEMENTS < sphere._BLOCK_ELEMENTS
+    held = 6000 * (8 + 8 + 1 + 1)  # keys, distances and the matched and minted flags
+    assert peak <= held + 8 * _BLOCK_ELEMENTS + 9 * sphere._PICK_ELEMENTS + MiB
+
+
+def test_one_query_search_holds_one_row_of_picks(rng):
+    # A lone query against 1000 rows needs one row of |c + m| and of the tie
+    # mask (9 KiB beside its 8 KiB of products); pick buffers sized for a whole
+    # slice would hold 65 rows (585 KiB), or 256 rows in 2^18-cell slices.
+    rows = rng.normal(size=(1000, 64))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    anchors, gallery = AnchorSet(rows), Gallery(rows, [f"g{i}" for i in range(1000)])
+    query = Embedding(rows[3])
+    for call in (lambda: sample_fake(query, anchors, 0.0), lambda: retrieve(query, gallery)):
+        call()
+        _, peak = traced_peak(call)
+        assert peak < 64 * 1024

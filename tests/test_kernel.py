@@ -4,6 +4,8 @@ The oracle is the per-vector search: ``np.clip(M @ z, -1, 1)`` followed by
 ``argmin |c + m|``, one query at a time.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,27 @@ def test_retrieval_report_agrees_with_retrieve(rng):
             label, distance = retrieve(Embedding(-probe if negate else probe), gallery)
             assert outcome.retrieved_label == label
             assert abs(outcome.distance - distance) <= 16 * EPS
+
+
+@pytest.mark.parametrize("count", [1999, 2000, 4000])
+def test_pick_slices_leave_indices_and_cosine_bits(rng, monkeypatch, count):
+    # The pick works row by row, so a slice of one row, the default slice and a
+    # slice of the whole product block pick the same rows with the same bits.
+    # At these K the 330 queries run as three product blocks of 110 rows, and a
+    # default slice has 32 or 16 rows.
+    base = unit_rows(rng, count // 2, 16)
+    matrix = np.concatenate([base, base, unit_rows(rng, count % 2, 16)])
+    queries = np.concatenate([unit_rows(rng, 150, 16), near_copies(rng, matrix, 150), base[:30]])
+    slices = {"one_row": 1, "default": sphere._PICK_ELEMENTS, "whole_block": sphere._BLOCK_ROWS * count}
+    results = {}
+    for name, cells in slices.items():
+        monkeypatch.setattr(sphere, "_PICK_ELEMENTS", cells)
+        with mock.patch.object(sphere, "_pick", wraps=sphere._pick) as spy:
+            results[name] = [_nearest(queries, matrix, m, (False, True)) for m in (0.0, 0.3, -1.0)]
+        rows = {len(call.args[0]) for call in spy.call_args_list}
+        assert max(rows) == {"one_row": 1, "default": max(1, cells // count), "whole_block": 110}[name]
+    for name in ("default", "whole_block"):
+        for got, want in zip(results[name], results["one_row"]):
+            for (gi, gc), (wi, wc) in zip(got, want):
+                assert gi.tobytes() == wi.tobytes()
+                assert gc.tobytes() == wc.tobytes()
