@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown command),
-2 on data errors (malformed files, dimension conflicts, bad values).
+2 on data errors (malformed files, dimension conflicts, bad values, inputs
+too large for memory).
 Diagnostics go to stderr; data goes to files or stdout.
 
 A JSON config file (flat key/value pairs keyed by flag name, on/off flags
@@ -348,8 +349,8 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
     counts: list[int] = []
 
-    def video(path: str) -> np.ndarray:  # read as it is scored: the first bad file decides the error
-        rows = fio._load_table(path, opts.get("normalize"))[0]
+    def video(path: str) -> _Take:  # read as it is scored: the first bad file decides the error
+        rows = fio._distinct_table(path, opts.get("normalize"))[0]
         if not len(rows):
             raise EmptyList(f"{path}: a video needs at least one frame embedding")
         counts.append(len(rows))
@@ -506,8 +507,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if path is not None and not Path(path).resolve().parent.is_dir():
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         return args.func(args, opts)
-    except (FivaError, OSError, ValueError) as exc:
-        print(f"fiva: error: {exc}", file=sys.stderr)
+    except (FivaError, OSError, ValueError, MemoryError) as exc:
+        print(f"fiva: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("fiva: interrupted", file=sys.stderr)

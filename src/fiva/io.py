@@ -22,8 +22,8 @@ Each job has one path. Every reader walks a container the same way
 one reused buffer. Every container write, tracker states and ``fiva bench``'s
 streamed frames included, goes through one writer (:func:`_container_writer`)
 into a file that :func:`_opened` gives: a stream as it is, or a path through
-its staged temporary. A file whose repeated rows are held once is folded as
-it is read, one row at a time, by a dict of row hashes (:func:`_distinct_table`).
+its staged temporary. A scored file, probes or a video, is folded as it is
+read, one row at a time, by a dict of row hashes (:func:`_distinct_table`).
 
 Images travel as binary netpbm rasters with maxval 255: P6 for 3-channel,
 P5 for single-channel. Reading maps byte b to b / 255; writing maps v to
@@ -497,20 +497,6 @@ def _checked(
     return rows
 
 
-def _unit_file(
-    source: str | Path | BinaryIO, dtype, renormalize: bool
-) -> tuple[np.ndarray, list[str] | None]:
-    """The embedding file ``source`` read whole as a ``dtype`` matrix and
-    :func:`_checked` a block at a time from memory. The rows come back
-    read-only, as ``dtype`` rows, or as float64 projections with ``renormalize``."""
-    with _payload(source) as walk:
-        matrix = _fill(walk, dtype)
-    rows = _checked(matrix, ((part.start, matrix[part]) for part in _row_blocks(matrix)), renormalize)
-    rows = _normalize_rows(rows, "row") if renormalize else rows
-    rows.flags.writeable = False
-    return rows, walk[1]
-
-
 @contextlib.contextmanager
 def _open_rows(
     source: str | Path | BinaryIO, renormalize: bool = False
@@ -541,12 +527,12 @@ def _open_rows(
 
 
 def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str] | None]:
-    """:func:`_load_table`'s rows and labels with each distinct row held once: folded
-    gathered rows whose table holds the file's bit-distinct rows in order of first
-    appearance, and whose index gives each row's copy among them.
+    """The rows and labels of a scored embedding file, each distinct row held once:
+    folded gathered rows whose table holds the file's bit-distinct rows in order of
+    first appearance, and whose index gives each row's copy among them.
 
     The rows are folded in the one chunked pass that checks them (:func:`_checked`
-    over :func:`_payload`), so the errors and their order are :func:`_load_table`'s.
+    over :func:`_payload`), so the errors and their order are :func:`load_rows`'s.
     Each row, at the width the file stores or, with ``renormalize``, as a float64
     projection, is looked up by the hash of its bytes in a dict that gives the code
     of the first row to claim that hash, and a hit counts only if that row's bytes
@@ -588,19 +574,17 @@ def load_rows(
 ) -> tuple[np.ndarray, list[str] | None]:
     """Read an embedding file as a read-only float64 (count, dim) array of unit rows.
 
-    The file is read whole once into the float64 result and checked from
-    memory (see :func:`_unit_file`). Returns the rows and the labels (or
-    ``None``). :class:`Gallery` and :class:`AnchorSet` keep these rows without
-    a copy.
+    The file is read whole once into the float64 result and :func:`_checked` a
+    block at a time from memory; with ``renormalize`` the rows are their
+    projections. Returns the rows and the labels (or ``None``). :class:`Gallery`
+    and :class:`AnchorSet` keep these rows without a copy.
     """
-    return _unit_file(source, np.float64, renormalize)
-
-
-def _load_table(source, renormalize: bool = False) -> tuple[np.ndarray, list[str] | None]:
-    """:func:`load_rows` at the width the file stores: the rows as a read-only
-    float32 (count, dim) array. With ``renormalize`` the rows are
-    :func:`load_rows`'s float64 projections."""
-    return _unit_file(source, np.float64 if renormalize else "<f4", renormalize)
+    with _payload(source) as walk:
+        rows = _fill(walk, np.float64)
+    rows = _checked(rows, ((part.start, rows[part]) for part in _row_blocks(rows)), renormalize)
+    rows = _normalize_rows(rows, "row") if renormalize else rows
+    rows.flags.writeable = False
+    return rows, walk[1]
 
 
 def _labeled(source, loaded: tuple) -> tuple[np.ndarray, list[str]]:

@@ -142,45 +142,45 @@ class RetrievalReport(_ValueEq):
         return self.success_rate, self.threshold, self.per_query
 
 
-def _fold(corpus, name: str, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a corpus once (:func:`_unit_matrix`) and fold it once (:func:`_distinct_rows`):
-    an (N, D) array-like, or gathered rows, whose table is checked and folded once their
-    (N, D) shape is (so a shape error names N, not the table's length). Returns the
-    checked rows, the index of each distinct row at its first appearance, and a copy
-    code per row (per index entry), equal exactly when the rows are bit-equal. Folded
-    gathered rows are their own fold."""
+def _fold(corpus, name: str, dim: int | None = None) -> _Take:
+    """Check a corpus once (:func:`_unit_matrix`) and fold it once (:func:`_distinct_rows`)
+    into folded gathered rows: the checked rows of an (N, D) array-like, each indexed
+    by its first copy, or the checked table of gathered rows, its index mapped through
+    the table's fold once their (N, D) shape is checked (so a shape error names N, not
+    the table's length). Folded gathered rows are returned as they are."""
     gathered = isinstance(corpus, _Take)
     if gathered:
         _as_rows(corpus, name, dim)
         if corpus.folded:
-            return corpus.table, np.arange(len(corpus.table)), corpus.index
+            return corpus
     rows = _unit_matrix(corpus.table if gathered else corpus, name, dim)
     first, codes = _distinct_rows(rows)
-    return rows, first, codes[corpus.index] if gathered else codes
+    index = first[codes]
+    return _Take(rows, index[corpus.index] if gathered else index, folded=True)
 
 
-def _video_rows(frames) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_fold` of a video (a frame list or an (F, D) array) or of stacked videos
-    (an (N, D) array or gathered rows): checked rows, float32 kept, and copy codes."""
+def _video_rows(frames) -> _Take:
+    """:func:`_fold` of a video (a frame list, an (F, D) array or gathered rows) or
+    of stacked videos (an (N, D) array or gathered rows), float32 tables kept."""
     if not isinstance(frames, (np.ndarray, _Take)):
         frames = _stack(list(frames), "frame")
-    rows, _, codes = _fold(frames, "frame")
-    if not len(rows):
+    video = _fold(frames, "frame")
+    if not len(video):
         raise EmptyList("a video needs at least one frame embedding")
-    return rows, codes
+    return video
 
 
 def _video_distances(videos, codes) -> np.ndarray:
     """The (B, n, n) pairwise cosine distances within each video of a (B, n, D)
     block, widened to float64 (from a float32 array, or a list of videos), with
-    the (B, n) copy codes of its rows.
+    the (B, n) folded index of its rows.
 
     Entry (i, j) is ``|a - b|^2 / 2`` in Gram form, ``(s_i + s_j) / 2 - g_ij``
     with ``g = V V^T`` and ``s`` its diagonal, the squared row norms. On rows
     stored as float32, which lie up to ~1e-7 off the sphere, this keeps the
     difference form's value to ~1e-15 where ``1 - g_ij`` is off by ~1e-8.
     The upper triangle is mirrored, values are clipped to [0, 2], and every
-    pair of rows with equal codes, the diagonal included, is exactly 0.
+    pair of rows with equal index entries, the diagonal included, is exactly 0.
     """
     videos = np.asarray(videos, dtype=np.float64)
     codes = np.asarray(codes)
@@ -204,23 +204,23 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
     exactly zero for bit-identical frames. Each entry is within ``(D + 2) * eps``
     of the difference form computed on the rows as given.
     """
-    rows, codes = _video_rows(frames)
-    return _video_distances(rows[None], codes[None])[0]
+    video = _video_rows(frames)
+    return _video_distances(video[:][None], video.index[None])[0]
 
 
 def temporal_consistency(
     videos: Iterable[Sequence[Embedding] | np.ndarray] | np.ndarray,
 ) -> TemporalReport:
-    """Consistency statistics for a list or an iterable of videos (frame lists or
-    (F, D) arrays), for an (I, F, D) array of I videos, or for gathered rows with an
-    (I, F) index.
+    """Consistency statistics for a list or an iterable of videos (frame lists,
+    (F, D) arrays or gathered rows), for an (I, F, D) array of I videos, or for
+    gathered rows with an (I, F) index.
 
     Listed videos are read as they come, each folded once (:func:`_fold`), and scored
     in blocks of consecutive videos of one shape, a block per batched Gram product
     (see :func:`pairwise_distance_matrix`): an iterable is held a block at a time.
-    Stacked videos are folded as one table of rows: an (I, F, D) array is used in
-    place, gathered rows and float32 videos are read and widened a block of videos
-    at a time. A video's stats do not depend on the videos that share its block.
+    Stacked videos are folded as one table of rows. Either way a block's rows are
+    gathered from their table and widened when it is scored. A video's stats do not
+    depend on the videos that share its block.
     """
     means, stds = [], []
 
@@ -234,17 +234,17 @@ def temporal_consistency(
     if isinstance(videos, _Take) or (isinstance(videos, np.ndarray) and videos.ndim == 3):
         count, frames, dim = videos.shape
         gathered = isinstance(videos, _Take)
-        rows = _Take(videos.table, videos.index.ravel()) if gathered else videos.reshape(count * frames, dim)
-        table, codes = _video_rows(rows) if count else (rows, rows)  # no videos: raised below
-        videos = _Take(table, videos.index) if gathered else table.reshape(videos.shape)
+        rows = _Take(videos.table, videos.index.ravel(), videos.folded) if gathered else videos.reshape(count * frames, dim)
+        folded = _video_rows(rows) if count else None  # no videos: raised below
         step = max(1, _BLOCK_ELEMENTS // (frames * (frames + dim)))
         for start in range(0, count, step):
-            score(videos[start : start + step], codes.reshape(count, frames)[start : start + step])
+            index = folded.index.reshape(count, frames)[start : start + step]
+            score(folded.table[index], index)
     else:  # runs of consecutive videos of one shape, read as they come and cut into blocks
-        for (frames, dim), run in itertools.groupby(map(_video_rows, videos), lambda folded: folded[0].shape):
+        for (frames, dim), run in itertools.groupby(map(_video_rows, videos), lambda video: video.shape):
             step = max(1, _BLOCK_ELEMENTS // (frames * (frames + dim)))
             while block := list(itertools.islice(run, step)):
-                score(*zip(*block))
+                score([video[:] for video in block], [video.index for video in block])
     if not means:
         raise EmptyList("need at least one video")
     means, stds = np.concatenate(means), np.concatenate(stds)
@@ -294,10 +294,11 @@ def _search(
     rows are folded on their own bits."""
     if len(gallery) == 0:
         raise EmptyGallery("cannot retrieve from an empty gallery")
-    rows, first, codes = _fold(queries, "probe", gallery.dim)
-    used, spread = np.unique(codes, return_inverse=True)
+    folded = _fold(queries, "probe", gallery.dim)
+    used, spread = np.unique(folded.index, return_inverse=True)
+    rows = folded.table
     if len(used) < len(rows):  # else every row is used, in order: sliced, not gathered
-        rows = _Take(rows, first[used])
+        rows = _Take(rows, used)
     picks = _nearest(rows, gallery.matrix, -1.0, tuple(negate))
     return tuple((index[spread], 1.0 - cosine[spread]) for index, cosine in picks)
 

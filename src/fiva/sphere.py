@@ -239,8 +239,8 @@ def _tie(dim: int) -> float:
 class _Take:
     """The rows ``table[index]``, gathered only a slice of ``index`` at a time:
     a corpus that repeats a few rows many times, held as the rows and an index.
-    ``folded`` marks a table of unit rows checked when read, bit-distinct and in
-    the order of their first appearance in the index: rows that are their own fold."""
+    ``folded`` marks checked unit rows whose index entries are equal exactly when
+    their rows are bit-equal: rows that are their own fold."""
 
     table: np.ndarray
     index: np.ndarray

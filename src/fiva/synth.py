@@ -52,6 +52,12 @@ __all__ = [
 ANONYMIZER_MODES = ("negation", "anchor_sample", "slerp_blend")
 
 
+def _check_jitter(jitter_sigma: float) -> None:
+    """The frame jitter rule: a finite sigma >= 0."""
+    if not 0.0 <= jitter_sigma < np.inf:  # NaN fails too
+        raise ValueError(f"jitter_sigma must be >= 0 and finite, got {jitter_sigma}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Shape of a synthetic corpus."""
@@ -71,8 +77,7 @@ class SynthConfig:
             raise ValueError(
                 f"frames_per_identity must be >= 1, got {self.frames_per_identity}"
             )
-        if self.jitter_sigma < 0.0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
+        _check_jitter(self.jitter_sigma)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -119,8 +124,7 @@ def _frame_rows(center: np.ndarray, count: int, jitter_sigma: float, seed: int) 
     """The frames of :func:`generate_frames` as a (count, D) array."""
     if count < 1:
         raise ValueError(f"frame count must be >= 1, got {count}")
-    if jitter_sigma < 0.0:
-        raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
+    _check_jitter(jitter_sigma)
     if jitter_sigma == 0.0:
         return np.repeat(center[None, :], count, axis=0)
     rng = np.random.default_rng(seed)

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiva
+from fiva import cli
 from fiva import (
     load_embeddings,
     load_state,
@@ -834,6 +840,44 @@ def test_bench_value_error_leaves_out_dir_empty(capsys, tmp_path, value):
         "--mode", "anchor_sample", "--out-dir", str(out_dir), *value.split(),
     )
     assert code == 2, err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bench_non_finite_jitter_is_rejected_before_any_write(capsys, tmp_path, value):
+    out_dir = tmp_path / "bench"
+    code, _, err = run(capsys, "bench", "--dim", "16", "--identities", "6", "--jitter", value, "--out-dir", str(out_dir))
+    assert code == 2
+    assert err == f"fiva: error: jitter_sigma must be >= 0 and finite, got {float(value)}\n"
+    assert not out_dir.exists()
+
+
+def test_bench_too_large_for_memory_is_a_data_error(tmp_path):
+    # 10^11 identities of D = 512 ask numpy for 373 TiB at once: more than the
+    # 128 TiB a Linux process can map, so the allocation fails under any
+    # overcommit setting. Run in a child, as the command would be.
+    out_dir = tmp_path / "bench"
+    env = dict(os.environ, PYTHONPATH=str(Path(fiva.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "fiva.cli", "bench", "--identities", "100000000000", "--frames", "1",
+         "--out-dir", str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 2, child.stderr
+    assert len(child.stderr.splitlines()) == 1
+    assert child.stderr.startswith("fiva: error: Unable to allocate ") and " TiB " in child.stderr
+    assert list(out_dir.iterdir()) == []
+
+
+def test_bare_memory_error_is_a_data_error_that_leaves_no_temporary(capsys, tmp_path, monkeypatch):
+    # Raised once frames.emb's staged temporary is open, as a late block would.
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "end_to_end_benchmark", exhausted)
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, "bench", "--dim", "16", "--identities", "6", "--frames", "2", "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", "fiva: error: out of memory\n")
     assert list(out_dir.iterdir()) == []
 
 

@@ -7,7 +7,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fiva import Gallery, read_container, retrieval_reports, temporal_consistency, write_container
+from fiva import (
+    Gallery,
+    pairwise_distance_matrix,
+    read_container,
+    retrieval_reports,
+    temporal_consistency,
+    write_container,
+)
 from fiva import sphere
 from fiva.sphere import _Take
 
@@ -69,3 +76,23 @@ def test_temporal_consistency_of_repeated_rows(rng):
     assert got.video_means.tobytes() == want.video_means.tobytes()
     assert got.video_stds.tobytes() == want.video_stds.tobytes()
     assert got == want and got.video_means[3] == got.video_stds[3] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_listed_gathered_videos_have_the_bits_of_their_arrays(rng, dtype):
+    # Each video gathers a few rows of a larger table, so a video is its index's
+    # rows and not the table; indices repeat rows, and two table rows are bit-equal.
+    table = unit_rows(rng, 30, 16).astype(dtype)
+    table[9] = table[4]
+    indices = [rng.integers(0, len(table), size=n) for n in (6, 6, 11, 1, 6)]
+    indices[1][3] = indices[1][0]
+    indices[2][:5] = [9, 4, 9, 4, 4]
+    for index in indices:
+        got, want = pairwise_distance_matrix(_Take(table, index)), pairwise_distance_matrix(table[index])
+        assert got.shape == (len(index), len(index)) and got.tobytes() == want.tobytes()
+    assert not pairwise_distance_matrix(_Take(table, indices[2]))[:5, :5].any()
+    got = temporal_consistency([_Take(table, index) for index in indices])
+    want = temporal_consistency([table[index] for index in indices])
+    assert got.video_means.tobytes() == want.video_means.tobytes()
+    assert got.video_stds.tobytes() == want.video_stds.tobytes()
+    assert got == want

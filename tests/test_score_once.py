@@ -203,10 +203,10 @@ def videos_with_duplicates(draw):
 
 
 def zero_equal_codes(videos, distances):
-    """Set to 0 each pair of a (B, n, D) block's videos whose rows share a copy
-    code of the block's one fold, as temporal consistency does."""
+    """Set to 0 each pair of a (B, n, D) block's videos whose rows share an index
+    entry of the block's one fold, as temporal consistency does."""
     count, n, dim = videos.shape
-    codes = metrics._fold(videos.reshape(count * n, dim), "frame")[2].reshape(count, n)
+    codes = metrics._fold(videos.reshape(count * n, dim), "frame").index.reshape(count, n)
     distances[codes[:, :, None] == codes[:, None, :]] = 0.0
 
 

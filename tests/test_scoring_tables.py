@@ -42,7 +42,7 @@ def stored(rows):
 
 
 def materialized(source, renormalize=False):
-    """The float64 rows :func:`fio.load_rows` gives, in place of the float32 table."""
+    """The float64 rows :func:`fio.load_rows` gives, in place of the folded float32 table."""
     return fio.load_rows(source, renormalize)
 
 
@@ -54,10 +54,12 @@ def run(capsys, argv, report):
 
 
 def both_paths(capsys, tmp_path, argv):
-    """The command's result from the float32 tables, then with float64 rows."""
+    """The command's result from the folded float32 tables, then with float64 rows
+    read by the stand-in, which must have run."""
     table = run(capsys, argv, tmp_path / "table.csv")
-    with mock.patch.object(fio, "_load_table", materialized):
+    with mock.patch.object(fio, "_distinct_table", side_effect=materialized) as stand_in:
         wide = run(capsys, argv, tmp_path / "wide.csv")
+    assert stand_in.called
     return table, wide
 
 

@@ -99,6 +99,15 @@ class TestGenerateFrames:
         with pytest.raises(ValueError, match="jitter_sigma must be >= 0"):
             generate_frames(random_unit(rng, 8), count=2, jitter_sigma=-0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_config_and_frames_share_the_jitter_rule(self, rng, sigma):
+        message = f"jitter_sigma must be >= 0 and finite, got {sigma}"
+        with pytest.raises(ValueError) as config:
+            SynthConfig(jitter_sigma=sigma)
+        with pytest.raises(ValueError) as frames:
+            generate_frames(random_unit(rng, 8), count=2, jitter_sigma=sigma, seed=0)
+        assert str(config.value) == str(frames.value) == message
+
 
 class TestMockAnonymizer:
     def test_negation_mode(self, rng):

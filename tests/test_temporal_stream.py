@@ -26,7 +26,7 @@ def alone(paths, normalize):
     """The report of ``paths`` rendered from each video scored on its own."""
     rows, means, stds = [], [], []
     for i, path in enumerate(paths):
-        video = fio._load_table(path, normalize)[0]
+        video = fio._distinct_table(path, normalize)[0]
         report = temporal_consistency([video])
         means.append(report.video_means[0])
         stds.append(report.video_stds[0])
