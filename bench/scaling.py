@@ -30,6 +30,10 @@ I identities with F jittered frames each:
 - ``cli_track``: ``fiva track`` (``cli.main``, in process) of the frames file
   in scene order into an empty tracker with the anchors file, writing the
   fakes and the log;
+- ``cli_track_resume``: ``fiva track --state-in`` of the shuffled frames' file
+  with the anchors file, resumed from the saved state of the tracker the
+  scene-order run filled, writing the fakes and the log: matches only, so the
+  anchors are checked and never read;
 - ``cli_sample``: ``fiva sample`` of the frames file against the anchors file
   at m = 0, writing the fakes and the pick table;
 - ``cli_detect``: ``fiva detect`` of the frames file against the sampled
@@ -105,10 +109,10 @@ REFERENCE_AXIS = (1000, 4000, 16000)
 # Layers timed and traced along the reference axis.
 REFERENCE_LAYERS = ("sample_batch", "retrieval")
 # Layers whose tracemalloc peak is reported besides their time.
-CLI_LAYERS = ("cli_track", "cli_sample", "cli_detect", "cli_eval_retrieval",
+CLI_LAYERS = ("cli_track", "cli_track_resume", "cli_sample", "cli_detect", "cli_eval_retrieval",
               "cli_eval_retrieval_sampled", "cli_eval_temporal")
 TRACED = ("track_mint", "track_match", "io_write", "io_read", "io_fold", "io_state", "score_rows",
-          "cli_track", "cli_sample", "cli_detect",
+          "cli_track", "cli_track_resume", "cli_sample", "cli_detect",
           "cli_eval_retrieval", "cli_eval_retrieval_sampled", "cli_eval_temporal", "bench", "build_anchor_set")
 
 
@@ -126,8 +130,9 @@ def corpus(identities: int, frames: int):
 def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     """The gallery, labels, frames, anchors and sampled fakes of one grid point,
     how many distinct anchors the frames sampled, and the files of the frames,
-    the anchors, the fakes (labeled as their frames), the gallery and each
-    identity's video, with a folder for command outputs."""
+    the shuffled frames, the anchors, the fakes (labeled as their frames), the
+    gallery, each identity's video and the filled tracker's state, with a
+    folder for command outputs."""
     matrix, videos = corpus(identities, frames)
     names = [f"id_{i:04d}" for i in range(identities)]
     probes = videos.reshape(-1, DIM)
@@ -136,7 +141,10 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
     filled = fiva.TrackerState(anchors=anchors)
     filled.track_rows(probes)
     labels = [name for name in names for _ in range(frames)]
+    shuffled = probes[np.random.default_rng(SEED).permutation(len(probes))]
     fiva.write_container(workdir / "frames.emb", probes, labels)
+    fiva.write_container(workdir / "shuffled.emb", shuffled)
+    fiva.save_state(filled, workdir / "filled.state")
     fiva.write_container(workdir / "anchors.emb", anchors.matrix)
     fiva.write_container(workdir / "sampled.emb", anchors.matrix[picked], labels)
     fiva.write_container(workdir / "gallery.emb", matrix, names)
@@ -154,7 +162,7 @@ def inputs(fiva, identities: int, frames: int, workdir: Path) -> dict:
         "sampled": anchors.matrix[picked],
         "sampled_distinct": len(np.unique(picked)),
         "filled": filled,
-        "shuffled": probes[np.random.default_rng(SEED).permutation(len(probes))],
+        "shuffled": shuffled,
         "file": workdir / "frames.emb",
         "video_files": video_files,
         "workdir": workdir,
@@ -194,6 +202,9 @@ def cli_commands(x) -> dict[str, list]:
     return {
         "cli_track": ["track", "--frames", x["file"], "--anchors", w / "anchors.emb",
                       "--out", w / "tracked.emb", "--log", w / "track.csv"],
+        "cli_track_resume": ["track", "--frames", w / "shuffled.emb", "--anchors", w / "anchors.emb",
+                             "--state-in", w / "filled.state", "--out", w / "resumed.emb",
+                             "--log", w / "resumed.csv"],
         "cli_sample": ["sample", "--anchors", w / "anchors.emb", "--query", x["file"],
                        "--out", w / "fakes.emb"],
         "cli_detect": ["detect", "--inputs", x["file"], "--outputs", w / "sampled.emb",

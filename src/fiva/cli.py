@@ -14,6 +14,7 @@ flag nor the config does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import itertools
 import json
@@ -303,18 +304,21 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
-    anchors = None if args.anchors is None else AnchorSet(fio.load_rows(args.anchors, opts.get("normalize"))[0])
-    if args.state_in is None:
-        state = TrackerState(opts.get("threshold"), opts.get("margin"), anchors)
-    else:
-        state = load_state(args.state_in, anchors=anchors)
-        # A resumed tracker keeps its state's threshold and margin unless an
-        # option sets them; the setters range-check and round as the constructor does.
-        for name in ("threshold", "margin"):
-            if opts.given(name):
-                setattr(state, name, opts.get(name))
-    with fio._open_rows(args.frames, opts.get("normalize")) as (frames, _):
-        matched, keys, distances = state.track_rows(frames)
+    normalize = opts.get("normalize")
+    # The anchor file is checked whole here; the tracker reads it only if it mints.
+    anchor_file = contextlib.nullcontext((None, None)) if args.anchors is None else fio._open_rows(args.anchors, normalize)
+    with anchor_file as (anchors, _):
+        if args.state_in is None:
+            state = TrackerState(opts.get("threshold"), opts.get("margin"), anchors)
+        else:
+            state = load_state(args.state_in, anchors=anchors)
+            # A resumed tracker keeps its state's threshold and margin unless an
+            # option sets them; the setters range-check and round as the constructor does.
+            for name in ("threshold", "margin"):
+                if opts.given(name):
+                    setattr(state, name, opts.get(name))
+        with fio._open_rows(args.frames, normalize) as (frames, _):
+            matched, keys, distances = state.track_rows(frames)
     if args.out is not None:
         fio.write_container(args.out, _Take(state.fake_matrix, keys))
     _report(args.log, "frame_index,matched,key,distance", (

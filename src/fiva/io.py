@@ -509,14 +509,17 @@ def _open_rows(
     their index in the file. Each slice served is checked again as it is read, so
     a file changed in the meantime raises the same errors. Slices are read into
     one float64 buffer held while the block runs, grown to the largest slice
-    asked for: a slice holds its rows until the next slice is read.
+    asked for: a slice holds its rows until the next slice is read. A slice read
+    by ``read(start, stop, out)`` goes straight into ``out``, a float64 array of
+    its shape that the caller keeps.
     """
     with _payload(source) as walk:
         (count, dim), labels, chunks = walk
         held = _Scratch()
 
-        def read(start: int, stop: int) -> np.ndarray:
-            rows = _fill(walk, np.float64, start, stop, held("rows", (stop - start, dim)))
+        def read(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+            out = held("rows", (stop - start, dim)) if out is None else out
+            rows = _fill(walk, np.float64, start, stop, out)
             rows = _checked(rows, [(start, rows)], renormalize)
             return _normalize_rows(rows, "row", out=rows) if renormalize else rows
 

@@ -236,7 +236,7 @@ def temporal_consistency(
         gathered = isinstance(videos, _Take)
         rows = _Take(videos.table, videos.index.ravel(), videos.folded) if gathered else videos.reshape(count * frames, dim)
         folded = _video_rows(rows) if count else None  # no videos: raised below
-        step = max(1, _BLOCK_ELEMENTS // (frames * (frames + dim)))
+        step = max(1, _BLOCK_ELEMENTS // max(1, frames * (frames + dim)))
         for start in range(0, count, step):
             index = folded.index.reshape(count, frames)[start : start + step]
             score(folded.table[index], index)

@@ -264,10 +264,14 @@ class _CheckedRows:
     Kernels that only slice their rows take these in place of an array."""
 
     shape: tuple[int, int]
-    read: Callable[[int, int], np.ndarray]
+    read: Callable[..., np.ndarray]
 
     def __len__(self) -> int:
         return self.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.shape[1]
 
     def __getitem__(self, part: slice) -> np.ndarray:
         start, stop, _ = part.indices(self.shape[0])

@@ -46,6 +46,7 @@ from .sphere import (
     AnchorSet,
     Embedding,
     _block_products,
+    _CheckedRows,
     _nearest,
     _row_blocks,
     _Scratch,
@@ -104,9 +105,9 @@ def _mapped(count: int, dim: int, dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype, count * dim).reshape(count, dim)
 
 
-def _grown(rows: np.ndarray, used: int, capacity: int, dim: int) -> np.ndarray:
-    """A (capacity, dim) mapped buffer of ``rows``' dtype holding its first ``used`` rows."""
-    grown = _mapped(capacity, dim, rows.dtype)
+def _grown(rows: np.ndarray, used: int, capacity: int, dim: int, dtype=None) -> np.ndarray:
+    """A (capacity, dim) mapped buffer of ``dtype`` (default ``rows``') holding ``rows``' first ``used`` rows."""
+    grown = _mapped(capacity, dim, rows.dtype if dtype is None else dtype)
     if used:
         grown[:used] = rows[:used]
     return grown
@@ -122,8 +123,11 @@ class TrackerState:
         threshold: cosine-distance match threshold, strictly inside (0, 2).
             Quantized to single precision so persistence is lossless.
         margin: sampling margin forwarded to the anchor sampler.
-        anchors: anchor set used to mint fake identities. May be ``None``
-            for match-only use; minting then raises :class:`EmptyAnchorSet`.
+        anchors: anchor set used to mint fake identities, or rows checked in
+            their file (:func:`fiva.io._open_rows`), read into one at the first
+            mint (see :meth:`_anchor_set`).
+            May be ``None`` for match-only use; minting then raises
+            :class:`EmptyAnchorSet`.
         sampler: optional override mapping the read-only (M, D) stored rows of
             one call's new identities, in key order, to their (M, D) fakes.
             When given, ``anchors``/``margin`` are bypassed. Not persistable.
@@ -133,7 +137,7 @@ class TrackerState:
         self,
         threshold: float = DEFAULT_MATCH_THRESHOLD,
         margin: float = 0.0,
-        anchors: AnchorSet | None = None,
+        anchors: AnchorSet | _CheckedRows | None = None,
         sampler: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         self.threshold = threshold
@@ -143,8 +147,9 @@ class TrackerState:
         self.key_pointer = 0
         # Capacity-doubling (capacity, D) buffers indexed by key; rows at and
         # past key_pointer are unused. The stored rows are float64, the operand
-        # every lookup product takes at its width; the fakes are float32, the
-        # width every mint rounds them to, and are only gathered and written.
+        # every lookup product takes at its width (float32 from a first mint from
+        # anchors read from their file to the next track_rows call); the fakes are
+        # float32, the width every mint rounds them to, and are only gathered and written.
         self._stored = np.empty((0, 0), dtype=np.float64)
         self._fakes = np.empty((0, 0), dtype=np.float32)
 
@@ -205,13 +210,25 @@ class TrackerState:
         self._stored = _grown(self._stored, used, capacity, dim)
         self._fakes = _grown(self._fakes, self.key_pointer, capacity, dim)
 
-    def _sample_anchors(self, rows: np.ndarray) -> _Take:
-        """The anchor rows the sampler picks for ``rows``, gathered when sliced."""
+    def _anchor_set(self, used: int) -> AnchorSet:
+        """The anchor set to mint from while stored rows ``[0, used)`` are in use.
+
+        Anchors checked in their file are read at the first mint, straight into
+        the float64 array the anchor set keeps, and checked again as they are
+        read. Just before, the stored rows are rewritten at file width into a
+        fresh mapping, exact as each holds float32 values, so the anchors never
+        sit beside float64 stored rows; the next :meth:`track_rows` widens them.
+        """
         if self.anchors is None:
             raise EmptyAnchorSet(
                 "tracker has no anchor set attached; cannot mint a fake identity"
             )
-        return _Take(self.anchors.matrix, sample_batch(rows, self.anchors, self.margin)[0])
+        if isinstance(self.anchors, _CheckedRows):
+            self._stored = _grown(self._stored, used, *self._stored.shape, np.float32)
+            rows = self.anchors.read(0, len(self.anchors), np.empty(self.anchors.shape))
+            rows.flags.writeable = False
+            self.anchors = AnchorSet(rows)
+        return self.anchors
 
     def _mint_fakes(self, start: int, stop: int) -> None:
         """Fill the fakes of keys ``[start, stop)`` from their stored rows, a block
@@ -219,10 +236,11 @@ class TrackerState:
         use until the caller moves it past them."""
         if start == stop:
             return
-        rows = self._stored[start:stop]
+        anchors = self._anchor_set(stop) if self.sampler is None else None
+        rows = self._stored[start:stop]  # taken once the anchor set may have narrowed the store
         rows.flags.writeable = False
-        if self.sampler is None:  # anchor rows, checked when the anchor set was made
-            fakes = self._sample_anchors(rows)
+        if anchors is not None:  # anchor rows, checked when the anchor set was made
+            fakes = _Take(anchors.matrix, sample_batch(rows, anchors, self.margin)[0])
         else:
             fakes = _unit_matrix(self.sampler(rows), "fake identity", rows.shape[1])
         if len(fakes) != len(rows):
@@ -292,6 +310,8 @@ class TrackerState:
         as it was.
         """
         frames = _unit_matrix(frames, "frame embedding", self.dim)
+        if self._stored.dtype != np.float64:  # narrowed for a first mint: widened once
+            self._stored = _grown(self._stored, self.key_pointer, *self._stored.shape, np.float64)
         count = len(frames)
         minted = np.zeros(count, dtype=bool)
         key = np.empty(count, dtype=np.intp)
@@ -357,7 +377,7 @@ def _read_mapped(stream: BinaryIO, dtype) -> np.ndarray:
 
 def load_state(
     source: str | BinaryIO,
-    anchors: AnchorSet | None = None,
+    anchors: AnchorSet | _CheckedRows | None = None,
     sampler: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> TrackerState:
     """Rebuild a tracker from :func:`save_state` output.

@@ -5,12 +5,16 @@ scoring commands and the library's batch entries hold their inputs at file
 width, ``eval-temporal`` holds one block of videos whatever the file count,
 sampling against many anchors holds a 128-row block of products, the exact row
 fold holds less than its rows, the tracker mints a block of fakes at a time and
-loads its fakes at file width, the nearest-row kernel's pick buffers stay at
+loads its fakes at file width, ``track`` reads its anchors only when it mints and
+never beside float64 stored rows, the nearest-row kernel's pick buffers stay at
 one slice while a store grows and at one row for a lone query, and a header of
 zero-width rows sizes nothing by its row count: traced peaks.
 
 tracemalloc counts numpy's array buffers, so a peak over a call is the most
-memory the call held at once, on top of what existed before it.
+memory the call held at once, on top of what existed before it. The tracker's
+store lives in anonymous mappings, which it does not count; the tests that
+weigh the store make it traced numpy buffers of the same shapes
+(``traced_store``).
 """
 
 import re
@@ -43,7 +47,7 @@ from fiva import (
 )
 from fiva import gallery as gallery_module
 from fiva import io as fio
-from fiva import sphere
+from fiva import sphere, tracking
 from fiva.metrics import _distinct_rows
 from fiva.sphere import _BLOCK_ELEMENTS
 
@@ -177,11 +181,10 @@ def command_peak(argv):
 
 
 def test_track_holds_the_anchors_and_the_store_not_the_frames(scenes, tmp_path, capsys):
-    # The anchors are 1 MiB (held twice while the anchor set copies them), the
-    # store's 256 float64 stored rows and float32 fakes 0.75 MiB. Float64
-    # frames would add 2 MiB at 4 frames per identity and 8 MiB at 16; a block
-    # of rows read, products and gathered for the write stays under 3 MiB
-    # whatever the frame count.
+    # The anchors are 1 MiB as float64, read at the mint; the store is mapped,
+    # so untraced. Float64 frames would add 2 MiB at 4 frames per identity and
+    # 8 MiB at 16; a block of rows read, products and gathered for the write
+    # stays under 3 MiB whatever the frame count.
     peaks = {}
     for per in (4, 16):
         out = tmp_path / f"out{per}"
@@ -194,6 +197,97 @@ def test_track_holds_the_anchors_and_the_store_not_the_frames(scenes, tmp_path, 
     assert peaks[4] <= 2 * MiB + MiB + 3 * MiB
     # 3072 more frames add their log lines and per-frame keys, not their rows.
     assert peaks[16] <= peaks[4] + MiB // 2
+
+
+@pytest.fixture
+def traced_store(monkeypatch):
+    """The tracker's store made of traced numpy buffers, so peaks count it."""
+    monkeypatch.setattr(tracking, "_mapped", lambda count, dim, dtype: np.zeros((count, dim), dtype))
+
+
+def test_a_resumed_match_only_track_never_holds_the_anchors(scenes, tmp_path, traced_store, capsys):
+    # 4096 anchors of D = 256 are 8 MiB as float64. A resume that mints nothing
+    # checks their file a 256 KiB chunk at a time and never reads it whole: it
+    # holds the loaded store (256 identities, float64 stored rows and float32
+    # fakes, 0.75 MiB), a block of frames and its lookup, under 3 MiB.
+    rng = np.random.default_rng(6)
+    anchors = rng.normal(size=(4096, DIM))
+    write_container(tmp_path / "anchors.emb", anchors / np.linalg.norm(anchors, axis=1, keepdims=True))
+    first = ["track", "--frames", scenes / "frames4.emb", "--anchors", tmp_path / "anchors.emb"]
+    command_peak([*first, "--state-out", tmp_path / "state1.bin", "--log", tmp_path / "log1.csv"])
+    peak = command_peak([
+        "track", "--frames", scenes / "frames16.emb", "--anchors", tmp_path / "anchors.emb",
+        "--state-in", tmp_path / "state1.bin", "--state-out", tmp_path / "state2.bin",
+        "--out", tmp_path / "fakes.emb", "--log", tmp_path / "log2.csv",
+    ])
+    assert "tracked 4096 frames: 256 distinct identities" in capsys.readouterr().err
+    assert peak <= 256 * DIM * (8 + 4) + 3 * MiB < anchors.nbytes
+
+
+def test_a_minting_track_holds_the_anchors_beside_stored_rows_at_file_width(rng, tmp_path, traced_store, capsys):
+    # 2048 people of D = 512, each minted, against 2048 anchors: the anchors are
+    # 8 MiB as float64, read at the mint, the store's 2048 stored rows 8 MiB as
+    # float64 and 4 MiB at file width, its fakes 4 MiB. The mint holds a block of
+    # stored rows widened (for the norm check) or of fakes gathered (for the
+    # write), 2 MiB each and one at a time, a 128-row block of products (2 MiB)
+    # with its pick slices, and the frame reader's float64 block (1 MiB). Stored
+    # rows held at float64 beside the anchors (+4 MiB) break the bound.
+    count, dim = 2048, 512
+    people, anchors = (rng.normal(size=(count, dim)) for _ in range(2))
+    for name, rows in (("people", people), ("anchors", anchors)):
+        write_container(tmp_path / f"{name}.emb", rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    peak = command_peak([
+        "track", "--frames", tmp_path / "people.emb", "--anchors", tmp_path / "anchors.emb",
+        "--state-out", tmp_path / "state.bin", "--log", tmp_path / "log.csv",
+    ])
+    assert f"{count} distinct identities" in capsys.readouterr().err
+    assert peak <= anchors.nbytes + count * dim * (4 + 4) + 6 * MiB
+
+
+def test_an_in_memory_anchor_set_keeps_float64_stored_rows_across_minting_calls(rng, traced_store):
+    # 1024 identities of D = 256 and one more, which grows the store to 2048
+    # rows (4 MiB float64, fakes 2 MiB). Each later frame mints: a call holds its
+    # one-row lookup and mint, under 64 KiB. Rewriting the stored rows at file
+    # width for a mint (2 MiB) breaks the bound.
+    dim = 256
+    anchors, people = (rng.normal(size=(n, dim)) for n in (512, 1033))
+    for rows in (anchors, people):
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    state = TrackerState(anchors=AnchorSet(anchors))
+    state.track_rows(people[:1025])
+    stored = state._stored
+    assert stored.dtype == np.float64 and len(stored) == 2048
+    for row in people[1025:]:
+        result, peak = traced_peak(lambda: state.track(Embedding(row)))
+        assert not result.matched
+        assert state._stored is stored
+        assert peak < 64 * 1024
+
+
+def test_a_tracker_minting_from_file_anchors_then_tracking_again_is_one_built_in_memory(rng, tmp_path):
+    # The first minting call reads the anchors from their file and rewrites the
+    # stored rows at file width; the next call widens them once. Keys, distances,
+    # fakes and the saved state equal those of a tracker given the anchor set.
+    dim = 64
+    anchors, people = (rng.normal(size=(n, dim)) for n in (300, 120))
+    for rows in (anchors, people):
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    write_container(tmp_path / "anchors.emb", anchors)
+    chunks = [np.repeat(people[:80], 2, axis=0), people[rng.permutation(120)]]
+    kept = TrackerState(anchors=AnchorSet(load_rows(tmp_path / "anchors.emb")[0]))
+    with fio._open_rows(tmp_path / "anchors.emb") as (checked, _):
+        read = TrackerState(anchors=checked)
+        for chunk, width in zip(chunks, (np.float32, np.float64)):
+            want, got = kept.track_rows(chunk), read.track_rows(chunk)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert read._stored.dtype == width and kept._stored.dtype == np.float64
+    assert isinstance(read.anchors, AnchorSet)
+    assert read.anchors.matrix.tobytes() == kept.anchors.matrix.tobytes()
+    states = []
+    for state in (kept, read):
+        save_state(state, tmp_path / "state.bin")
+        states.append((tmp_path / "state.bin").read_bytes())
+    assert states[0] == states[1]
 
 
 def test_detect_peak_does_not_grow_with_the_row_count(scenes, tmp_path):

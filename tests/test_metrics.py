@@ -108,9 +108,12 @@ class TestTemporalConsistency:
         assert abs(report.mean_of_means - 0.3) <= 1e-9
         assert abs(report.mean_of_stds - 0.3) <= 1e-9
 
-    def test_empty_videos_rejected(self):
-        with pytest.raises(EmptyList):
-            temporal_consistency([])
+    @pytest.mark.parametrize(
+        "videos", [[], np.empty((0, 5, 8)), np.empty((0, 0, 8))], ids=["list", "stacked", "stacked_frameless"]
+    )
+    def test_empty_videos_rejected(self, videos):
+        with pytest.raises(EmptyList, match="need at least one video"):
+            temporal_consistency(videos)
 
     def test_empty_frame_list_rejected(self):
         with pytest.raises(EmptyList):
