@@ -62,7 +62,6 @@ from .sphere import (
     _as_rows,
     _check_norms,
     _CheckedRows,
-    _normalize_rows,
     _row_blocks,
     _Scratch,
     _stack,
@@ -476,7 +475,9 @@ def _checked(
     shape, then the first row off the sphere (with ``renormalize``, the first of
     norm zero). Each chunk that passes, while every row before it has, goes to
     ``keep`` with the index of its first row. A float32 chunk's norms are taken
-    from its rows widened into one buffer held for every chunk."""
+    from its rows widened into one buffer held for every chunk. With ``renormalize``
+    those float64 rows are divided in place by the norms just taken (the bits of
+    :func:`fiva.sphere._normalize_rows`), and ``keep`` gets these projections."""
     fault, held = None, _Scratch()
     for first, chunk in chunks:
         _check_finite(chunk, first)
@@ -486,11 +487,11 @@ def _checked(
                 wide = held("wide", chunk.shape)
                 wide[...] = chunk
             try:
-                _check_norms(wide, "row", renormalize, first=first)
+                norms = _check_norms(wide, "row", renormalize, first=first)
             except (NotUnitNorm, ZeroVector) as exc:
                 fault = exc
             else:
-                keep(first, chunk)
+                keep(first, np.divide(wide, norms[:, None], out=wide) if renormalize else chunk)
     rows = _as_rows(rows, "embedding")
     if fault:
         raise fault
@@ -507,21 +508,20 @@ def _open_rows(
     One chunked pass (:func:`_payload`) checks the whole file first and raises
     what :func:`load_rows` raises, in its order (:func:`_checked`), naming rows by
     their index in the file. Each slice served is checked again as it is read, so
-    a file changed in the meantime raises the same errors. Slices are read into
-    one float64 buffer held while the block runs, grown to the largest slice
-    asked for: a slice holds its rows until the next slice is read. A slice read
-    by ``read(start, stop, out)`` goes straight into ``out``, a float64 array of
-    its shape that the caller keeps.
+    a file changed in the meantime raises the same errors, and with
+    ``renormalize`` projected in place by the norms its check took. Slices are
+    read into one float64 buffer held while the block runs, grown to the largest
+    slice asked for: a slice holds its rows until the next slice is read. A slice
+    read by ``read(start, stop, out)`` goes straight into ``out``, a float64
+    array of its shape that the caller keeps.
     """
     with _payload(source) as walk:
         (count, dim), labels, chunks = walk
         held = _Scratch()
 
         def read(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-            out = held("rows", (stop - start, dim)) if out is None else out
-            rows = _fill(walk, np.float64, start, stop, out)
-            rows = _checked(rows, [(start, rows)], renormalize)
-            return _normalize_rows(rows, "row", out=rows) if renormalize else rows
+            rows = _fill(walk, np.float64, start, stop, held("rows", (stop - start, dim)) if out is None else out)
+            return _checked(rows, [(start, rows)], renormalize)
 
         try:
             yield _checked(_CheckedRows((count, dim), read), chunks(0, count), renormalize), labels
@@ -536,18 +536,18 @@ def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str]
 
     The rows are folded in the one chunked pass that checks them (:func:`_checked`
     over :func:`_payload`), so the errors and their order are :func:`load_rows`'s.
-    Each row, at the width the file stores or, with ``renormalize``, as a float64
-    projection, is looked up by the hash of its bytes in a dict that gives the code
-    of the first row to claim that hash, and a hit counts only if that row's bytes
-    are its bytes. A row whose hash another row holds is looked up by its bytes in
-    a second dict. A row found in neither is new: it takes the next code and is
-    written behind the rows kept so far. So the fold is exact whatever the hashes,
-    and its codes follow first appearance. The dicts cost about 100 bytes per
-    distinct row, a few percent of a 512-wide float32 row. The table of rows is
-    sized for every row and filled from the front, so the pages of rows a repeating
-    file never keeps are never written. Rows narrower than 2 fold to nothing and
-    size nothing by their count: their shape error comes once every chunk is
-    checked."""
+    Each row, at the width the file stores or, with ``renormalize``, as the float64
+    projection the check made, is looked up by the hash of its bytes in a dict that
+    gives the code of the first row to claim that hash, and a hit counts only if
+    that row's bytes are its bytes. A row whose hash another row holds is looked up
+    by its bytes in a second dict. A row found in neither is new: it takes the next
+    code and is written behind the rows kept so far. So the fold is exact whatever
+    the hashes, and its codes follow first appearance. The dicts cost about 100
+    bytes per distinct row, a few percent of a 512-wide float32 row. The table of
+    rows is sized for every row and filled from the front, so the pages of rows a
+    repeating file never keeps are never written. Rows narrower than 2 fold to
+    nothing and size nothing by their count: their shape error comes once every
+    chunk is checked."""
     with _payload(source) as ((count, dim), labels, chunks):
         table = np.empty((count if dim > 1 else 0, dim), np.float64 if renormalize else "<f4")
         index = np.empty(count, np.intp) if dim > 1 else np.broadcast_to(np.intp(0), count)
@@ -557,7 +557,7 @@ def _distinct_table(source, renormalize: bool = False) -> tuple[_Take, list[str]
             nonlocal kept
             if dim < 2:
                 return
-            for i, row in enumerate(_normalize_rows(chunk, "row") if renormalize else chunk, start):
+            for i, row in enumerate(chunk, start):
                 key = row.tobytes()
                 code = codes.setdefault(hash(key), kept)
                 if code < kept and table[code].tobytes() != key:  # another row holds its hash
@@ -577,15 +577,15 @@ def load_rows(
 ) -> tuple[np.ndarray, list[str] | None]:
     """Read an embedding file as a read-only float64 (count, dim) array of unit rows.
 
-    The file is read whole once into the float64 result and :func:`_checked` a
-    block at a time from memory; with ``renormalize`` the rows are their
-    projections. Returns the rows and the labels (or ``None``). :class:`Gallery`
-    and :class:`AnchorSet` keep these rows without a copy.
+    The file is read whole once into the float64 result and :func:`_checked` as
+    one chunk from memory; with ``renormalize`` the rows are projected in place by
+    the norms the check took, so the rows are held once. Returns the rows and the
+    labels (or ``None``). :class:`Gallery` and :class:`AnchorSet` keep these rows
+    without a copy.
     """
     with _payload(source) as walk:
         rows = _fill(walk, np.float64)
-    rows = _checked(rows, ((part.start, rows[part]) for part in _row_blocks(rows)), renormalize)
-    rows = _normalize_rows(rows, "row") if renormalize else rows
+    rows = _checked(rows, [(0, rows)], renormalize)
     rows.flags.writeable = False
     return rows, walk[1]
 

@@ -207,13 +207,12 @@ def _frozen(matrix) -> np.ndarray:
     return matrix
 
 
-def _normalize_rows(rows, name: str = "row", out: np.ndarray | None = None) -> np.ndarray:
+def _normalize_rows(rows, name: str = "row") -> np.ndarray:
     """:func:`_as_rows` as float64 projected onto the sphere, each row with the bits
-    of ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs), into
-    ``out`` if given. Raises :class:`ZeroVector` naming the first row of norm
-    <= 1e-12 or not finite."""
+    of ``row / np.linalg.norm(row)`` (a matrix ``np.linalg.norm`` differs). Raises
+    :class:`ZeroVector` naming the first row of norm <= 1e-12 or not finite."""
     arr = _as_rows(np.asarray(rows, dtype=np.float64), name)
-    return np.divide(arr, _check_norms(arr, name, renormalize=True)[:, None], out=out)
+    return arr / _check_norms(arr, name, renormalize=True)[:, None]
 
 
 # Most query rows per block of the nearest-row kernel. Half of it is the

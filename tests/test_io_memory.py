@@ -1,4 +1,5 @@
-"""Container I/O holds each file once or one block of it, ``fiva bench``
+"""Container I/O holds each file once or one block of it (``load_rows`` with
+``renormalize`` projects its rows in place), ``fiva bench``
 streams its frames to disk and holds each fake corpus as a table and an index,
 the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
@@ -98,6 +99,16 @@ def test_load_rows_holds_the_float64_result_and_one_chunk(labeled_rows, tmp_path
     (loaded, loaded_labels), peak = traced_peak(lambda: load_rows(path))
     assert loaded_labels == labels
     assert loaded.tobytes() == rows.astype(np.float32).astype(np.float64).tobytes()
+    assert peak <= loaded.nbytes + MiB
+
+
+def test_load_rows_with_normalize_holds_its_rows_once(labeled_rows, tmp_path):
+    # The check projects the float64 result in place: no second (N, D) array.
+    rows, labels = labeled_rows
+    path = tmp_path / "rows.emb"
+    write_container(path, rows * np.linspace(0.5, 4.0, len(rows))[:, None], labels)
+    (loaded, _), peak = traced_peak(lambda: load_rows(path, renormalize=True))
+    assert loaded.tobytes() == sphere._normalize_rows(fio.read_container(path)[0]).tobytes()
     assert peak <= loaded.nbytes + MiB
 
 
