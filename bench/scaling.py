@@ -354,7 +354,7 @@ def main(argv=None) -> int:
                         help="time only the smallest point of each axis")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    import fiva
+    import fiva.io  # binds fiva; layers() takes a private reader from fiva.io
 
     identity_axis = IDENTITY_AXIS[:1] if args.smallest else IDENTITY_AXIS
     frame_axis = FRAME_AXIS[:1] if args.smallest else FRAME_AXIS

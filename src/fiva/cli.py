@@ -24,33 +24,18 @@ import signal
 import sys
 import threading
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
+# Every command reads or writes its files through io, which loads sphere and
+# gallery. Each command imports the other layers it runs, so that a process
+# loads only those.
 from . import io as fio
-from .defense import (
-    NoiseSpec,
-    fgsm_defense,
-    fraction_sweep,
-    parameter_noise,
-    toy_oracle,
-    uniform_pixel_noise,
-)
-from .detector import DEFAULT_DETECT_THRESHOLD, _check_threshold, score_rows
 from .errors import ConfigError, EmptyList, FivaError
-from .metrics import retrieval_report, temporal_consistency
-from .sampling import sample_batch
-from .sphere import AnchorSet, _Take, build_anchor_set
-from .synth import (
-    MockAnonymizer,
-    SynthConfig,
-    end_to_end_benchmark,
-    generate_identities,
-)
-from .tracking import DEFAULT_MATCH_THRESHOLD, TrackerState, _f32_margin, load_state, save_state
+from .sphere import DEFAULT_DETECT_THRESHOLD, DEFAULT_MATCH_THRESHOLD, AnchorSet, _Take, build_anchor_set
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 SEED_ENV_VAR = "FIVA_SEED"
 
@@ -292,6 +277,8 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
+    from .sampling import _f32_margin, sample_batch
+
     anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize"))[0])
     with fio._open_rows(args.query, opts.get("normalize")) as (queries, _):
         margin = _f32_margin(opts.get("margin"))
@@ -304,6 +291,8 @@ def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
+    from .tracking import TrackerState, load_state, save_state
+
     normalize = opts.get("normalize")
     # The anchor file is checked whole here; the tracker reads it only if it mints.
     anchor_file = contextlib.nullcontext((None, None)) if args.anchors is None else fio._open_rows(args.anchors, normalize)
@@ -332,6 +321,8 @@ def _cmd_track(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
+    from .metrics import retrieval_report
+
     normalize = opts.get("normalize")
     probes, labels = fio._labeled(args.probes, fio._distinct_table(args.probes, normalize))
     gallery = fio.load_gallery(args.gallery, normalize)
@@ -351,6 +342,8 @@ def _cmd_eval_retrieval(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_eval_temporal(args: argparse.Namespace, opts: _Options) -> int:
+    from .metrics import temporal_consistency
+
     counts: list[int] = []
 
     def video(path: str) -> _Take:  # read as it is scored: the first bad file decides the error
@@ -382,6 +375,8 @@ def _sweep_path(output: str, fraction: float) -> str:
 
 
 def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
+    from .defense import NoiseSpec, fgsm_defense, fraction_sweep, parameter_noise, toy_oracle, uniform_pixel_noise
+
     mode = args.mode
     epsilon = _PARAM_EPSILON if mode == "param" and not opts.given("epsilon") else opts.get("epsilon")
     seed = opts.get("seed")
@@ -427,6 +422,8 @@ def _cmd_defend(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
+    from .detector import _check_threshold, score_rows
+
     normalize = opts.get("normalize")
     with (
         fio._open_rows(args.inputs, normalize) as (inputs, _),
@@ -446,6 +443,8 @@ def _cmd_detect(args: argparse.Namespace, opts: _Options) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, opts: _Options) -> int:
+    from .synth import MockAnonymizer, SynthConfig, end_to_end_benchmark, generate_identities
+
     config = SynthConfig(
         dimension=opts.get("dim"), identity_count=opts.get("identities"),
         frames_per_identity=opts.get("frames"), jitter_sigma=opts.get("jitter"), seed=opts.get("seed"),
@@ -502,15 +501,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
+            opts = _Options(args)
+            # Outputs lie in existing directories, checked before any input is read.
+            for name in ("out", "log", "state_out", "provenance", "skips", "report", "output"):
+                path = getattr(args, name, None)
+                if path is not None and not Path(path).resolve().parent.is_dir():
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            return args.func(args, opts)
+        except SystemExit as exc:  # the parser's: --help, or a usage error
             return int(exc.code or 0)
-        opts = _Options(args)
-        # Outputs lie in existing directories, checked before any input is read.
-        for name in ("out", "log", "state_out", "provenance", "skips", "report", "output"):
-            path = getattr(args, name, None)
-            if path is not None and not Path(path).resolve().parent.is_dir():
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        return args.func(args, opts)
+        finally:  # within the handlers below: a stdout that cannot take the output is a data error
+            sys.stdout.flush()
     except (FivaError, OSError, ValueError, MemoryError) as exc:
         print(f"fiva: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
@@ -522,5 +523,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             signal.signal(signal.SIGTERM, previous)
 
 
+def run() -> NoReturn:
+    """The ``fiva`` command and ``python -m fiva.cli``: :func:`main` on the
+    process's arguments, then the process ends with its exit code. By then every
+    output is closed and replaced and stdout is flushed, so the process ends
+    without the interpreter's teardown, which would only free memory."""
+    os._exit(main())
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

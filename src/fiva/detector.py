@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyList, ShapeMismatch
-from .sphere import Embedding, _row_blocks, _row_dots, _stack, _unit_matrix, cosine_distance
+from .sphere import DEFAULT_DETECT_THRESHOLD, Embedding, _row_blocks, _row_dots, _stack, _unit_matrix, cosine_distance
 
 __all__ = [
     "DEFAULT_DETECT_THRESHOLD",
@@ -24,10 +24,6 @@ __all__ = [
     "score_distribution",
     "score_rows",
 ]
-
-# Distance above which a pair is flagged; chosen so genuine re-encodings
-# of the same face land clearly below and identity swaps clearly above.
-DEFAULT_DETECT_THRESHOLD = 0.6
 
 HISTOGRAM_BINS = 40
 

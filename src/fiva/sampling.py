@@ -27,6 +27,11 @@ def _check_margin(m: float) -> float:
     return m
 
 
+def _f32_margin(value: float) -> float:
+    """A margin range-checked and rounded to single precision, as a tracker holds it."""
+    return float(np.float32(_check_margin(value)))
+
+
 @dataclass(frozen=True)
 class SampleResult:
     """Outcome of one sampling call."""

@@ -48,6 +48,16 @@ __all__ = [
 # precision loss of a single-precision file round trip.
 UNIT_NORM_TOL = 1e-6
 
+# Cosine-distance operating point of the reference verifier at a false
+# acceptance rate of one in a thousand: the tracker's default match threshold
+# (``fiva.tracking``) and the default retrieval threshold.
+DEFAULT_MATCH_THRESHOLD = 0.63
+
+# Distance above which ``fiva.detector`` flags a pair by default; chosen so
+# genuine re-encodings of the same face land clearly below and identity swaps
+# clearly above.
+DEFAULT_DETECT_THRESHOLD = 0.6
+
 # Below this norm a vector has no usable direction.
 _ZERO_NORM_TOL = 1e-12
 

@@ -39,10 +39,11 @@ from .errors import (
     NotUnitNorm,
     ShapeMismatch,
 )
-from .sampling import _check_margin, sample_batch
+from .sampling import _f32_margin, sample_batch
 from .sphere import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROWS,
+    DEFAULT_MATCH_THRESHOLD,
     AnchorSet,
     Embedding,
     _block_products,
@@ -63,21 +64,12 @@ __all__ = [
     "load_state",
 ]
 
-# Cosine-distance operating point of the reference verifier at a false
-# acceptance rate of one in a thousand.
-DEFAULT_MATCH_THRESHOLD = 0.63
-
 # Trailer appended after the two embedding blocks of a state file.
 _TRAILER = struct.Struct("<ffI")
 
 # Unit-norm slack allowed when validating reloaded state; single-precision
 # storage can add ~1e-7 on top of the live tolerance.
 _LOAD_NORM_TOL = 1e-5
-
-
-def _f32_margin(value: float) -> float:
-    """A margin range-checked and rounded to single precision, as a tracker holds it."""
-    return float(np.float32(_check_margin(value)))
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,9 @@ class TrackerState:
         rows = self._stored[start:stop]  # taken once the anchor set may have narrowed the store
         rows.flags.writeable = False
         if anchors is not None:  # anchor rows, checked when the anchor set was made
-            fakes = _Take(anchors.matrix, sample_batch(rows, anchors, self.margin)[0])
+            # The stored rows are frames track_rows checked, so they are not checked again.
+            checked = _CheckedRows(rows.shape, lambda start, stop: rows[start:stop].astype(np.float64, copy=False))
+            fakes = _Take(anchors.matrix, sample_batch(checked, anchors, self.margin)[0])
         else:
             fakes = _unit_matrix(self.sampler(rows), "fake identity", rows.shape[1])
         if len(fakes) != len(rows):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fiva
-from fiva import cli
+from fiva import cli, synth
 from fiva import (
     load_embeddings,
     load_state,
@@ -874,7 +874,7 @@ def test_bare_memory_error_is_a_data_error_that_leaves_no_temporary(capsys, tmp_
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "end_to_end_benchmark", exhausted)
+    monkeypatch.setattr(synth, "end_to_end_benchmark", exhausted)
     out_dir = tmp_path / "bench"
     code, out, err = run(capsys, "bench", "--dim", "16", "--identities", "6", "--frames", "2", "--out-dir", str(out_dir))
     assert (code, out, err) == (2, "", "fiva: error: out of memory\n")

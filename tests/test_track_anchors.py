@@ -10,8 +10,9 @@ import threading
 import numpy as np
 import pytest
 
-from fiva import TrackerState, write_container
+from fiva import AnchorSet, TrackerState, write_container
 from fiva import io as fio
+from fiva import sphere
 from fiva.cli import main
 from fiva.sphere import _BLOCK_ELEMENTS
 
@@ -154,3 +155,27 @@ def test_piped_and_csv_anchors_are_read_once_and_give_the_bytes_of_an_emb_path(
         assert written == want, source
         assert [str(path) for path in opened].count(str(scene / source)) == 1
         assert len(parsed) == (source == "anchors.csv")
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["anchor-set", "anchor-file"])
+def test_a_mint_does_not_check_the_frames_it_stored_again(scene, monkeypatch, from_file):
+    # Every new identity mints from its stored row, a frame track_rows checked.
+    seen = []
+    check = sphere._check_norms
+
+    def spy(arr, *args, **kwargs):
+        seen.append((args[0], len(arr)))
+        return check(arr, *args, **kwargs)
+
+    monkeypatch.setattr(sphere, "_check_norms", spy)
+    monkeypatch.setattr(fio, "_check_norms", spy)
+    chunks = [fio.read_container(scene / name)[0] for name in ("chunk1.emb", "newcomers.emb")]
+    with fio._open_rows(scene / "anchors.emb", False) as (rows, _):
+        anchors = rows if from_file else AnchorSet(fio.read_container(scene / "anchors.emb")[0])
+        tracker = TrackerState(anchors=anchors)
+        for frames in chunks:
+            seen.clear()
+            tracker.track_rows(frames)
+            # The anchor file's rows are checked as 'row' when read, and as 'anchor' by AnchorSet.
+            assert sum(count for name, count in seen if name not in ("row", "anchor")) == len(frames)
+    assert tracker.key_pointer > PEOPLE  # the second call minted too
