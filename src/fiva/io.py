@@ -278,37 +278,31 @@ def _parse_label_block(block: bytes, count: int) -> list[str]:
 
 
 @contextlib.contextmanager
-def _staged(destination: str | Path) -> Iterator[str | Path]:
-    """The path to write the file ``destination`` through: the temporary
-    ``.NAME.PID.tmp`` in its directory, which replaces ``destination`` by
-    ``os.replace`` when the block exits cleanly, so a failed write leaves the old
-    file whole. On any exception the temporary is removed, and an error naming
-    it names ``destination`` instead. Devices and pipes are written in place
-    (their path is given back as it came); a symlink's target is replaced."""
+def _opened(destination: str | Path | BinaryIO) -> Iterator[BinaryIO]:
+    """``destination`` as a binary file to write. A file object is used as it is
+    given, and a device or pipe is written in place. A path is written through the
+    temporary ``.NAME.PID.tmp`` in its directory, which replaces it by ``os.replace``
+    when the block exits cleanly, so a failed write leaves the old file whole (a
+    symlink's target is replaced). On any exception the temporary is removed, and
+    an error naming it names ``destination`` instead."""
+    if hasattr(destination, "write"):
+        yield destination
+        return
     path = Path(destination).resolve()
     if path.exists() and not path.is_file():
-        yield destination  # errors name the path as given
+        with open(destination, "wb") as fh:  # errors name the path as given
+            yield fh
         return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        yield temporary
+        with open(temporary, "wb") as fh:
+            yield fh
         os.replace(temporary, path)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
         if getattr(exc, "filename", None) == str(temporary) and exc.filename2 is None:
             exc.filename = os.fspath(destination)  # name the file the caller asked for
         raise
-
-
-@contextlib.contextmanager
-def _opened(destination: str | Path | BinaryIO) -> Iterator[BinaryIO]:
-    """``destination`` as a binary file to write: a file object as it is given,
-    or a path created or truncated through :func:`_staged`."""
-    if hasattr(destination, "write"):
-        yield destination
-        return
-    with _staged(destination) as path, open(path, "wb") as fh:
-        yield fh
 
 
 @contextlib.contextmanager

@@ -179,8 +179,9 @@ def _video_distances(videos, codes) -> np.ndarray:
     with ``g = V V^T`` and ``s`` its diagonal, the squared row norms. On rows
     stored as float32, which lie up to ~1e-7 off the sphere, this keeps the
     difference form's value to ~1e-15 where ``1 - g_ij`` is off by ~1e-8.
-    The upper triangle is mirrored, values are clipped to [0, 2], and every
-    pair of rows with equal index entries, the diagonal included, is exactly 0.
+    numpy forms ``g`` by SYRK, one triangle copied to the other, so ``g`` and the
+    distances are exactly symmetric. Values are clipped to [0, 2], and every pair
+    of rows with equal index entries, the diagonal included, is exactly 0.
     """
     videos = np.asarray(videos, dtype=np.float64)
     codes = np.asarray(codes)
@@ -189,8 +190,7 @@ def _video_distances(videos, codes) -> np.ndarray:
     distances = squares[:, :, None] + squares[:, None, :]
     distances *= 0.5
     distances -= gram
-    lower, upper = np.tril_indices(videos.shape[1], -1)
-    distances[:, lower, upper] = distances[:, upper, lower]
+    del gram, squares  # freed before the mask: squares is a view of gram
     np.clip(distances, 0.0, 2.0, out=distances)
     distances[codes[:, :, None] == codes[:, None, :]] = 0.0
     return distances
@@ -200,9 +200,9 @@ def pairwise_distance_matrix(frames: Sequence[Embedding] | np.ndarray) -> np.nda
     """All-pairs cosine distances of a frame list or (N, D) array as an (N, N) array.
 
     For unit vectors 1 - cos(a, b) equals |a - b|^2 / 2, which is computed
-    here in Gram form: the matrix is exactly symmetric, in [0, 2], and
-    exactly zero for bit-identical frames. Each entry is within ``(D + 2) * eps``
-    of the difference form computed on the rows as given.
+    here in Gram form: the matrix is exactly symmetric, as numpy's ``V V^T`` is,
+    in [0, 2], and exactly zero for bit-identical frames. Each entry is within
+    ``(D + 2) * eps`` of the difference form computed on the rows as given.
     """
     video = _video_rows(frames)
     return _video_distances(video[:][None], video.index[None])[0]
@@ -227,9 +227,9 @@ def temporal_consistency(
     def score(rows, codes) -> None:  # a block of videos of one (F, D) shape
         distances = _video_distances(rows, codes)
         mean = distances.mean(axis=(1, 2))
-        deviation = distances - mean[:, None, None]
+        distances -= mean[:, None, None]  # the deviations, squared in place
         means.append(mean)
-        stds.append(np.sqrt((deviation * deviation).mean(axis=(1, 2))))
+        stds.append(np.sqrt(np.square(distances, out=distances).mean(axis=(1, 2))))
 
     if isinstance(videos, _Take) or (isinstance(videos, np.ndarray) and videos.ndim == 3):
         count, frames, dim = videos.shape

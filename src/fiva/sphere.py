@@ -208,8 +208,12 @@ def _unit_matrix(
 
 def _frozen(matrix) -> np.ndarray:
     """``matrix`` as a read-only float64 array: a float64 array that owns its data
-    and is read-only already, as the file loaders return, is kept; any other
-    rows, a caller's writable array included, are copied."""
+    and is read-only already, as the file loaders return, is kept; rows checked as
+    they are read (:class:`_CheckedRows`) are read whole into a fresh one; any
+    other rows, a caller's writable array included, are copied."""
+    if isinstance(matrix, _CheckedRows):
+        matrix = matrix.read(0, len(matrix), np.empty(matrix.shape))
+        matrix.flags.writeable = False
     kept = isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
     if not (kept and matrix.flags.owndata and not matrix.flags.writeable):
         matrix = np.array(matrix, dtype=np.float64)
@@ -515,7 +519,8 @@ class SkippedPair:
 class AnchorSet:
     """An ordered collection of unit anchors available for sampling, held as a
     read-only (K, D) float64 array: the rows a loader returns, kept without a
-    copy, or a copy of any other rows given (see :func:`_frozen`).
+    copy, rows checked as they are read, read whole and not checked again, or a
+    copy of any other rows given (see :func:`_frozen`).
 
     ``provenance`` is populated by :func:`build_anchor_set`; anchor sets
     loaded back from plain embedding files carry ``None`` because the file
@@ -528,7 +533,7 @@ class AnchorSet:
     skipped: tuple[SkippedPair, ...] = ()
 
     def __post_init__(self) -> None:
-        matrix = _unit_matrix(_frozen(self.matrix), "anchor")
+        matrix = _frozen(_unit_matrix(self.matrix, "anchor"))
         object.__setattr__(self, "matrix", matrix)
         if self.provenance is not None:
             prov = tuple(self.provenance)

@@ -217,9 +217,7 @@ class TrackerState:
             )
         if isinstance(self.anchors, _CheckedRows):
             self._stored = _grown(self._stored, used, *self._stored.shape, np.float32)
-            rows = self.anchors.read(0, len(self.anchors), np.empty(self.anchors.shape))
-            rows.flags.writeable = False
-            self.anchors = AnchorSet(rows)
+            self.anchors = AnchorSet(self.anchors)
         return self.anchors
 
     def _mint_fakes(self, start: int, stop: int) -> None:

@@ -3,7 +3,8 @@
 streams its frames to disk and holds each fake corpus as a table and an index,
 the anchor set and the gallery keep the rows their builders made, the
 scoring commands and the library's batch entries hold their inputs at file
-width, ``eval-temporal`` holds one block of videos whatever the file count,
+width, ``eval-temporal`` holds one block of videos whatever the file count
+and one long video's Gram product and distances, not a mirror's indices,
 sampling against many anchors holds a 128-row block of products, the exact row
 fold holds less than its rows, the tracker mints a block of fakes at a time and
 loads its fakes at file width, ``track`` reads its anchors only when it mints and
@@ -44,6 +45,7 @@ from fiva import (
     sample_fake,
     save_state,
     score_rows,
+    temporal_consistency,
     write_container,
 )
 from fiva import gallery as gallery_module
@@ -417,6 +419,20 @@ def test_eval_temporal_peak_does_not_grow_with_the_file_count(rng, tmp_path, cap
         for count in (50, 400)
     }
     assert abs(peaks[400] - peaks[50]) < 8 * _BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["stacked", "listed"])
+def test_one_long_video_holds_its_gram_product_and_distances(rng, listed):
+    # One 2000-frame video of D = 512 is 3.9 MiB as float32. Scoring it holds its
+    # rows gathered (3.9 MiB) and widened (7.8 MiB), then the Gram product and the
+    # distances (30.5 MiB each), 72.9 MiB in all. The product is freed before the
+    # 3.8 MiB mask of equal pairs; the deviations are taken in the distances. A
+    # mirror's index pair (30.5 MiB of intp), or a deviation copy, breaks the bound.
+    video = rng.normal(size=(2000, 512))
+    video = (video / np.linalg.norm(video, axis=1, keepdims=True)).astype(np.float32)
+    report, peak = traced_peak(lambda: temporal_consistency([video] if listed else video[None]))
+    assert len(report.video_means) == 1
+    assert peak <= 80 * MiB
 
 
 def test_tracker_mints_a_block_of_fakes_at_a_time(rng):

@@ -179,3 +179,27 @@ def test_a_mint_does_not_check_the_frames_it_stored_again(scene, monkeypatch, fr
             # The anchor file's rows are checked as 'row' when read, and as 'anchor' by AnchorSet.
             assert sum(count for name, count in seen if name not in ("row", "anchor")) == len(frames)
     assert tracker.key_pointer > PEOPLE  # the second call minted too
+
+
+def test_a_minting_track_checks_each_anchor_row_twice(scene, capsys, monkeypatch):
+    # Once in the pass that checks the file when track starts and once as the first
+    # mint reads it; the anchor set keeps the rows that read checked.
+    anchors = fio.read_container(scene / "anchors.emb")[0].astype(np.float64)
+    position = {row.tobytes(): i for i, row in enumerate(anchors)}
+    checks, names = np.zeros(len(anchors), dtype=int), set()
+    check = sphere._check_norms
+
+    def spy(arr, name, *args, **kwargs):
+        for row in arr:
+            if (i := position.get(row.tobytes())) is not None:
+                checks[i] += 1
+                names.add(name)
+        return check(arr, name, *args, **kwargs)
+
+    monkeypatch.setattr(sphere, "_check_norms", spy)
+    monkeypatch.setattr(fio, "_check_norms", spy)
+    code, err, written = track(scene, "chunk1.emb", scene / "anchors.emb", False, capsys)
+    assert code == 0 and set(written) == {"state.bin", "fakes.emb", "log.csv"}
+    assert f"{PEOPLE} distinct identities" in err  # it mints
+    assert names == {"row"}
+    assert checks.tolist() == [2] * ANCHORS
