@@ -26,6 +26,15 @@ import threading
 from pathlib import Path
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
+# After each call, and once at start-up, an idle OpenBLAS worker busy-waits
+# 2^28 cycles (about 0.1 s) before it sleeps. A command's BLAS calls are
+# separated by Python work, so that spin burns CPU and finishes nothing sooner.
+# 2^20 cycles leaves the thread count, the work split and every output bit as
+# they were. A caller's value is kept. A process that loaded numpy before this
+# module has started its BLAS already, and its environment is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 import numpy as np
 
 # Every command reads or writes its files through io, which loads sphere and
@@ -257,7 +266,7 @@ def _info(message: str) -> None:
 
 
 def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
-    means, _ = fio.load_rows(args.means, opts.get("normalize"))
+    means, _ = fio._loaded(args.means, opts.get("normalize"))
     anchors = build_anchor_set(means, rounds=opts.get("rounds"), t=opts.get("t"))
     if args.provenance is not None:
         _report(args.provenance, "anchor_index,round,source_a,source_b,t", (
@@ -279,7 +288,7 @@ def _cmd_build_anchors(args: argparse.Namespace, opts: _Options) -> int:
 def _cmd_sample(args: argparse.Namespace, opts: _Options) -> int:
     from .sampling import _f32_margin, sample_batch
 
-    anchors = AnchorSet(fio.load_rows(args.anchors, opts.get("normalize"))[0])
+    anchors = AnchorSet(fio._loaded(args.anchors, opts.get("normalize"))[0])
     with fio._open_rows(args.query, opts.get("normalize")) as (queries, _):
         margin = _f32_margin(opts.get("margin"))
         index, cosine = sample_batch(queries, anchors, margin)

@@ -29,7 +29,8 @@ class LabeledEmbedding:
 class Gallery:
     """An ordered set of labeled unit embeddings with unique labels, held as a
     read-only (N, D) float64 array and one label per row. The rows a loader
-    returns are kept without a copy, any other rows given are copied (see
+    returns are kept without a copy, and rows checked as they were read are not
+    checked again; any other rows given are copied (see
     :func:`fiva.sphere._frozen`)."""
 
     matrix: np.ndarray
@@ -42,7 +43,7 @@ class Gallery:
             if not label or label in seen:
                 raise ValueError(f"gallery labels must be non-empty and unique, got {label!r}")
             seen.add(label)
-        matrix = _unit_matrix(_frozen(self.matrix), "gallery entry")
+        matrix = _frozen(_unit_matrix(self.matrix, "gallery entry"))
         if len(labels) != len(matrix):
             raise LabelCountMismatch(f"{len(labels)} labels for {len(matrix)} gallery entries")
         object.__setattr__(self, "matrix", matrix)

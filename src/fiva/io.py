@@ -584,7 +584,22 @@ def load_rows(
     return rows, walk[1]
 
 
-def _labeled(source, loaded: tuple) -> tuple[np.ndarray, list[str]]:
+def _loaded(source, renormalize: bool = False) -> tuple[_CheckedRows, list[str] | None]:
+    """:func:`load_rows`' rows and labels, the rows as :class:`_CheckedRows` that
+    hold them ``whole``: :class:`AnchorSet`, :class:`Gallery` and
+    :func:`fiva.sphere.build_anchor_set` keep them without a copy or a second check."""
+    rows, labels = load_rows(source, renormalize)
+
+    def read(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return rows[start:stop]
+        out[...] = rows[start:stop]
+        return out
+
+    return _CheckedRows(rows.shape, read, rows), labels
+
+
+def _labeled(source, loaded: tuple) -> tuple[np.ndarray | _CheckedRows, list[str]]:
     """The rows and labels ``loaded`` from ``source``, which must carry a label per row."""
     rows, labels = loaded
     if labels is None:
@@ -618,7 +633,7 @@ def load_gallery(
     source: str | Path | BinaryIO, renormalize: bool = False
 ) -> Gallery:
     """Read a labeled embedding file as a retrieval gallery."""
-    return Gallery(*load_labeled_rows(source, renormalize))
+    return Gallery(*_labeled(source, _loaded(source, renormalize)))
 
 
 def write_embeddings(

@@ -138,7 +138,10 @@ def _stack(embeddings: Sequence[Embedding], name: str = "embedding") -> np.ndarr
 
 def _rows_of(items, name: str) -> np.ndarray:
     """:func:`_unit_matrix` of an (N, D) array widened to float64, or of a
-    sequence of embeddings stacked: their callers compute on the whole array."""
+    sequence of embeddings stacked: their callers compute on the whole array.
+    Rows checked when read are taken whole (:func:`_frozen`), not checked again."""
+    if isinstance(items, _CheckedRows):
+        return _frozen(items)
     rows = items if isinstance(items, np.ndarray) else _stack(list(items), name)
     return _unit_matrix(np.asarray(rows, dtype=np.float64), name)
 
@@ -209,10 +212,11 @@ def _unit_matrix(
 def _frozen(matrix) -> np.ndarray:
     """``matrix`` as a read-only float64 array: a float64 array that owns its data
     and is read-only already, as the file loaders return, is kept; rows checked as
-    they are read (:class:`_CheckedRows`) are read whole into a fresh one; any
-    other rows, a caller's writable array included, are copied."""
+    they are read (:class:`_CheckedRows`) are their ``whole`` array where a loader
+    holds them so, else read whole into a fresh one; any other rows, a caller's
+    writable array included, are copied."""
     if isinstance(matrix, _CheckedRows):
-        matrix = matrix.read(0, len(matrix), np.empty(matrix.shape))
+        matrix = matrix.read(0, len(matrix), np.empty(matrix.shape)) if matrix.whole is None else matrix.whole
         matrix.flags.writeable = False
     kept = isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
     if not (kept and matrix.flags.owndata and not matrix.flags.writeable):
@@ -274,10 +278,13 @@ class _Take:
 class _CheckedRows:
     """Unit rows checked whole when they were read, then served as float64 a
     slice at a time by ``read(start, stop)``: the protocol of :class:`_Take`.
-    Kernels that only slice their rows take these in place of an array."""
+    Kernels that only slice their rows take these in place of an array. Rows a
+    loader holds in memory are also ``whole``, one read-only float64 array that
+    owns its data."""
 
     shape: tuple[int, int]
     read: Callable[..., np.ndarray]
+    whole: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -519,8 +526,9 @@ class SkippedPair:
 class AnchorSet:
     """An ordered collection of unit anchors available for sampling, held as a
     read-only (K, D) float64 array: the rows a loader returns, kept without a
-    copy, rows checked as they are read, read whole and not checked again, or a
-    copy of any other rows given (see :func:`_frozen`).
+    copy, rows checked as they were read, not checked again (kept without a copy
+    where a loader holds them whole), or a copy of any other rows given (see
+    :func:`_frozen`).
 
     ``provenance`` is populated by :func:`build_anchor_set`; anchor sets
     loaded back from plain embedding files carry ``None`` because the file

@@ -2,16 +2,18 @@
 ``_open_rows`` and ``_distinct_table``) projects the rows its check passed in
 place, by the norms that check took: each row has the bits of
 ``_normalize_rows`` on the file's rows widened to float64, its norm is taken
-once per read, and ``load_rows`` holds its rows once."""
+once per read, and ``load_rows`` holds its rows once. The anchors, gallery and
+means a command loads are checked by the read alone."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from fiva import load_rows, read_container, write_container
+from fiva import AnchorSet, Gallery, NotUnitNorm, build_anchor_set, load_rows, read_container, write_container
 from fiva import io as fio
 from fiva import sphere
+from fiva.cli import main
 from fiva.sphere import _BLOCK_ELEMENTS, _normalize_rows
 
 DIM = 64
@@ -100,3 +102,50 @@ def test_each_read_takes_each_row_norm_once(path, norm_rows, renormalize):
             rows[part]
             assert sum(norm_rows) == part.stop - part.start, part
 
+
+@pytest.mark.parametrize("command", ["build-anchors", "sample", "eval-retrieval"])
+def test_a_loaded_file_is_checked_once(rng, tmp_path, monkeypatch, capsys, command):
+    # The means, the anchors or the gallery, read whole: load_rows' check is the
+    # only one; the anchor set, the gallery or build_anchor_set keep its rows.
+    count = CHUNK_ROWS + 500
+    loaded, other, out = (str(tmp_path / name) for name in ("loaded.emb", "other.emb", "out.emb"))
+    labels = [f"id{i}" for i in range(count)]
+    write_container(loaded, _normalize_rows(rng.normal(size=(count, DIM))), labels)
+    write_container(other, _normalize_rows(rng.normal(size=(300, DIM))), labels[:300])
+    rows = read_container(loaded)[0].astype(np.float64)
+    position = {row.tobytes(): i for i, row in enumerate(rows)}
+    checks, names = np.zeros(count, dtype=int), set()
+    check = sphere._check_norms
+
+    def spy(arr, name, *args, **kwargs):
+        for row in arr:
+            if (i := position.get(row.tobytes())) is not None:
+                checks[i] += 1
+                names.add(name)
+        return check(arr, name, *args, **kwargs)
+
+    monkeypatch.setattr(sphere, "_check_norms", spy)
+    monkeypatch.setattr(fio, "_check_norms", spy)
+    argv = {
+        "build-anchors": ["--means", loaded, "--out", out],
+        "sample": ["--anchors", loaded, "--query", other, "--out", out],
+        "eval-retrieval": ["--probes", other, "--gallery", loaded],
+    }[command]
+    assert main([command, *argv]) == 0
+    capsys.readouterr()
+    assert names == {"row"}
+    assert checks.tolist() == [1] * count
+
+
+@pytest.mark.parametrize("name", ["anchor", "gallery entry", "mean"])
+def test_rows_a_caller_builds_are_still_checked(rng, name):
+    rows = _normalize_rows(rng.normal(size=(5, DIM)))
+    rows[3] *= 1.5
+    rows.flags.writeable = False  # as a loader returns its rows
+    make = {
+        "anchor": AnchorSet,
+        "gallery entry": lambda rows: Gallery(rows, [f"id{i}" for i in range(len(rows))]),
+        "mean": build_anchor_set,
+    }[name]
+    with pytest.raises(NotUnitNorm, match=f"^{name} 3 has norm 1.50000000"):
+        make(rows)

@@ -2,7 +2,9 @@
 teardown: ``import fiva`` loads no submodule and resolves each public name from
 its module on first use, each command of ``python -m fiva.cli`` imports exactly
 its layers, and the process flushes stdout before it ends, so a child's tables
-equal in-process ``main``'s bytes and a closed stdout is a data error (exit 2)."""
+equal in-process ``main``'s bytes and a closed stdout is a data error (exit 2).
+A command's numpy loads with ``OPENBLAS_THREAD_TIMEOUT`` at 20 unless its caller
+set it; ``import fiva`` sets nothing, nor does a process that loaded numpy first."""
 
 import importlib
 import inspect
@@ -122,3 +124,42 @@ def test_a_closed_stdout_is_a_data_error(inputs):
         os.close(write)
     assert run.returncode == 2
     assert run.stderr == b"fiva: error: [Errno 32] Broken pipe\n"
+
+
+# Prints OPENBLAS_THREAD_TIMEOUT on stderr the first time numpy is looked up, before it loads.
+NUMPY_SPY = """
+import os, sys
+class Spy:
+    seen = False
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen = True
+            print("numpy sees", os.environ.get("OPENBLAS_THREAD_TIMEOUT"), file=sys.stderr, flush=True)
+sys.meta_path.insert(0, Spy())
+"""
+
+
+def unset_timeout_child(code, **env):
+    """A child running ``code`` after ``NUMPY_SPY``, OPENBLAS_THREAD_TIMEOUT unset unless ``env`` sets it."""
+    env = {key: value for key, value in ENV.items() if key != "OPENBLAS_THREAD_TIMEOUT"} | env
+    return subprocess.run([sys.executable, "-c", NUMPY_SPY + code], env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("code, env, seen", [
+    ("import fiva.cli", {}, "20"),
+    ("import runpy, sys; sys.argv = ['fiva', '--help']; runpy.run_module('fiva.cli', run_name='__main__')", {}, "20"),
+    ("import fiva.cli", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
+    ("import fiva; fiva.AnchorSet", {}, "None"),
+], ids=["import", "runpy main", "caller's value", "library"])
+def test_numpy_loads_with_the_blas_idle_timeout(code, env, seen):
+    run = unset_timeout_child(code, **env)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stderr.decode().splitlines()[0] == f"numpy sees {seen}"
+
+
+def test_a_process_that_loaded_numpy_first_keeps_its_environment():
+    run = unset_timeout_child(
+        "before = dict(os.environ); import numpy, fiva.cli; print(dict(os.environ) == before, 'OPENBLAS_THREAD_TIMEOUT' in os.environ)"
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout.decode() == "True False\n"
